@@ -151,18 +151,20 @@ def _train_for(spec: BenchSpec, variant: MethodVariant, r_cell: int,
     return cache[key]
 
 
-def _stream_rng(spec: BenchSpec, cell: Cell, round_no: int) -> np.random.Generator:
+def _stream_rng(eval_seed: int, cell: Cell, round_no: int) -> np.random.Generator:
     # The stream key deliberately excludes method and sweep axis so paired
     # comparisons consume identical episodes.
-    return np.random.default_rng(
-        [spec.eval_seed, cell.n_way, cell.k_shot, cell.r, round_no])
+    return np.random.default_rng([eval_seed, cell.n_way, cell.k_shot, cell.r, round_no])
 
 
-def _draw_round_episode(spec: BenchSpec, cell: Cell, round_no: int):
-    rng = _stream_rng(spec, cell, round_no)
-    held_out = np.arange(spec.train_classes, spec.world.classes)
+def _draw_round_episode(world: World, train_classes: int, k_query: int, eval_seed: int,
+                        cell: Cell, round_no: int):
+    """The round's episode on the held-out classes (every world class from
+    train_classes on), corrupted by the cell's (p, r)."""
+    rng = _stream_rng(eval_seed, cell, round_no)
+    held_out = np.arange(train_classes, world.classes)
     class_ids = rng.choice(held_out, size=cell.n_way, replace=False)
-    episode = sample_episode(spec.world, class_ids, cell.k_shot, spec.k_query, rng)
+    episode = sample_episode(world, class_ids, cell.k_shot, k_query, rng)
     return corrupt(episode, CorruptionSpec(cell.p, cell.r), rng)
 
 
@@ -170,6 +172,9 @@ def _run_cells(spec: BenchSpec, cells: list[Cell],
                variants: dict[str, list[MethodVariant]]) -> BenchResult:
     """Evaluate every cell. `variants` maps each cell label to the method
     pipelines to score on that cell's shared episode stream."""
+    for cell in cells:  # fail before any checkpoint is trained
+        for variant in variants[cell.label()]:
+            variant.test_rectify.resolve_k(cell.k_shot, f"cell {cell.label()}: k_shot")
     accuracies: dict[tuple[str, str], list[float]] = {}
     hashes: dict[str, list[str]] = {}
     cache: dict = {}
@@ -182,7 +187,8 @@ def _run_cells(spec: BenchSpec, cells: list[Cell],
         for round_no in range(spec.rounds):
             task_seed = (spec.train.task_seed if not spec.retrain_per_round
                          else hash_seed(spec.train.task_seed, round_no))
-            episode = _draw_round_episode(spec, cell, round_no)
+            episode = _draw_round_episode(spec.world, spec.train_classes, spec.k_query,
+                                          spec.eval_seed, cell, round_no)
             hashes[label].append(episode_hash(episode))
             for variant in cell_variants:
                 params = _train_for(spec, variant, cell.r, cache, task_seed)

@@ -10,46 +10,75 @@ randomness flows from explicit seeds only.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .autodiff import grad_check
-from .bench import BenchSpec, config_hash, run_benchmark, sweep, write_report
+from .bench import METHODS, SWEEP_AXES, BenchSpec, Cell, _draw_round_episode, run_benchmark, \
+    sweep, write_report
 from .embedding import NetworkSpec, embed, init_network, load_checkpoint, save_checkpoint
 from .episodes import (CorruptionSpec, corrupt, episode_hash, make_world, sample_episode,
                        world_from_manifest, world_to_manifest)
-from .pll_core import RectifyConfig, rectify
+from .pll_core import DISTANCE_KINDS, RectifyConfig, rectify
 from .trainer import TrainConfig, episode_loss_graph, meta_test, meta_train
 
-CONFIG_KEYS = """\
-config keys (JSON; defaults in parentheses):
-  world.seed (1)            world.classes (50)       world.dim (16)
-  world.sigma (1.0)         world.mean_scale (1.0)   world.path (load manifest instead)
-  train_classes (30)        -- meta-train class pool: first N world classes
-  network.hidden_dims ([64, 64])                     network.output_dim (64)
-  train.max_epoch (200)     train.tasks_per_epoch (100)
-  train.n_way (30)          train.k_support (5)      train.k_query (15)
-  train.lr0 (0.001)         train.lr_half_period (20)
-  train.init_seed (0)       train.task_seed (0)
-  train.step_per_task (false)                        train.fixed_tasks (false)
-  train.supervised_loss (false)  -- ablation: query loss uses ground truth
-  rectify.iterations (10)   rectify.lambda (0.5)     rectify.k (null -> shots-1)
-  rectify.distance ("euclidean" | "squared")
-  corruption.p (1.0)        corruption.r (1)
-  test.checkpoint (path)    test.n_way (5)           test.k_shot (5)
-  test.k_query (15)         test.rounds (50)         test.eval_seed (1)
-  bench.n_way ([5, 10])     bench.k_shot ([5, 10])   bench.r ([0, 1, 2])
-  bench.p (1.0)             bench.rounds (50)        bench.k_query (15)
-  bench.methods (["fspll", "fspll-nm", "pn"])        bench.eval_seed (1)
-  bench.retrain_per_round (false)
-  sweep.axis ("lambda" | "k")                        sweep.values (required)
-  sweep.retrain (false)
-"""
+# Every config key with its default, laid out like the JSON file. Parsing, the
+# --help epilog and train's config.json all derive from this table, and a key
+# it does not hold is an error. The null defaults of test.checkpoint,
+# sweep.axis and sweep.values mean "required by that command".
+DEFAULTS = {
+    "world": {"seed": 1, "classes": 50, "dim": 16, "sigma": 1.0, "mean_scale": 1.0,
+              "path": None},
+    "train_classes": 30,
+    "network": {"hidden_dims": [64, 64], "output_dim": 64},
+    "train": {"max_epoch": 200, "tasks_per_epoch": 100, "n_way": 30, "k_support": 5,
+              "k_query": 15, "lr0": 0.001, "lr_half_period": 20, "init_seed": 0,
+              "task_seed": 0, "step_per_task": False, "fixed_tasks": False,
+              "supervised_loss": False},
+    "rectify": {"iterations": 10, "lambda": 0.5, "k": None, "distance": "euclidean"},
+    "corruption": {"p": 1.0, "r": 1},
+    "test": {"checkpoint": None, "n_way": 5, "k_shot": 5, "k_query": 15, "rounds": 50,
+             "eval_seed": 1},
+    "bench": {"n_way": [5, 10], "k_shot": [5, 10], "r": [0, 1, 2], "p": 1.0, "rounds": 50,
+              "methods": ["fspll", "fspll-nm", "pn"], "k_query": 15, "eval_seed": 1,
+              "retrain_per_round": False},
+    "sweep": {"axis": None, "values": None, "retrain": False},
+}
+
+# What the --help epilog says about a key beyond its default.
+KEY_NOTES = {
+    "world.path": "load this world manifest instead of the other world keys",
+    "train_classes": "meta-train on the first N world classes; the rest are held out",
+    "train.supervised_loss": "ablation: the query loss uses ground truth",
+    "rectify.k": "null: shots per class - 1",
+    "rectify.distance": " | ".join(DISTANCE_KINDS),
+    "test.checkpoint": "required by test",
+    "bench.methods": "any of " + ", ".join(METHODS),
+    "sweep.axis": "required by sweep: " + " | ".join(SWEEP_AXES),
+    "sweep.values": "required by sweep",
+}
+
+
+def config_keys(table: dict = DEFAULTS, prefix: str = ""):
+    """(dotted key, default) for every key of the table."""
+    for key, default in table.items():
+        if isinstance(default, dict):
+            yield from config_keys(default, f"{prefix}{key}.")
+        else:
+            yield prefix + key, default
+
+
+def _config_help() -> str:
+    lines = ["config keys (JSON; defaults in parentheses; any other key is an error):"]
+    for key, default in config_keys():
+        note = KEY_NOTES.get(key)
+        lines.append(f"  {key} ({json.dumps(default)})" + (f"  -- {note}" if note else ""))
+    return "\n".join(lines) + "\n"
 
 
 def _load_json(path):
@@ -64,87 +93,58 @@ def _resolve(path, base_dir):
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
 
-def _parse_world(doc: dict, base_dir: str, seed_override: int | None):
-    section = doc.get("world", {})
-    if "path" in section:
-        manifest = _load_json(_resolve(section["path"], base_dir))
-        return world_from_manifest(manifest)
-    seed = seed_override if seed_override is not None else section.get("seed", 1)
-    return make_world(seed, section.get("classes", 50), section.get("dim", 16),
-                      section.get("sigma", 1.0), section.get("mean_scale", 1.0))
+def _settings(doc, table: dict = DEFAULTS, prefix: str = "") -> dict:
+    """`doc` over the table's defaults; a key the table does not hold is an error."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"config key {prefix[:-1]} must be a JSON object" if prefix
+                         else "a config file must hold a JSON object")
+    for key in doc:
+        if key not in table:
+            raise ValueError(f"unknown config key {prefix}{key}")
+    return {key: _settings(doc.get(key, {}), default, f"{prefix}{key}.")
+            if isinstance(default, dict) else copy.deepcopy(doc.get(key, default))
+            for key, default in table.items()}
 
 
-def _parse_rectify(doc: dict) -> RectifyConfig:
-    section = doc.get("rectify", {})
-    distance = section.get("distance", "euclidean")
-    if distance == "squared-euclidean":
-        distance = "squared"
-    return RectifyConfig(
-        iterations=section.get("iterations", 10),
-        lam=section.get("lambda", 0.5),
-        k=section.get("k"),
-        distance=distance,
-    )
+def _load_config(args) -> tuple[dict, str]:
+    """The settings of the --config file, with --seed applied to the
+    command's seed keys, and the directory its relative paths start from."""
+    cfg = _settings(_load_json(args.config))
+    if args.seed is not None:
+        for key in args.seed_keys:
+            section, name = key.split(".")
+            cfg[section][name] = args.seed
+    if cfg["rectify"]["distance"] == "squared-euclidean":
+        cfg["rectify"]["distance"] = "squared"
+    return cfg, os.path.dirname(os.path.abspath(args.config))
 
 
-def _parse_corruption(doc: dict) -> CorruptionSpec:
-    section = doc.get("corruption", {})
-    return CorruptionSpec(section.get("p", 1.0), section.get("r", 1))
+def _parse_world(cfg: dict, base_dir: str):
+    section = cfg["world"]
+    if section["path"] is not None:
+        return world_from_manifest(_load_json(_resolve(section["path"], base_dir)))
+    return make_world(section["seed"], section["classes"], section["dim"],
+                      section["sigma"], section["mean_scale"])
 
 
-def _parse_network(doc: dict, input_dim: int) -> NetworkSpec:
-    section = doc.get("network", {})
-    return NetworkSpec(input_dim,
-                       tuple(section.get("hidden_dims", [64, 64])),
-                       section.get("output_dim", 64))
+def _parse_rectify(cfg: dict) -> RectifyConfig:
+    section = cfg["rectify"]
+    return RectifyConfig(iterations=section["iterations"], lam=section["lambda"],
+                         k=section["k"], distance=section["distance"])
 
 
-def _parse_train(doc: dict, network: NetworkSpec, seed_override: int | None) -> TrainConfig:
-    section = doc.get("train", {})
-    init_seed = section.get("init_seed", 0)
-    task_seed = section.get("task_seed", 0)
-    if seed_override is not None:
-        init_seed = task_seed = seed_override
-    return TrainConfig(
-        network=network,
-        max_epoch=section.get("max_epoch", 200),
-        tasks_per_epoch=section.get("tasks_per_epoch", 100),
-        n_way=section.get("n_way", 30),
-        k_support=section.get("k_support", 5),
-        k_query=section.get("k_query", 15),
-        rectify=_parse_rectify(doc),
-        corruption=_parse_corruption(doc),
-        lr0=section.get("lr0", 0.001),
-        lr_half_period=section.get("lr_half_period", 20),
-        train_classes=doc.get("train_classes", 30),
-        init_seed=init_seed,
-        task_seed=task_seed,
-        step_per_task=section.get("step_per_task", False),
-        fixed_tasks=section.get("fixed_tasks", False),
-        supervised_loss=section.get("supervised_loss", False),
-    )
+def _parse_train(cfg: dict, input_dim: int) -> TrainConfig:
+    return TrainConfig(network=NetworkSpec(input_dim, **cfg["network"]),
+                       rectify=_parse_rectify(cfg),
+                       corruption=CorruptionSpec(**cfg["corruption"]),
+                       train_classes=cfg["train_classes"], **cfg["train"])
 
 
-def _parse_bench(doc: dict, base_dir: str, seed_override: int | None) -> BenchSpec:
-    world = _parse_world(doc, base_dir, None)
-    train = _parse_train(doc, _parse_network(doc, world.dim), None)
-    section = doc.get("bench", {})
-    eval_seed = seed_override if seed_override is not None else section.get("eval_seed", 1)
-    return BenchSpec(
-        world=world,
-        train=train,
-        train_classes=doc.get("train_classes", 30),
-        n_way=list(section.get("n_way", [5, 10])),
-        k_shot=list(section.get("k_shot", [5, 10])),
-        r=list(section.get("r", [0, 1, 2])),
-        p=section.get("p", 1.0),
-        rounds=section.get("rounds", 50),
-        methods=list(section.get("methods", ["fspll", "fspll-nm", "pn"])),
-        k_query=section.get("k_query", 15),
-        eval_seed=eval_seed,
-        base_rectify=_parse_rectify(doc),
-        retrain_per_round=section.get("retrain_per_round", False),
-    )
+def _parse_bench(cfg: dict, base_dir: str) -> BenchSpec:
+    world = _parse_world(cfg, base_dir)
+    return BenchSpec(world=world, train=_parse_train(cfg, world.dim),
+                     train_classes=cfg["train_classes"], base_rectify=_parse_rectify(cfg),
+                     **cfg["bench"])
 
 
 def _require_out(args) -> str:
@@ -157,8 +157,7 @@ def _require_out(args) -> str:
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_gen_world(args) -> int:
-    doc = _load_json(args.config)
-    world = _parse_world(doc, os.path.dirname(os.path.abspath(args.config)), args.seed)
+    world = _parse_world(*_load_config(args))
     out = _require_out(args)
     path = os.path.join(out, "world.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -169,30 +168,17 @@ def cmd_gen_world(args) -> int:
 
 
 def cmd_train(args) -> int:
-    doc = _load_json(args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    world = _parse_world(doc, base_dir, None)
-    config = _parse_train(doc, _parse_network(doc, world.dim), args.seed)
+    cfg, base_dir = _load_config(args)
+    world = _parse_world(cfg, base_dir)
+    config = _parse_train(cfg, world.dim)
     out = _require_out(args)
 
     params, log = meta_train(config, world)
 
-    snapshot = {
-        "world": world_to_manifest(world),
-        "train_classes": config.train_classes,
-        "network": {"hidden_dims": list(config.network.hidden_dims),
-                    "output_dim": config.network.output_dim},
-        "train": {"max_epoch": config.max_epoch, "tasks_per_epoch": config.tasks_per_epoch,
-                  "n_way": config.n_way, "k_support": config.k_support,
-                  "k_query": config.k_query, "lr0": config.lr0,
-                  "lr_half_period": config.lr_half_period, "init_seed": config.init_seed,
-                  "task_seed": config.task_seed, "step_per_task": config.step_per_task,
-                  "fixed_tasks": config.fixed_tasks,
-                  "supervised_loss": config.supervised_loss},
-        "rectify": {"iterations": config.rectify.iterations, "lambda": config.rectify.lam,
-                    "k": config.rectify.k, "distance": config.rectify.distance},
-        "corruption": {"p": config.corruption.p, "r": config.corruption.r},
-    }
+    snapshot = {key: cfg[key] for key in ("train_classes", "network", "train", "rectify",
+                                          "corruption")}
+    snapshot["world"] = world_to_manifest(world)
+    snapshot["network"]["hidden_dims"] = list(config.network.hidden_dims)  # cast to int
     with open(os.path.join(out, "config.json"), "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -216,31 +202,25 @@ def cmd_train(args) -> int:
 
 
 def cmd_test(args) -> int:
-    doc = _load_json(args.config)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    world = _parse_world(doc, base_dir, None)
-    section = doc.get("test", {})
-    if "checkpoint" not in section:
+    cfg, base_dir = _load_config(args)
+    world = _parse_world(cfg, base_dir)
+    section = cfg["test"]
+    if section["checkpoint"] is None:
         raise ValueError("config key test.checkpoint is required")
+    rect = _parse_rectify(cfg)
+    cell = Cell(section["n_way"], section["k_shot"], cfg["corruption"]["r"],
+                cfg["corruption"]["p"])
+    rect.resolve_k(cell.k_shot, "test.k_shot")
+    held_out = max(0, world.classes - cfg["train_classes"])
+    if held_out < cell.n_way:
+        raise ValueError(f"held-out pool ({held_out}) smaller than n_way={cell.n_way}")
     params = load_checkpoint(_resolve(section["checkpoint"], base_dir))
-    rect = _parse_rectify(doc)
-    corruption = _parse_corruption(doc)
-    train_classes = doc.get("train_classes", 30)
-    n_way = section.get("n_way", 5)
-    k_shot = section.get("k_shot", 5)
-    k_query = section.get("k_query", 15)
-    rounds = section.get("rounds", 50)
-    eval_seed = args.seed if args.seed is not None else section.get("eval_seed", 1)
 
-    held_out = np.arange(train_classes, world.classes)
-    if len(held_out) < n_way:
-        raise ValueError(f"held-out pool ({len(held_out)}) smaller than n_way={n_way}")
+    rounds = section["rounds"]
     accs, hashes = [], []
     for round_no in range(rounds):
-        rng = np.random.default_rng([eval_seed, n_way, k_shot, corruption.r, round_no])
-        class_ids = rng.choice(held_out, size=n_way, replace=False)
-        episode = sample_episode(world, class_ids, k_shot, k_query, rng)
-        episode = corrupt(episode, corruption, rng)
+        episode = _draw_round_episode(world, cfg["train_classes"], section["k_query"],
+                                      section["eval_seed"], cell, round_no)
         hashes.append(episode_hash(episode))
         accs.append(meta_test(params, episode, rect).accuracy)
 
@@ -254,15 +234,15 @@ def cmd_test(args) -> int:
                 fh.write(f"{i},{acc:.6f},{h}\n")
         with open(os.path.join(out, "test_summary.json"), "w", encoding="utf-8") as fh:
             json.dump({"mean": round(mean, 6), "std": round(std, 6), "rounds": rounds,
-                       "n_way": n_way, "k_shot": k_shot, "eval_seed": eval_seed},
+                       "n_way": cell.n_way, "k_shot": cell.k_shot,
+                       "eval_seed": section["eval_seed"]},
                       fh, indent=1, sort_keys=True)
             fh.write("\n")
     return 0
 
 
 def cmd_bench(args) -> int:
-    doc = _load_json(args.config)
-    spec = _parse_bench(doc, os.path.dirname(os.path.abspath(args.config)), args.seed)
+    spec = _parse_bench(*_load_config(args))
     out = _require_out(args)
     result = run_benchmark(spec)
     paths = write_report(result, out)
@@ -276,14 +256,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = _load_json(args.config)
-    spec = _parse_bench(doc, os.path.dirname(os.path.abspath(args.config)), args.seed)
-    section = doc.get("sweep", {})
-    if "axis" not in section or "values" not in section:
+    cfg, base_dir = _load_config(args)
+    spec = _parse_bench(cfg, base_dir)
+    section = cfg["sweep"]
+    if section["axis"] is None or section["values"] is None:
         raise ValueError("config keys sweep.axis and sweep.values are required")
     out = _require_out(args)
-    result = sweep(spec, section["axis"], list(section["values"]),
-                   retrain=section.get("retrain", False))
+    result = sweep(spec, section["axis"], list(section["values"]), retrain=section["retrain"])
     paths = write_report(result, out)
     for cell in result.cells:
         for method in result.methods:
@@ -316,38 +295,39 @@ def cmd_grad_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    epilog = _config_help()
     parser = argparse.ArgumentParser(
         prog="fspll",
         description="Few-shot partial-label learning toolkit",
-        epilog=CONFIG_KEYS,
+        epilog=epilog,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"fspll {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, func, help_text, needs_config=True):
-        p = sub.add_parser(name, help=help_text, epilog=CONFIG_KEYS,
+    def add(name, func, help_text, seed_keys=None):
+        """seed_keys: the config keys --seed overrides; None: no --config."""
+        p = sub.add_parser(name, help=help_text, epilog=epilog,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
-        if needs_config:
+        if seed_keys is not None:
             p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the command's primary seed")
+                       help="override " + " and ".join(seed_keys) if seed_keys
+                       else "seed of the check (default 0)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallelism cap (1 = sequential, bit-reproducible; "
-                            "execution is currently always sequential)")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, seed_keys=seed_keys)
         return p
 
-    add("gen-world", cmd_gen_world, "generate a synthetic world manifest")
-    train_p = add("train", cmd_train, "meta-train an embedding checkpoint")
+    add("gen-world", cmd_gen_world, "generate a synthetic world manifest", ["world.seed"])
+    train_p = add("train", cmd_train, "meta-train an embedding checkpoint",
+                  ["train.init_seed", "train.task_seed"])
     train_p.add_argument("--timing", action="store_true",
                          help="record wall time in log.csv (off: byte-reproducible runs)")
-    add("test", cmd_test, "evaluate a checkpoint on fresh meta-test episodes")
-    add("bench", cmd_bench, "run the paired benchmark grid")
-    add("sweep", cmd_sweep, "sensitivity sweep over lambda or k")
-    add("grad-check", cmd_grad_check, "finite-difference check of the loss gradient",
-        needs_config=False)
+    add("test", cmd_test, "evaluate a checkpoint on fresh meta-test episodes",
+        ["test.eval_seed"])
+    add("bench", cmd_bench, "run the paired benchmark grid", ["bench.eval_seed"])
+    add("sweep", cmd_sweep, "sensitivity sweep over lambda or k", ["bench.eval_seed"])
+    add("grad-check", cmd_grad_check, "finite-difference check of the loss gradient")
     return parser
 
 
@@ -357,9 +337,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return 0 if exc.code in (0, None) else int(exc.code)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     if getattr(args, "config", None) is not None and not os.path.exists(args.config):
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         print(f"run `fspll {args.command} --help` for the config key list", file=sys.stderr)

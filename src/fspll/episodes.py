@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -174,8 +175,8 @@ class FeaturePool:
 def load_feature_dataset(path) -> FeaturePool:
     """Read a `class,f0,...,f{d-1}` CSV into a per-class feature pool.
 
-    Ragged rows, a missing/misnamed class column, bad numbers and empty files
-    all raise DatasetFormatError naming the offending line.
+    Ragged rows, a missing/misnamed class column, bad or non-finite numbers
+    and empty files all raise DatasetFormatError naming the offending line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -210,6 +211,8 @@ def load_feature_dataset(path) -> FeaturePool:
             except ValueError:
                 raise DatasetFormatError(
                     f"{path}: line {line_no}: non-numeric feature value") from None
+            if not all(math.isfinite(v) for v in vec):
+                raise DatasetFormatError(f"{path}: line {line_no}: non-finite feature value")
             by_class.setdefault(cls, []).append(vec)
             n_rows += 1
         if n_rows == 0:

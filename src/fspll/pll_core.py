@@ -15,7 +15,7 @@ during meta-training are the *_nodes builders at the bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +47,17 @@ class RectifyConfig:
             raise ValueError("k must be >= 1")
         if self.distance not in DISTANCE_KINDS:
             raise ValueError(f"distance must be one of {DISTANCE_KINDS}, got {self.distance!r}")
+
+    def resolve_k(self, shots: int, source: str) -> RectifyConfig:
+        """Resolve an unset k to shots - 1 when smoothing runs. `source` names
+        the shot count in the error raised when that leaves no neighbor."""
+        if self.k is None and self.iterations > 0 and self.lam > 0:
+            if shots < 2:
+                raise ValueError(
+                    f"{source}={shots} leaves no neighbor for smoothing (k = shots - 1); "
+                    "set rectify.k, or rectify.lambda to 0")
+            return replace(self, k=shots - 1)
+        return self
 
 
 def validate_candidates(Y: np.ndarray) -> None:

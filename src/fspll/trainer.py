@@ -15,7 +15,7 @@ prototype via the posterior argmax.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,10 +61,7 @@ class TrainConfig:
     def resolved_rectify(self) -> RectifyConfig:
         # k is only meaningful when smoothing runs; resolving it lazily keeps
         # e.g. 1-shot configs with iterations=0 valid.
-        cfg = self.rectify
-        if cfg.k is None and cfg.iterations > 0 and cfg.lam > 0:
-            return replace(cfg, k=self.k_support - 1)
-        return cfg
+        return self.rectify.resolve_k(self.k_support, "train.k_support")
 
 
 @dataclass
@@ -190,10 +187,7 @@ def meta_test(params: NetworkParams, episode: Episode,
         raise ValueError(
             f"episode dim {episode.support.shape[0]} does not match "
             f"network input {params.spec.input_dim}")
-    cfg = rectify_cfg
-    if cfg.k is None and cfg.iterations > 0 and cfg.lam > 0:
-        shots = episode.n_support // episode.n_classes
-        cfg = replace(cfg, k=shots - 1)
+    cfg = rectify_cfg.resolve_k(episode.n_support // episode.n_classes, "shots per class")
     z_support = embed(params, episode.support)
     protos, confidence = rectify(z_support, episode.candidates, cfg)
     probs = classify_proba(embed(params, episode.queries), protos, cfg.distance)

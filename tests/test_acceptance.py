@@ -279,8 +279,7 @@ def test_c9_cli_determinism(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(base))
     train_run = tmp_path / "train_a"
-    assert main(["train", "--config", str(cfg), "--out", str(train_run),
-                 "--threads", "1"]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(train_run)]) == 0
     base["test"] = {"checkpoint": str(train_run / "checkpoint.json"), "n_way": 3,
                     "k_shot": 3, "k_query": 4, "rounds": 2, "eval_seed": 3}
     cfg.write_text(json.dumps(base))
@@ -296,16 +295,16 @@ def test_c9_cli_determinism(tmp_path, capsys):
     details = []
     for name, argv in commands.items():
         out_a, out_b = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
-        assert main(argv + ["--out", str(out_a), "--threads", "1"]) == 0
-        assert main(argv + ["--out", str(out_b), "--threads", "1"]) == 0
+        assert main(argv + ["--out", str(out_a)]) == 0
+        assert main(argv + ["--out", str(out_b)]) == 0
         same = _tree_bytes(out_a) == _tree_bytes(out_b)
         all_ok &= same
         details.append(f"{name}:{'=' if same else '!='}")
     # grad-check emits no files; its stdout must be identical instead
     capsys.readouterr()
-    assert main(["grad-check", "--seed", "4", "--threads", "1"]) == 0
+    assert main(["grad-check", "--seed", "4"]) == 0
     first = capsys.readouterr().out
-    assert main(["grad-check", "--seed", "4", "--threads", "1"]) == 0
+    assert main(["grad-check", "--seed", "4"]) == 0
     second = capsys.readouterr().out
     all_ok &= first == second
     details.append(f"grad-check:{'=' if first == second else '!='}")

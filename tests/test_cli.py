@@ -1,9 +1,16 @@
+import dataclasses
+import inspect
 import json
 import os
 
 import pytest
 
-from fspll.cli import main
+import fspll.bench
+from fspll.bench import BenchSpec, sweep
+from fspll.cli import DEFAULTS, config_keys, main
+from fspll.embedding import NetworkSpec
+from fspll.pll_core import RectifyConfig
+from fspll.trainer import TrainConfig
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -66,6 +73,27 @@ def test_train_writes_run_directory(tmp_path):
     assert log[0] == "epoch,loss,lr,seconds"
     assert len(log) == 3
     assert log[1].endswith(",0.000000")  # timing suppressed by default
+
+
+def test_train_config_snapshot(tmp_path):
+    cfg = write_config(tmp_path, tiny_train_doc())
+    expected = {
+        "world": {"seed": 3, "classes": 10, "dim": 4, "sigma": 0.5, "mean_scale": 1.0},
+        "train_classes": 6,
+        "network": {"hidden_dims": [6], "output_dim": 4},
+        "train": {"max_epoch": 2, "tasks_per_epoch": 2, "n_way": 3, "k_support": 3,
+                  "k_query": 4, "lr0": 0.001, "lr_half_period": 20, "init_seed": 0,
+                  "task_seed": 0, "step_per_task": False, "fixed_tasks": False,
+                  "supervised_loss": False},
+        "rectify": {"iterations": 3, "lambda": 0.5, "k": None, "distance": "euclidean"},
+        "corruption": {"p": 1.0, "r": 1},
+    }
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert json.loads((tmp_path / "a" / "config.json").read_text()) == expected
+    # --seed overrides both training seeds and the snapshot records them
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "11"]) == 0
+    expected["train"].update(init_seed=11, task_seed=11)
+    assert json.loads((tmp_path / "b" / "config.json").read_text()) == expected
 
 
 def test_train_is_byte_reproducible(tmp_path):
@@ -171,11 +199,105 @@ def test_help_lists_config_keys(capsys):
     out = capsys.readouterr().out
     assert "config keys" in out
     assert "rectify.lambda" in out
+    for argv in (["--help"], ["sweep", "--help"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        for key, default in config_keys():
+            assert f"  {key} ({json.dumps(default)})" in out
 
 
-def test_threads_flag_validated(capsys):
-    assert main(["grad-check", "--threads", "0"]) == 2
-    assert main(["grad-check", "--threads", "2", "--seed", "3"]) == 0
+def _library_defaults(cls):
+    """Every dataclass field default, by field name."""
+    out = {}
+    for f in dataclasses.fields(cls):
+        if f.default is not dataclasses.MISSING:
+            out[f.name] = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            out[f.name] = f.default_factory()
+    return out
+
+
+def test_config_defaults_match_library_defaults():
+    train = _library_defaults(TrainConfig)
+    rectify = {("lambda" if k == "lam" else k): v
+               for k, v in _library_defaults(RectifyConfig).items()}
+    pairs = [("rectify", rectify), ("network", _library_defaults(NetworkSpec)),
+             ("train", train), ("bench", _library_defaults(BenchSpec)),
+             ("corruption", dataclasses.asdict(train["corruption"])),
+             ("sweep", {"retrain": inspect.signature(sweep).parameters["retrain"].default})]
+    for section, library in pairs:
+        shared = set(DEFAULTS[section]) & set(library)
+        assert shared, section
+        for key in shared:
+            # through JSON, so that tuple defaults compare equal to lists
+            assert DEFAULTS[section][key] == json.loads(json.dumps(library[key])), \
+                f"{section}.{key}"
+    assert train["rectify"] == RectifyConfig()
+    assert _library_defaults(BenchSpec)["base_rectify"] == RectifyConfig()
+    # The one deliberate difference: the CLI holds out classes by default,
+    # while the library's None trains on every world class.
+    assert DEFAULTS["train_classes"] == 30 and train["train_classes"] is None
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["rectify"].update(lamda=0.0), "unknown config key rectify.lamda"),
+    (lambda d: d.update(trian={}), "unknown config key trian"),
+    (lambda d: d.update(world=5), "config key world must be a JSON object"),
+], ids=["misspelt-key", "unknown-section", "section-not-object"])
+def test_bad_config_key_exits_one(tmp_path, capsys, edit, message):
+    doc = tiny_train_doc()
+    edit(doc)
+    cfg = write_config(tmp_path, doc)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def _one_shot_bench(doc):
+    doc["bench"]["k_shot"] = [3, 1]
+
+
+def _one_shot_sweep(doc):
+    doc["bench"].update(k_shot=[3, 1], methods=["fspll"])
+    doc["sweep"] = {"axis": "lambda", "values": [0.0, 0.5]}
+
+
+def _one_shot_test(doc):
+    doc["test"] = {"checkpoint": "never-read.json", "n_way": 3, "k_shot": 1}
+
+
+@pytest.mark.parametrize("command, edit, named", [
+    ("bench", _one_shot_bench, "cell N3-K1-r1-p1: k_shot=1"),
+    ("sweep", _one_shot_sweep, "cell N3-K1-r1-p1-lambda0.5: k_shot=1"),
+    ("test", _one_shot_test, "test.k_shot=1"),
+])
+def test_one_shot_smoothing_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                  command, edit, named):
+    def no_training(*args):
+        raise AssertionError("meta_train must not run")
+
+    monkeypatch.setattr(fspll.bench, "meta_train", no_training)
+    doc = tiny_bench_doc()
+    edit(doc)
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_one_shot_sweep_without_smoothing_runs(tmp_path):
+    doc = tiny_bench_doc()
+    doc["bench"].update(k_shot=[1], methods=["fspll"])
+    doc["sweep"] = {"axis": "lambda", "values": [0.0]}
+    cfg = write_config(tmp_path, doc)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_one_shot_training_names_k_support(tmp_path, capsys):
+    doc = tiny_train_doc()
+    doc["train"]["k_support"] = 1
+    cfg = write_config(tmp_path, doc)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "train.k_support=1" in capsys.readouterr().err
 
 
 def test_invalid_json_config_exits_one(tmp_path, capsys):

@@ -181,9 +181,10 @@ def test_load_non_integer_class(tmp_path):
         load_feature_dataset(path)
 
 
-def test_load_non_numeric_feature(tmp_path):
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf"])
+def test_load_non_numeric_feature(tmp_path, value):
     path = tmp_path / "pool.csv"
-    path.write_text("class,f0\n0,abc\n")
+    path.write_text(f"class,f0\n0,{value}\n")
     with pytest.raises(DatasetFormatError, match="line 2"):
         load_feature_dataset(path)
 
