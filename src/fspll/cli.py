@@ -21,11 +21,11 @@ from . import __version__
 from .autodiff import grad_check
 from .bench import METHODS, SWEEP_AXES, BenchSpec, Cell, _draw_round_episode, run_benchmark, \
     sweep, write_report
-from .embedding import NetworkSpec, embed, init_network, load_checkpoint, save_checkpoint
+from .embedding import NetworkSpec, embed_layers, init_network, load_checkpoint, save_checkpoint
 from .episodes import (CorruptionSpec, corrupt, episode_hash, make_world, sample_episode,
                        world_from_manifest, world_to_manifest)
 from .pll_core import DISTANCE_KINDS, RectifyConfig, rectify
-from .trainer import TrainConfig, episode_loss_graph, meta_test, meta_train
+from .trainer import TrainConfig, episode_loss_graph, episode_loss_grad, meta_test, meta_train
 
 # Every config key with its default, laid out like the JSON file. Parsing, the
 # --help epilog and train's config.json all derive from this table, and a key
@@ -275,6 +275,7 @@ def cmd_grad_check(args) -> int:
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
     worst = 0.0
+    fused_dev = 0.0
     excluded = 0
     for trial in range(3):
         world = make_world(int(rng.integers(2 ** 31)), classes=6, dim=5, sigma=0.6)
@@ -283,15 +284,24 @@ def cmd_grad_check(args) -> int:
         spec = NetworkSpec(5, (6,), 4)
         params = init_network(spec, int(rng.integers(2 ** 31)))
         rect = RectifyConfig(iterations=5, lam=0.5, k=2)
-        _, Q = rectify(embed(params, episode.support), episode.candidates, rect)
+        support_layers = embed_layers(params, episode.support)
+        _, Q = rectify(support_layers[-1], episode.candidates, rect)
         graph, sink, layers = episode_loss_graph(params, episode, Q, rect.distance)
         for w_node, b_node in layers:
             for leaf in (w_node, b_node):
                 res = grad_check(graph, sink, leaf, step=1e-5)
                 worst = max(worst, res.max_rel_error)
                 excluded += res.excluded
+        # training steps with the fused gradient: it must equal the checked one
+        _, grad_w, grad_b = episode_loss_grad(params, support_layers, episode, Q, rect.distance)
+        graph.backward(sink)
+        for (w_node, b_node), gw, gb in zip(layers, grad_w, grad_b):
+            for node, g in ((w_node, gw), (b_node, gb)):
+                dev = np.abs(g - node.grad) / np.maximum(1.0, np.abs(node.grad))
+                fused_dev = max(fused_dev, float(dev.max()))
     print(f"max relative gradient error: {worst:.3e} ({excluded} kink entries excluded)")
-    return 0 if worst < 1e-4 else 1
+    print(f"fused training gradient vs graph: max relative deviation {fused_dev:.3e}")
+    return 0 if worst < 1e-4 and fused_dev < 1e-12 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -61,19 +61,26 @@ def init_network(spec: NetworkSpec, seed: int) -> NetworkParams:
     return NetworkParams(spec, seed, weights, biases)
 
 
-def embed(params: NetworkParams, X: np.ndarray) -> np.ndarray:
-    """Map a d x n feature matrix through the network; returns m x n embeddings."""
+def embed_layers(params: NetworkParams, X: np.ndarray) -> list[np.ndarray]:
+    """Forward pass that keeps every activation: entry 0 is the d x n input,
+    entry i the output of layer i (after relu on hidden layers), the last
+    entry the m x n embeddings. The fused training gradient backpropagates
+    through these."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != params.spec.input_dim:
         raise ValueError(
             f"embed: expected {params.spec.input_dim} feature rows, got shape {X.shape}")
-    h = X
+    layers = [X]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = w @ h + b
-        if i < last:
-            h = np.maximum(h, 0.0)
-    return h
+        h = w @ layers[-1] + b
+        layers.append(np.maximum(h, 0.0) if i < last else h)
+    return layers
+
+
+def embed(params: NetworkParams, X: np.ndarray) -> np.ndarray:
+    """Map a d x n feature matrix through the network; returns m x n embeddings."""
+    return embed_layers(params, X)[-1]
 
 
 def param_leaves(graph: Graph, params: NetworkParams) -> list[tuple[Tensor, Tensor]]:

@@ -106,11 +106,10 @@ def sample_episode(world: World, class_ids, k_support: int, k_query: int,
     rng = np.random.default_rng(seed)
 
     def draw(shots):
-        block = np.empty((world.dim, l * shots))
-        for j, c in enumerate(class_ids):
-            noise = rng.standard_normal((world.dim, shots))
-            block[:, j * shots:(j + 1) * shots] = world.means[c][:, None] + world.sigma * noise
-        return block
+        # one draw, class-major: the same stream as one (dim, shots) draw per class
+        noise = rng.standard_normal((l, world.dim, shots))
+        block = world.means[class_ids][:, :, None] + world.sigma * noise
+        return block.transpose(1, 0, 2).reshape(world.dim, l * shots)
 
     support = draw(k_support)
     queries = draw(k_query)
@@ -134,9 +133,10 @@ def corrupt(episode: Episode, spec: CorruptionSpec, seed) -> Episode:
         rng = np.random.default_rng(seed)
         hit = rng.choice(episode.n_support, size=n_hit, replace=False)
         for i in hit:
-            truth = episode.support_truth[i]
-            others = np.delete(np.arange(l), truth)
-            extra = rng.choice(others, size=spec.r, replace=False)
+            # indices into the l - 1 other classes, shifted past the truth;
+            # the same draw as a choice over that array
+            extra = rng.choice(l - 1, size=spec.r, replace=False)
+            extra[extra >= episode.support_truth[i]] += 1
             Y[extra, i] = 1
     return replace(episode, candidates=Y)
 

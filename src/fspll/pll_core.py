@@ -9,8 +9,10 @@ labels), the rectification loop alternates three closed-form steps:
   3. k-nearest-neighbor smoothing of the confidences, then renormalization.
 
 Queries are classified by a softmax over (negative) distances to the final
-prototypes. Every function here is pure; the differentiable counterparts used
-during meta-training are the *_nodes builders at the bottom.
+prototypes. Every function here is pure. The *_nodes builders at the bottom
+are the autodiff-graph counterparts that make up trainer.episode_loss_graph,
+the test reference for the fused training gradient; meta-training itself
+steps with trainer.episode_loss_grad.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def validate_candidates(Y: np.ndarray) -> None:
     Y = np.asarray(Y)
     if Y.ndim != 2:
         raise ValueError(f"candidate matrix must be 2-D, got shape {Y.shape}")
-    if not np.isin(Y, (0, 1)).all():
+    if not ((Y == 0) | (Y == 1)).all():
         raise ValueError("candidate matrix entries must be 0 or 1")
     empty_cols = np.flatnonzero(Y.sum(axis=0) == 0)
     if empty_cols.size:
@@ -211,7 +213,7 @@ def predict(probs: np.ndarray) -> np.ndarray:
     return np.asarray(probs).argmax(axis=0)
 
 
-# -- differentiable builders (meta-training loss path) ------------------------
+# -- graph builders (reference loss graph for gradient tests) -----------------
 
 def prototype_nodes(graph: Graph, z: Tensor, Q: np.ndarray) -> Tensor:
     """Prototypes as graph nodes, columns = classes (m x l). Q is a constant:

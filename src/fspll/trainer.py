@@ -1,12 +1,17 @@
 """Episodic meta-training of the embedding network, and meta-test adaptation.
 
-Each epoch samples T fresh tasks. Per task: embed the support set, run the
-rectification loop to get label confidences (held constant for gradients),
-then build the differentiable loss -- support embeddings feed the prototypes,
-query embeddings feed the posterior, the loss is the mean negative log of the
-top posterior per query. One plain SGD step per epoch on the task-averaged
+Each epoch samples T fresh tasks. Per task: embed the support set once, run
+the rectification loop on it to get label confidences (held constant for
+gradients), then evaluate the loss and its gradient in one fused closed-form
+pass (episode_loss_grad) -- support embeddings feed the prototypes, query
+embeddings feed the posterior, the loss is the mean negative log of the top
+posterior per query. One plain SGD step per epoch on the task-averaged
 gradient (per-task stepping available by flag); the learning rate halves on a
 fixed epoch period.
+
+episode_loss_graph builds the same loss on the autodiff graph. Training does
+not use it: it is the reference the fused gradient is tested against, and the
+graph the finite-difference check runs on.
 
 Meta-test freezes the network: embed, rectify, classify by nearest rectified
 prototype via the posterior argmax.
@@ -19,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Graph, Tensor
-from .embedding import NetworkParams, NetworkSpec, embed, embed_nodes, init_network, param_leaves
+from .autodiff import Graph, Tensor, lse_cols, sqdist, sqrt_eps
+from .embedding import (NetworkParams, NetworkSpec, embed, embed_layers, embed_nodes,
+                        init_network, param_leaves)
 from .episodes import CorruptionSpec, Episode, World, corrupt, sample_episode
 from .pll_core import (RectifyConfig, classify_proba, distance_nodes, loss_nodes,
                        posterior_nodes, predict, prototype_nodes, rectify,
@@ -118,6 +124,62 @@ def episode_loss_graph(params: NetworkParams, episode: Episode, Q: np.ndarray,
     return g, sink, layers
 
 
+def episode_loss_grad(params: NetworkParams, support_layers: list[np.ndarray],
+                      episode: Episode, Q: np.ndarray, distance: str,
+                      supervised: bool = False
+                      ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """The loss of episode_loss_graph and its parameter gradient, fused in
+    closed form. support_layers is embed_layers(params, episode.support).
+
+    Works in log-posteriors, logp = neg - lse_cols(neg) with neg the negative
+    distances, so a confidently wrong query gives a large finite loss rather
+    than log(0). With pick the max-posterior label (or the true label when
+    supervised), loss = -mean(logp[pick, q]) and
+    d loss / d neg = -(onehot(pick) - softmax) / n_q, which is passed back
+    through the distances, the Q-weighted prototypes and the relu MLP."""
+    query_layers = embed_layers(params, episode.queries)
+    z_q = query_layers[-1]
+    # C-contiguous like the graph's leaf copy: a transposed view changes the
+    # last bits of the BLAS products
+    weights = np.ascontiguousarray((Q / Q.sum(axis=1)[:, None]).T)  # n_s x l
+    protos = support_layers[-1] @ weights                           # m x l
+    d2 = sqdist(protos, z_q)
+    dist = sqrt_eps(d2) if distance == "euclidean" else d2
+    neg = -dist
+    logp = neg - lse_cols(neg)
+    n_q = logp.shape[1]
+    cols = np.arange(n_q)
+    pick = episode.query_truth if supervised else logp.argmax(axis=0)
+    loss = float(-logp[pick, cols].mean())
+
+    g = np.exp(logp)                        # d loss / d dist = (onehot - softmax) / n_q
+    g[pick, cols] -= 1.0
+    g /= -n_q
+    if distance == "euclidean":
+        g = g * 0.5 / dist
+    g_protos = 2.0 * (protos * g.sum(axis=1)[None, :] - z_q @ g.T)
+    g_query = 2.0 * (z_q * g.sum(axis=0)[None, :] - protos @ g)
+    grad_w, grad_b = _mlp_backward(params, query_layers, g_query)
+    support_w, support_b = _mlp_backward(params, support_layers, g_protos @ weights.T)
+    return (loss, [a + b for a, b in zip(grad_w, support_w)],
+            [a + b for a, b in zip(grad_b, support_b)])
+
+
+def _mlp_backward(params: NetworkParams, layers: list[np.ndarray],
+                  g: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (weight, bias) gradients, given d loss / d embeddings."""
+    n = len(params.weights)
+    grad_w, grad_b = [None] * n, [None] * n
+    for i in reversed(range(n)):
+        if i < n - 1:
+            g = g * (layers[i + 1] > 0.0)  # relu subgradient 0 at the kink
+        grad_w[i] = g @ layers[i].T
+        grad_b[i] = g.sum(axis=1, keepdims=True)
+        if i > 0:
+            g = params.weights[i].T @ g
+    return grad_w, grad_b
+
+
 def _sample_task(config: TrainConfig, world: World, pool: np.ndarray,
                  epoch: int, task: int) -> Episode:
     rng = np.random.default_rng([config.task_seed, epoch, task])
@@ -149,23 +211,20 @@ def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainL
         for task in range(config.tasks_per_epoch):
             sample_epoch = 0 if config.fixed_tasks else epoch
             episode = _sample_task(config, world, pool, sample_epoch, task)
-            z_support = embed(params, episode.support)
-            _, Q = rectify(z_support, episode.candidates, rect)
-            graph, sink, layers = episode_loss_graph(params, episode, Q, rect.distance,
-                                                     supervised=config.supervised_loss)
-            loss = sink.values[0, 0]
+            support_layers = embed_layers(params, episode.support)
+            _, Q = rectify(support_layers[-1], episode.candidates, rect)
+            loss, task_w, task_b = episode_loss_grad(params, support_layers, episode, Q,
+                                                     rect.distance, config.supervised_loss)
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}, task {task}")
-            graph.backward(sink)
             loss_sum += loss
-            if config.step_per_task:
-                for i, (w_node, b_node) in enumerate(layers):
-                    params.weights[i] = params.weights[i] - lr * w_node.grad
-                    params.biases[i] = params.biases[i] - lr * b_node.grad
-            else:
-                for i, (w_node, b_node) in enumerate(layers):
-                    grad_w[i] += w_node.grad
-                    grad_b[i] += b_node.grad
+            for i in range(len(params.weights)):
+                if config.step_per_task:
+                    params.weights[i] = params.weights[i] - lr * task_w[i]
+                    params.biases[i] = params.biases[i] - lr * task_b[i]
+                else:
+                    grad_w[i] += task_w[i]
+                    grad_b[i] += task_b[i]
         if not config.step_per_task:
             scale = lr / config.tasks_per_epoch
             for i in range(len(params.weights)):

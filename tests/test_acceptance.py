@@ -15,12 +15,12 @@ import pytest
 from fspll.autodiff import grad_check
 from fspll.bench import BenchSpec, run_benchmark, sweep
 from fspll.cli import main
-from fspll.embedding import NetworkSpec, embed, init_network
+from fspll.embedding import NetworkSpec, embed_layers, init_network
 from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
 from fspll.pll_core import (RectifyConfig, classify_proba, compute_prototypes,
                             knn_indices, pairwise_distance, predict, rectify,
                             smooth_confidence, update_confidence)
-from fspll.trainer import TrainConfig, episode_loss_graph, lr_at, meta_train
+from fspll.trainer import TrainConfig, episode_loss_graph, episode_loss_grad, lr_at, meta_train
 
 from test_pll_core import naive_rectify, random_instance
 
@@ -36,6 +36,7 @@ def test_c1_gradient_suite():
     rng = np.random.default_rng(101)
     start = time.perf_counter()
     worst = 0.0
+    fused_dev = 0.0
     episodes = 0
     checked = 0
     while episodes < 20:
@@ -52,18 +53,26 @@ def test_c1_gradient_suite():
         params = init_network(spec, int(rng.integers(2 ** 31)))
         cfg = RectifyConfig(iterations=5, lam=0.5,
                             k=max(shots - 1, 1) if shots > 1 else None)
-        _, Q = rectify(embed(params, episode.support), episode.candidates, cfg)
+        support_layers = embed_layers(params, episode.support)
+        _, Q = rectify(support_layers[-1], episode.candidates, cfg)
         graph, sink, layers = episode_loss_graph(params, episode, Q, "euclidean")
         for w_node, b_node in layers:
             for leaf in (w_node, b_node):
                 res = grad_check(graph, sink, leaf, step=1e-5)
                 worst = max(worst, res.max_rel_error)
                 checked += res.checked
+        # the fused gradient meta_train steps with must equal the checked one
+        _, grad_w, grad_b = episode_loss_grad(params, support_layers, episode, Q, "euclidean")
+        graph.backward(sink)
+        for (w_node, b_node), gw, gb in zip(layers, grad_w, grad_b):
+            for node, g in ((w_node, gw), (b_node, gb)):
+                dev = abs(g - node.grad) / np.maximum(1.0, abs(node.grad))
+                fused_dev = max(fused_dev, dev.max())
         episodes += 1
     elapsed = time.perf_counter() - start
-    ok = worst < 1e-4 and elapsed < 30.0
+    ok = worst < 1e-4 and fused_dev < 1e-12 and elapsed < 30.0
     report(1, ok, f"{episodes} episodes, {checked} entries checked, "
-                  f"max rel error {worst:.2e}, {elapsed:.1f}s")
+                  f"max rel error {worst:.2e}, fused vs graph {fused_dev:.1e}, {elapsed:.1f}s")
 
 
 # -- criterion 2: confidence invariants --------------------------------------------

@@ -73,6 +73,8 @@ def test_train_writes_run_directory(tmp_path):
     assert log[0] == "epoch,loss,lr,seconds"
     assert len(log) == 3
     assert log[1].endswith(",0.000000")  # timing suppressed by default
+    for row in log[1:]:
+        float(row.split(",")[1])  # a plain float, not np.float64(...)
 
 
 def test_train_config_snapshot(tmp_path):
@@ -150,7 +152,9 @@ def test_sweep_command(tmp_path):
 
 def test_grad_check_command(capsys):
     assert main(["grad-check", "--seed", "7"]) == 0
-    assert "max relative gradient error" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "max relative gradient error" in out
+    assert "fused training gradient vs graph" in out
 
 
 def test_unknown_command_is_usage_error(capsys):

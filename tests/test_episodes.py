@@ -127,6 +127,18 @@ def test_corrupt_determinism_and_hash():
     assert episode_hash(a) != episode_hash(c)
 
 
+@pytest.mark.parametrize("r, digest", [(0, "b5824c459b05798e"), (1, "37ecd95eb1ee4311"),
+                                       (2, "590731a1664c9376")])
+def test_training_task_stream_is_pinned(r, digest):
+    # the first training task of configs/bench_desk.json; the digests pin the
+    # RNG stream of class choice, feature draws and corruption
+    world = make_world(105, 50, 8, 0.3)
+    rng = np.random.default_rng([107, 0, 0])
+    class_ids = rng.choice(np.arange(30), size=10, replace=False)
+    episode = sample_episode(world, class_ids, 5, 10, rng)
+    assert episode_hash(corrupt(episode, CorruptionSpec(1.0, r), rng)) == digest
+
+
 def test_corruption_spec_validation():
     with pytest.raises(ValueError):
         CorruptionSpec(1.5, 1)

@@ -272,6 +272,15 @@ def test_rectify_zero_iterations_gives_normalized_y_and_pn_prototypes():
     np.testing.assert_allclose(P, pn, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("entry", [2, -1, 0.5])
+def test_rectify_rejects_non_binary_candidates(entry):
+    Z = np.zeros((2, 3))
+    Y = np.eye(3)
+    Y[1, 2] = entry
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        rectify(Z, Y, RectifyConfig(iterations=0))
+
+
 def test_rectify_singleton_candidates_fixed_point():
     rng = np.random.default_rng(6)
     Z = rng.uniform(-1, 1, (3, 6))

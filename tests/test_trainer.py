@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from fspll.autodiff import grad_check
-from fspll.embedding import NetworkSpec, embed, init_network
+from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
 from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
 from fspll.pll_core import RectifyConfig, rectify
-from fspll.trainer import TrainConfig, episode_loss_graph, lr_at, meta_test, meta_train
+from fspll.trainer import (TrainConfig, _sample_task, episode_loss_graph, episode_loss_grad,
+                           lr_at, meta_test, meta_train)
 
 
 def tiny_config(**overrides):
@@ -99,6 +100,65 @@ def test_loss_gradient_matches_finite_differences_on_frozen_episode():
     for w_node, b_node in layers:
         assert grad_check(graph, sink, w_node, step=1e-5).max_rel_error < 1e-4
         assert grad_check(graph, sink, b_node, step=1e-5).max_rel_error < 1e-4
+
+
+def graph_gradient(params, episode, Q, distance, supervised):
+    graph, sink, layers = episode_loss_graph(params, episode, Q, distance, supervised)
+    graph.backward(sink)
+    return sink.values[0, 0], [w.grad for w, _ in layers], [b.grad for _, b in layers]
+
+
+def assert_grads_close(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert (abs(g - w) <= 1e-12 * np.maximum(1.0, abs(w))).all()
+
+
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
+@pytest.mark.parametrize("supervised", [False, True])
+@pytest.mark.parametrize("distance", ["euclidean", "squared"])
+def test_fused_gradient_matches_graph(distance, supervised, hidden):
+    world = tiny_world(sigma=0.8)
+    params = init_network(NetworkSpec(4, hidden, 5), seed=21)
+    episode = corrupt(sample_episode(world, [0, 1, 2, 3], 3, 5, seed=22),
+                      CorruptionSpec(1.0, 2), seed=23)
+    support_layers = embed_layers(params, episode.support)
+    cfg = RectifyConfig(iterations=5, lam=0.5, k=2, distance=distance)
+    _, Q = rectify(support_layers[-1], episode.candidates, cfg)
+    loss, grad_w, grad_b = episode_loss_grad(params, support_layers, episode, Q, distance,
+                                             supervised)
+    want_loss, want_w, want_b = graph_gradient(params, episode, Q, distance, supervised)
+    assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+    assert_grads_close(grad_w, want_w)
+    assert_grads_close(grad_b, want_b)
+
+
+def test_meta_train_steps_with_fused_gradient():
+    world = tiny_world()
+    config = tiny_config(max_epoch=1, tasks_per_epoch=1, step_per_task=True,
+                         network=NetworkSpec(4, (6,), 5))
+    params, log = meta_train(config, world)
+    init = init_network(config.network, config.init_seed)
+    episode = _sample_task(config, world, np.arange(config.train_classes), 0, 0)
+    support_layers = embed_layers(init, episode.support)
+    rect = config.resolved_rectify()
+    _, Q = rectify(support_layers[-1], episode.candidates, rect)
+    loss, grad_w, grad_b = episode_loss_grad(init, support_layers, episode, Q, rect.distance)
+    assert log.losses() == [loss]
+    for w0, g, w in zip(init.weights + init.biases, grad_w + grad_b,
+                        params.weights + params.biases):
+        np.testing.assert_array_equal(w, w0 - config.lr0 * g)
+
+
+def test_supervised_loss_stays_finite_when_posterior_underflows():
+    # squared distances put a confidently wrong query more than ~745 nats
+    # behind the winner: exp underflows to 0, and log(0) would abort training
+    world = make_world(1, classes=6, dim=4, sigma=15.0, mean_scale=20.0)
+    config = tiny_config(supervised_loss=True,
+                         rectify=RectifyConfig(iterations=0, distance="squared"))
+    _, log = meta_train(config, world)
+    assert len(log.entries) == 3
+    assert all(np.isfinite(loss) for loss in log.losses())
 
 
 def test_meta_test_perfect_on_separable_world():
