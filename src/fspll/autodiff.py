@@ -321,8 +321,9 @@ def sqrt_eps(x: np.ndarray) -> np.ndarray:
 
 
 def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, :, None] - b[:, None, :]
-    return np.einsum("mpq,mpq->pq", diff, diff)
+    """Squared distances between the columns of a (..., m, p) and b (..., m, q)."""
+    diff = a[..., :, :, None] - b[..., :, None, :]
+    return np.einsum("...mpq,...mpq->...pq", diff, diff)
 
 
 def lse_cols(x: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 sensitivity sweeps, CSV/JSON report emission.
 
 All methods of a grid cell are scored on the identical per-round episode
-stream (one content hash per round is kept for auditing). Checkpoints are
+stream (one content hash per round is kept for auditing). Rounds are drawn
+and scored in stacks of equal-shape episodes; each round's episode comes from
+its own stream key, so stacking changes no result. Checkpoints are
 trained once per distinct training signature and shared; "plus" variants
 meta-train on clean labels, everything else meta-trains under the same
 corruption as the cell it is evaluated in.
@@ -20,7 +22,7 @@ import numpy as np
 
 from .embedding import NetworkParams
 from .episodes import CorruptionSpec, World, corrupt, episode_hash, sample_episode, world_to_manifest
-from .pll_core import RectifyConfig
+from .pll_core import RectifyConfig, stack_size
 from .trainer import TrainConfig, meta_test, meta_train
 
 METHODS = ("fspll", "fspll-nm", "pn", "fspll-plus", "pn-plus")
@@ -168,6 +170,15 @@ def _draw_round_episode(world: World, train_classes: int, k_query: int, eval_see
     return corrupt(episode, CorruptionSpec(cell.p, cell.r), rng)
 
 
+def _round_chunks(world: World, train_classes: int, k_query: int, eval_seed: int,
+                  cell: Cell, rounds: int, size: int):
+    """Yield (first round, episodes) over the cell's rounds in round order,
+    `size` episodes at a time."""
+    for start in range(0, rounds, size):
+        yield start, [_draw_round_episode(world, train_classes, k_query, eval_seed, cell, r)
+                      for r in range(start, min(start + size, rounds))]
+
+
 def _run_cells(spec: BenchSpec, cells: list[Cell],
                variants: dict[str, list[MethodVariant]]) -> BenchResult:
     """Evaluate every cell. `variants` maps each cell label to the method
@@ -184,16 +195,18 @@ def _run_cells(spec: BenchSpec, cells: list[Cell],
         hashes[label] = []
         for variant in cell_variants:
             accuracies[(label, variant.name)] = []
-        for round_no in range(spec.rounds):
+        # a checkpoint per round when retraining: rounds go one at a time
+        size = 1 if spec.retrain_per_round else stack_size(
+            spec.train.network.output_dim, cell.n_way, cell.k_shot, spec.k_query)
+        for start, episodes in _round_chunks(spec.world, spec.train_classes, spec.k_query,
+                                             spec.eval_seed, cell, spec.rounds, size):
             task_seed = (spec.train.task_seed if not spec.retrain_per_round
-                         else hash_seed(spec.train.task_seed, round_no))
-            episode = _draw_round_episode(spec.world, spec.train_classes, spec.k_query,
-                                          spec.eval_seed, cell, round_no)
-            hashes[label].append(episode_hash(episode))
+                         else hash_seed(spec.train.task_seed, start))
+            hashes[label].extend(episode_hash(e) for e in episodes)
             for variant in cell_variants:
                 params = _train_for(spec, variant, cell.r, cache, task_seed)
-                result = meta_test(params, episode, variant.test_rectify)
-                accuracies[(label, variant.name)].append(result.accuracy)
+                results = meta_test(params, episodes, variant.test_rectify)
+                accuracies[(label, variant.name)].extend(r.accuracy for r in results)
     meta = {
         "config_hash": config_hash(spec.signature()),
         "seeds": {"world": spec.world.seed, "init": spec.train.init_seed,

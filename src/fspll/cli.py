@@ -19,12 +19,12 @@ import numpy as np
 
 from . import __version__
 from .autodiff import grad_check
-from .bench import METHODS, SWEEP_AXES, BenchSpec, Cell, _draw_round_episode, run_benchmark, \
-    sweep, write_report
+from .bench import METHODS, SWEEP_AXES, BenchSpec, Cell, _round_chunks, run_benchmark, sweep, \
+    write_report
 from .embedding import NetworkSpec, embed_layers, init_network, load_checkpoint, save_checkpoint
 from .episodes import (CorruptionSpec, corrupt, episode_hash, make_world, sample_episode,
                        world_from_manifest, world_to_manifest)
-from .pll_core import DISTANCE_KINDS, RectifyConfig, rectify
+from .pll_core import DISTANCE_KINDS, RectifyConfig, rectify, stack_size
 from .trainer import TrainConfig, episode_loss_graph, episode_loss_grad, meta_test, meta_train
 
 # Every config key with its default, laid out like the JSON file. Parsing, the
@@ -49,6 +49,11 @@ DEFAULTS = {
               "retrain_per_round": False},
     "sweep": {"axis": None, "values": None, "retrain": False},
 }
+
+# The type of each key whose default is null, as an example value; the key
+# also takes null.
+NULL_KEY_TYPES = {"world.path": "", "rectify.k": 1, "test.checkpoint": "", "sweep.axis": "",
+                  "sweep.values": [0.0]}
 
 # What the --help epilog says about a key beyond its default.
 KEY_NOTES = {
@@ -93,14 +98,44 @@ def _resolve(path, base_dir):
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
 
+def _check_type(key: str, value, default) -> None:
+    """Raise unless `value` has the JSON type of `default`: a boolean for a
+    boolean, an integer (not a boolean) for an integer, any number for a
+    float, a string for a string, and a list of such items for a list."""
+    nullable = default is None
+    if nullable:
+        if value is None:
+            return
+        default = NULL_KEY_TYPES[key]
+    if isinstance(default, list):
+        ok, what = isinstance(value, list), "a list"
+    elif isinstance(default, bool):
+        ok, what = isinstance(value, bool), "a boolean"
+    elif isinstance(default, int):
+        ok, what = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok, what = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        ok, what = isinstance(value, str), "a string"
+    if not ok:
+        raise ValueError(f"config key {key} must be {what}{' or null' if nullable else ''}, "
+                         f"got {json.dumps(value)}")
+    if isinstance(default, list):
+        for i, item in enumerate(value):
+            _check_type(f"{key}[{i}]", item, default[0])
+
+
 def _settings(doc, table: dict = DEFAULTS, prefix: str = "") -> dict:
-    """`doc` over the table's defaults; a key the table does not hold is an error."""
+    """`doc` over the table's defaults; a key the table does not hold, or a
+    value of another type than its default's, is an error."""
     if not isinstance(doc, dict):
         raise ValueError(f"config key {prefix[:-1]} must be a JSON object" if prefix
                          else "a config file must hold a JSON object")
-    for key in doc:
+    for key, value in doc.items():
         if key not in table:
             raise ValueError(f"unknown config key {prefix}{key}")
+        if not isinstance(table[key], dict):
+            _check_type(prefix + key, value, table[key])
     return {key: _settings(doc.get(key, {}), default, f"{prefix}{key}.")
             if isinstance(default, dict) else copy.deepcopy(doc.get(key, default))
             for key, default in table.items()}
@@ -218,11 +253,11 @@ def cmd_test(args) -> int:
 
     rounds = section["rounds"]
     accs, hashes = [], []
-    for round_no in range(rounds):
-        episode = _draw_round_episode(world, cfg["train_classes"], section["k_query"],
-                                      section["eval_seed"], cell, round_no)
-        hashes.append(episode_hash(episode))
-        accs.append(meta_test(params, episode, rect).accuracy)
+    size = stack_size(params.spec.output_dim, cell.n_way, cell.k_shot, section["k_query"])
+    for _, episodes in _round_chunks(world, cfg["train_classes"], section["k_query"],
+                                     section["eval_seed"], cell, rounds, size):
+        hashes.extend(episode_hash(e) for e in episodes)
+        accs.extend(r.accuracy for r in meta_test(params, episodes, rect))
 
     mean, std = float(np.mean(accs)), float(np.std(accs))
     print(f"accuracy over {rounds} rounds: {mean:.6f} +/- {std:.6f}")

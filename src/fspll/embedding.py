@@ -65,9 +65,10 @@ def embed_layers(params: NetworkParams, X: np.ndarray) -> list[np.ndarray]:
     """Forward pass that keeps every activation: entry 0 is the d x n input,
     entry i the output of layer i (after relu on hidden layers), the last
     entry the m x n embeddings. The fused training gradient backpropagates
-    through these."""
+    through these. A stack X of shape (..., d, n) gives stacked activations,
+    each episode's the same bits as on its own."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != params.spec.input_dim:
+    if X.ndim < 2 or X.shape[-2] != params.spec.input_dim:
         raise ValueError(
             f"embed: expected {params.spec.input_dim} feature rows, got shape {X.shape}")
     layers = [X]
@@ -79,7 +80,8 @@ def embed_layers(params: NetworkParams, X: np.ndarray) -> list[np.ndarray]:
 
 
 def embed(params: NetworkParams, X: np.ndarray) -> np.ndarray:
-    """Map a d x n feature matrix through the network; returns m x n embeddings."""
+    """Map a d x n feature matrix (or a stack of them) through the network;
+    returns m x n embeddings."""
     return embed_layers(params, X)[-1]
 
 

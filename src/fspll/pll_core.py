@@ -9,14 +9,19 @@ labels), the rectification loop alternates three closed-form steps:
   3. k-nearest-neighbor smoothing of the confidences, then renormalization.
 
 Queries are classified by a softmax over (negative) distances to the final
-prototypes. Every function here is pure. The *_nodes builders at the bottom
-are the autodiff-graph counterparts that make up trainer.episode_loss_graph,
-the test reference for the fused training gradient; meta-training itself
-steps with trainer.episode_loss_grad.
+prototypes. Every function here is pure, and every array function also takes
+a stack of T equal-shape episodes: leading axes broadcast, so Z is
+(..., m, n_s), Y and Q are (..., l, n_s), and a 2-D input is the unstacked
+case. Each episode of a stack gets the same bits as on its own.
+
+The *_nodes builders at the bottom are the autodiff-graph counterparts that
+make up trainer.episode_loss_graph, the test reference for the fused training
+gradient; meta-training itself steps with trainer.episode_loss_grad.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +29,17 @@ import numpy as np
 from .autodiff import Graph, Tensor, sqdist, sqrt_eps
 
 DISTANCE_KINDS = ("euclidean", "squared")
+
+# Byte budget for the largest per-episode temporary of a stacked call, the
+# m x l x n float64 difference tensor of a distance: it sets how many episodes
+# share one call, and so bounds the memory stacking adds.
+STACK_BYTES = 256 * 1024
+
+
+def stack_size(m: int, n_way: int, k_support: int, k_query: int) -> int:
+    """How many n_way-way episodes with embedding dim m go in one stack (at
+    least one), with n the larger of the support and query sample counts."""
+    return max(1, STACK_BYTES // (8 * m * n_way * n_way * max(k_support, k_query)))
 
 
 @dataclass(frozen=True)
@@ -63,18 +79,20 @@ class RectifyConfig:
 
 
 def validate_candidates(Y: np.ndarray) -> None:
-    """Reject candidate matrices violating the binary/coverage invariants."""
+    """Reject candidate matrices violating the binary/coverage invariants; a
+    stack is checked in one pass, and the error names the first bad episode."""
     Y = np.asarray(Y)
-    if Y.ndim != 2:
+    if Y.ndim < 2:
         raise ValueError(f"candidate matrix must be 2-D, got shape {Y.shape}")
     if not ((Y == 0) | (Y == 1)).all():
         raise ValueError("candidate matrix entries must be 0 or 1")
-    empty_cols = np.flatnonzero(Y.sum(axis=0) == 0)
-    if empty_cols.size:
-        raise ValueError(f"sample {empty_cols[0]} has no candidate label")
-    empty_rows = np.flatnonzero(Y.sum(axis=1) == 0)
-    if empty_rows.size:
-        raise ValueError(f"class {empty_rows[0]} is not a candidate of any sample")
+    for axis, what in ((-2, "sample {} has no candidate label"),
+                       (-1, "class {} is not a candidate of any sample")):
+        empty = Y.sum(axis=axis) == 0
+        if empty.any():
+            first = np.argwhere(empty)[0]
+            where = f"episode {','.join(map(str, first[:-1]))}: " if Y.ndim > 2 else ""
+            raise ValueError(where + what.format(first[-1]))
 
 
 def compute_prototypes(Z: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -82,13 +100,12 @@ def compute_prototypes(Z: np.ndarray, Q: np.ndarray) -> np.ndarray:
     sum_i Q_ci z_i / sum_i Q_ci. Z is m x n_s, Q is l x n_s; returns l x m."""
     Z = np.asarray(Z, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
-    if Z.shape[1] != Q.shape[1]:
+    if Z.shape[-1] != Q.shape[-1]:
         raise ValueError(f"sample count mismatch: Z {Z.shape} vs Q {Q.shape}")
-    row_sums = Q.sum(axis=1)
-    bad = np.flatnonzero(row_sums <= 0)
-    if bad.size:
-        raise ValueError(f"class {bad[0]} has no confident support")
-    return (Q / row_sums[:, None]) @ Z.T
+    row_sums = Q.sum(axis=-1)
+    if (row_sums <= 0).any():
+        raise ValueError(f"class {np.argwhere(row_sums <= 0)[0, -1]} has no confident support")
+    return (Q / row_sums[..., None]) @ Z.swapaxes(-1, -2)
 
 
 def pairwise_distance(A: np.ndarray, B: np.ndarray, kind: str = "euclidean") -> np.ndarray:
@@ -99,7 +116,7 @@ def pairwise_distance(A: np.ndarray, B: np.ndarray, kind: str = "euclidean") -> 
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    if A.shape[0] != B.shape[0]:
+    if A.shape[-2] != B.shape[-2]:
         raise ValueError(f"pairwise_distance: dimension mismatch {A.shape} vs {B.shape}")
     if kind not in DISTANCE_KINDS:
         raise ValueError(f"distance must be one of {DISTANCE_KINDS}, got {kind!r}")
@@ -120,23 +137,30 @@ def update_confidence(D: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if not np.isfinite(D).all():
         raise ValueError("update_confidence: distances must be finite")
     cand = Y > 0
-    if not cand.any(axis=0).all():
+    if not cand.any(axis=-2).all():
         raise ValueError("a sample has no candidate label")
-    shift = np.where(cand, D, np.inf).min(axis=0, keepdims=True)
+    shift = np.where(cand, D, np.inf).min(axis=-2, keepdims=True)
     expd = np.where(cand, np.exp(shift - D), 0.0)
-    return expd / expd.sum(axis=0, keepdims=True)
+    return expd / expd.sum(axis=-2, keepdims=True)
 
 
 def knn_indices(Z: np.ndarray, k: int) -> np.ndarray:
     """Per-sample indices of the k nearest other samples, by Euclidean distance
-    in embedding space, ties broken by ascending sample index. Returns n_s x k."""
+    in embedding space, ties broken by ascending sample index. Returns n_s x k.
+
+    A stack is handled one episode at a time: its n_s x n_s distance matrices
+    stacked would cost memory and, at n_s = 100, time."""
     Z = np.asarray(Z, dtype=np.float64)
-    n = Z.shape[1]
+    n = Z.shape[-1]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    d2 = sqdist(Z, Z)
-    np.fill_diagonal(d2, np.inf)
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    flat = Z.reshape(-1, *Z.shape[-2:])
+    out = np.empty((len(flat), n, k), dtype=np.intp)
+    for t, z in enumerate(flat):
+        d2 = sqdist(z, z)
+        np.fill_diagonal(d2, np.inf)
+        out[t] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return out.reshape(*Z.shape[:-2], n, k)
 
 
 def smooth_confidence(Q: np.ndarray, Y: np.ndarray, neighbors: np.ndarray,
@@ -148,14 +172,23 @@ def smooth_confidence(Q: np.ndarray, Y: np.ndarray, neighbors: np.ndarray,
     """
     Q = np.asarray(Q, dtype=np.float64)
     neighbors = np.asarray(neighbors)
-    if neighbors.ndim != 2 or neighbors.shape[1] == 0:
+    if neighbors.ndim < 2 or neighbors.shape[-1] == 0:
         raise ValueError("smooth_confidence: neighbor lists are empty")
     if lam == 0:
         return Q.copy()
-    k = neighbors.shape[1]
-    pooled = Q[:, neighbors].sum(axis=2)
+    l, n = Q.shape[-2:]
+    k = neighbors.shape[-1]
+    # Gather the neighbours' confidence columns as rows of the (T * n) x l
+    # transpose, into (..., n, k, l), and sum over k: with l innermost NumPy
+    # adds the k neighbours one at a time, in order. A k-innermost gather
+    # would be summed pairwise and move the last bit once k >= 8.
+    lead = Q.shape[:-2]
+    if lead:  # episode t's rows start at t * n; one episode needs no offset
+        neighbors = neighbors + n * np.arange(math.prod(lead)).reshape(*lead, 1, 1)
+    rows = np.take(Q.swapaxes(-1, -2).reshape(-1, l), neighbors, axis=0)
+    pooled = rows.sum(axis=-2).swapaxes(-1, -2)
     smoothed = np.where(Y > 0, Q + (lam / k) * pooled, 0.0)
-    totals = smoothed.sum(axis=0, keepdims=True)
+    totals = smoothed.sum(axis=-2, keepdims=True)
     if (totals <= 0).any():
         raise ValueError("smooth_confidence: a column lost all confidence mass")
     return smoothed / totals
@@ -172,7 +205,7 @@ def rectify(Z: np.ndarray, Y: np.ndarray, cfg: RectifyConfig) -> tuple[np.ndarra
     Z = np.asarray(Z, dtype=np.float64)
     Y = np.asarray(Y)
     validate_candidates(Y)
-    Q = Y / Y.sum(axis=0, keepdims=True)
+    Q = Y / Y.sum(axis=-2, keepdims=True)
     neighbors = None
     if cfg.iterations > 0 and cfg.lam > 0:
         if cfg.k is None:
@@ -180,7 +213,7 @@ def rectify(Z: np.ndarray, Y: np.ndarray, cfg: RectifyConfig) -> tuple[np.ndarra
         neighbors = knn_indices(Z, cfg.k)
     for _ in range(cfg.iterations):
         P = compute_prototypes(Z, Q)
-        D = pairwise_distance(P.T, Z, cfg.distance)
+        D = pairwise_distance(P.swapaxes(-1, -2), Z, cfg.distance)
         Q = update_confidence(D, Y)
         if neighbors is not None:
             Q = smooth_confidence(Q, Y, neighbors, cfg.lam)
@@ -192,12 +225,12 @@ def classify_proba(Z_q: np.ndarray, P: np.ndarray, kind: str = "euclidean") -> n
     distances to the prototypes (max-shifted). Z_q is m x n_q, P is l x m."""
     Z_q = np.asarray(Z_q, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
-    if P.shape[1] != Z_q.shape[0]:
+    if P.shape[-1] != Z_q.shape[-2]:
         raise ValueError(f"classify_proba: embedding dim mismatch P {P.shape} vs Z_q {Z_q.shape}")
-    scores = -pairwise_distance(P.T, Z_q, kind)
-    scores -= scores.max(axis=0, keepdims=True)
+    scores = -pairwise_distance(P.swapaxes(-1, -2), Z_q, kind)
+    scores -= scores.max(axis=-2, keepdims=True)
     expd = np.exp(scores)
-    return expd / expd.sum(axis=0, keepdims=True)
+    return expd / expd.sum(axis=-2, keepdims=True)
 
 
 def query_loss(probs: np.ndarray) -> float:
@@ -210,7 +243,7 @@ def query_loss(probs: np.ndarray) -> float:
 
 def predict(probs: np.ndarray) -> np.ndarray:
     """Label index of each column's largest posterior; ties go to the lowest index."""
-    return np.asarray(probs).argmax(axis=0)
+    return np.asarray(probs).argmax(axis=-2)
 
 
 # -- graph builders (reference loss graph for gradient tests) -----------------

@@ -7,14 +7,17 @@ pass (episode_loss_grad) -- support embeddings feed the prototypes, query
 embeddings feed the posterior, the loss is the mean negative log of the top
 posterior per query. One plain SGD step per epoch on the task-averaged
 gradient (per-task stepping available by flag); the learning rate halves on a
-fixed epoch period.
+fixed epoch period. Under the per-epoch step the parameters are fixed within
+an epoch, so its tasks are embedded and rectified as stacks; the gradients
+still run, and sum, task by task in task order.
 
 episode_loss_graph builds the same loss on the autodiff graph. Training does
 not use it: it is the reference the fused gradient is tested against, and the
 graph the finite-difference check runs on.
 
 Meta-test freezes the network: embed, rectify, classify by nearest rectified
-prototype via the posterior argmax.
+prototype via the posterior argmax, for a stack of equal-shape episodes at a
+time.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .embedding import (NetworkParams, NetworkSpec, embed, embed_layers, embed_n
                         init_network, param_leaves)
 from .episodes import CorruptionSpec, Episode, World, corrupt, sample_episode
 from .pll_core import (RectifyConfig, classify_proba, distance_nodes, loss_nodes,
-                       posterior_nodes, predict, prototype_nodes, rectify,
+                       posterior_nodes, predict, prototype_nodes, rectify, stack_size,
                        supervised_loss_nodes)
 
 
@@ -188,6 +191,19 @@ def _sample_task(config: TrainConfig, world: World, pool: np.ndarray,
     return corrupt(episode, config.corruption, rng)
 
 
+def _rectify_supports(params: NetworkParams, episodes: list[Episode],
+                      rect: RectifyConfig) -> list[tuple[list[np.ndarray], np.ndarray]]:
+    """(support activations, rectified confidences) per episode. Several
+    episodes share one stacked pass; a single one takes the 2-D calls, which
+    skip the stacking overhead that per-task stepping would pay on every task."""
+    if len(episodes) == 1:
+        layers = embed_layers(params, episodes[0].support)
+        return [(layers, rectify(layers[-1], episodes[0].candidates, rect)[1])]
+    layers = embed_layers(params, np.stack([e.support for e in episodes]))
+    _, Q = rectify(layers[-1], np.stack([e.candidates for e in episodes]), rect)
+    return [([a[t] for a in layers], Q[t]) for t in range(len(episodes))]
+
+
 def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainLog]:
     """Train the embedding network and return (final params, per-epoch log)."""
     if world.dim != config.network.input_dim:
@@ -199,6 +215,9 @@ def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainL
             f"need n_way={config.n_way} <= train pool={n_pool} <= world classes={world.classes}")
     pool = np.arange(n_pool)
     rect = config.resolved_rectify()
+    # per-task steps change the parameters after every task: no stacking
+    chunk = 1 if config.step_per_task else stack_size(
+        config.network.output_dim, config.n_way, config.k_support, config.k_query)
 
     params = init_network(config.network, config.init_seed)
     log = TrainLog()
@@ -208,23 +227,24 @@ def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainL
         grad_w = [np.zeros_like(w) for w in params.weights]
         grad_b = [np.zeros_like(b) for b in params.biases]
         loss_sum = 0.0
-        for task in range(config.tasks_per_epoch):
-            sample_epoch = 0 if config.fixed_tasks else epoch
-            episode = _sample_task(config, world, pool, sample_epoch, task)
-            support_layers = embed_layers(params, episode.support)
-            _, Q = rectify(support_layers[-1], episode.candidates, rect)
-            loss, task_w, task_b = episode_loss_grad(params, support_layers, episode, Q,
-                                                     rect.distance, config.supervised_loss)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"non-finite loss at epoch {epoch}, task {task}")
-            loss_sum += loss
-            for i in range(len(params.weights)):
-                if config.step_per_task:
-                    params.weights[i] = params.weights[i] - lr * task_w[i]
-                    params.biases[i] = params.biases[i] - lr * task_b[i]
-                else:
-                    grad_w[i] += task_w[i]
-                    grad_b[i] += task_b[i]
+        sample_epoch = 0 if config.fixed_tasks else epoch
+        for start in range(0, config.tasks_per_epoch, chunk):
+            tasks = range(start, min(start + chunk, config.tasks_per_epoch))
+            episodes = [_sample_task(config, world, pool, sample_epoch, task) for task in tasks]
+            rectified = _rectify_supports(params, episodes, rect)
+            for task, episode, (support_layers, Q) in zip(tasks, episodes, rectified):
+                loss, task_w, task_b = episode_loss_grad(params, support_layers, episode, Q,
+                                                         rect.distance, config.supervised_loss)
+                if not np.isfinite(loss):
+                    raise RuntimeError(f"non-finite loss at epoch {epoch}, task {task}")
+                loss_sum += loss
+                for i in range(len(params.weights)):
+                    if config.step_per_task:
+                        params.weights[i] = params.weights[i] - lr * task_w[i]
+                        params.biases[i] = params.biases[i] - lr * task_b[i]
+                    else:
+                        grad_w[i] += task_w[i]
+                        grad_b[i] += task_b[i]
         if not config.step_per_task:
             scale = lr / config.tasks_per_epoch
             for i in range(len(params.weights)):
@@ -235,21 +255,29 @@ def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainL
     return params, log
 
 
-def meta_test(params: NetworkParams, episode: Episode,
-              rectify_cfg: RectifyConfig) -> TestResult:
-    """Adapt to one episode with the network frozen and score the queries.
+def meta_test(params: NetworkParams, episodes: Episode | list[Episode],
+              rectify_cfg: RectifyConfig) -> TestResult | list[TestResult]:
+    """Adapt to each episode with the network frozen and score its queries.
 
-    rectify_cfg.k left unset resolves to the episode's per-class shot count
-    minus one.
+    `episodes` is one episode, which gives one TestResult, or a list of
+    equal-shape episodes, which are embedded, rectified and classified as one
+    stack and give one TestResult each, the same as one at a time.
+    rectify_cfg.k left unset resolves to the per-class shot count minus one.
     """
-    if episode.support.shape[0] != params.spec.input_dim:
+    single = isinstance(episodes, Episode)
+    batch = [episodes] if single else list(episodes)
+    first = batch[0]
+    if first.support.shape[0] != params.spec.input_dim:
         raise ValueError(
-            f"episode dim {episode.support.shape[0]} does not match "
+            f"episode dim {first.support.shape[0]} does not match "
             f"network input {params.spec.input_dim}")
-    cfg = rectify_cfg.resolve_k(episode.n_support // episode.n_classes, "shots per class")
-    z_support = embed(params, episode.support)
-    protos, confidence = rectify(z_support, episode.candidates, cfg)
-    probs = classify_proba(embed(params, episode.queries), protos, cfg.distance)
-    preds = predict(probs)
-    accuracy = float((preds == episode.query_truth).mean())
-    return TestResult(preds, accuracy, protos, confidence)
+    if len({(e.support.shape, e.queries.shape, e.candidates.shape) for e in batch}) > 1:
+        raise ValueError("meta_test: a stack of episodes must share one shape")
+    cfg = rectify_cfg.resolve_k(first.n_support // first.n_classes, "shots per class")
+    z_support = embed(params, np.stack([e.support for e in batch]))
+    protos, confidence = rectify(z_support, np.stack([e.candidates for e in batch]), cfg)
+    z_query = embed(params, np.stack([e.queries for e in batch]))
+    preds = predict(classify_proba(z_query, protos, cfg.distance))
+    results = [TestResult(p, float((p == e.query_truth).mean()), protos[t], confidence[t])
+               for t, (p, e) in enumerate(zip(preds, batch))]
+    return results[0] if single else results

@@ -257,6 +257,41 @@ def test_bad_config_key_exits_one(tmp_path, capsys, edit, message):
     assert not os.path.exists(tmp_path / "o")
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("train", "max_epoch", "2", 'config key train.max_epoch must be an integer, got "2"'),
+    ("train", "max_epoch", 2.0, "config key train.max_epoch must be an integer, got 2.0"),
+    ("train", "max_epoch", True, "config key train.max_epoch must be an integer, got true"),
+    ("train", "step_per_task", "false",
+     'config key train.step_per_task must be a boolean, got "false"'),
+    ("train", "step_per_task", 0, "config key train.step_per_task must be a boolean, got 0"),
+    ("train", "lr0", "0.1", 'config key train.lr0 must be a number, got "0.1"'),
+    ("network", "hidden_dims", [64.5],
+     "config key network.hidden_dims[0] must be an integer, got 64.5"),
+    ("network", "hidden_dims", 64, "config key network.hidden_dims must be a list, got 64"),
+    ("rectify", "k", 2.5, "config key rectify.k must be an integer or null, got 2.5"),
+    ("rectify", "distance", 1, "config key rectify.distance must be a string, got 1"),
+    ("world", "path", 3, "config key world.path must be a string or null, got 3"),
+    ("bench", "methods", ["fspll", 1], "config key bench.methods[1] must be a string, got 1"),
+    ("sweep", "values", [0.5, "1"], 'config key sweep.values[1] must be a number, got "1"'),
+])
+def test_config_value_of_wrong_type_exits_one(tmp_path, capsys, section, key, value, message):
+    doc = tiny_bench_doc()
+    doc.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path, doc)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_config_accepts_integers_for_floats_and_null_for_optional_keys(tmp_path):
+    doc = tiny_train_doc()
+    doc["train"]["lr0"] = 1
+    doc["rectify"].update(k=None, **{"lambda": 0})
+    doc["corruption"]["p"] = 1
+    cfg = write_config(tmp_path, doc)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 def _one_shot_bench(doc):
     doc["bench"]["k_shot"] = [3, 1]
 

@@ -1,0 +1,181 @@
+"""A stack of T equal-shape episodes must give, bit for bit, what the T
+episodes give one at a time: every pll_core helper, rectify, the embedding,
+meta_test, and batch-mean meta_train, which rectifies an epoch's tasks in
+stacks. k = 9 is the case where a neighbour sum in another order would move
+the last bit."""
+
+import numpy as np
+import pytest
+
+import fspll.pll_core
+from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
+from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
+from fspll.pll_core import (DISTANCE_KINDS, RectifyConfig, classify_proba, compute_prototypes,
+                            knn_indices, pairwise_distance, predict, rectify,
+                            smooth_confidence, update_confidence, validate_candidates)
+from fspll.trainer import (TrainConfig, _sample_task, episode_loss_grad, lr_at, meta_test,
+                           meta_train)
+
+PARAMS = init_network(NetworkSpec(6, (8,), 5), seed=33)
+
+
+def episodes(T=4, n_way=10, k_shot=10, k_query=6, r=2):
+    world = make_world(31, classes=16, dim=6, sigma=0.8)
+    out = []
+    for t in range(T):
+        rng = np.random.default_rng([32, t])
+        class_ids = rng.choice(world.classes, size=n_way, replace=False)
+        episode = sample_episode(world, class_ids, k_shot, k_query, rng)
+        out.append(corrupt(episode, CorruptionSpec(1.0, r), rng))
+    return out
+
+
+def stacked(eps, name):
+    return np.stack([getattr(e, name) for e in eps])
+
+
+GRID = pytest.mark.parametrize("distance, lam, iterations, k", [
+    (d, lam, it, k) for d in DISTANCE_KINDS for lam in (0.0, 0.5)
+    for it in (0, 10) for k in (2, 9)])
+
+
+def assert_slices_equal(stack, singles):
+    assert stack.shape[0] == len(singles)
+    for got, want in zip(stack, singles):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_embed_layers_stack_matches_episodes():
+    eps = episodes()
+    layers = embed_layers(PARAMS, stacked(eps, "support"))
+    for i, layer in enumerate(layers):
+        assert_slices_equal(layer, [embed_layers(PARAMS, e.support)[i] for e in eps])
+
+
+def reference_smooth(Q, Y, neighbors, lam):
+    """One episode's smoothing as a single fancy-index gather: its l x n x k
+    result keeps l innermost in memory, so the k neighbours are added one at a
+    time, in order."""
+    pooled = Q[:, neighbors].sum(axis=2)
+    smoothed = np.where(Y > 0, Q + (lam / neighbors.shape[1]) * pooled, 0.0)
+    return smoothed / smoothed.sum(axis=0, keepdims=True)
+
+
+@pytest.mark.parametrize("distance", DISTANCE_KINDS)
+@pytest.mark.parametrize("k", [2, 9])
+def test_helpers_stack_matches_episodes(distance, k):
+    eps = episodes()
+    Z = embed(PARAMS, stacked(eps, "support"))
+    Zq = embed(PARAMS, stacked(eps, "queries"))
+    Y = stacked(eps, "candidates")
+    Q = Y / Y.sum(axis=-2, keepdims=True)
+    validate_candidates(Y)
+
+    P = compute_prototypes(Z, Q)
+    assert_slices_equal(P, [compute_prototypes(Z[t], Q[t]) for t in range(len(eps))])
+    D = pairwise_distance(P.swapaxes(-1, -2), Z, distance)
+    assert_slices_equal(D, [pairwise_distance(P[t].T, Z[t], distance) for t in range(len(eps))])
+    Q = update_confidence(D, Y)
+    assert_slices_equal(Q, [update_confidence(D[t], Y[t]) for t in range(len(eps))])
+    neighbors = knn_indices(Z, k)
+    assert_slices_equal(neighbors, [knn_indices(Z[t], k) for t in range(len(eps))])
+    smoothed = smooth_confidence(Q, Y, neighbors, 0.5)
+    assert_slices_equal(smoothed, [smooth_confidence(Q[t], Y[t], neighbors[t], 0.5)
+                                   for t in range(len(eps))])
+    assert_slices_equal(smoothed, [reference_smooth(Q[t], Y[t], neighbors[t], 0.5)
+                                   for t in range(len(eps))])
+    probs = classify_proba(Zq, P, distance)
+    assert_slices_equal(probs, [classify_proba(Zq[t], P[t], distance) for t in range(len(eps))])
+    assert_slices_equal(predict(probs), [predict(p) for p in probs])
+
+
+@GRID
+def test_rectify_stack_matches_episodes(distance, lam, iterations, k):
+    eps = episodes()
+    cfg = RectifyConfig(iterations=iterations, lam=lam, k=k, distance=distance)
+    P, Q = rectify(embed(PARAMS, stacked(eps, "support")), stacked(eps, "candidates"), cfg)
+    singles = [rectify(embed(PARAMS, e.support), e.candidates, cfg) for e in eps]
+    assert_slices_equal(P, [p for p, _ in singles])
+    assert_slices_equal(Q, [q for _, q in singles])
+
+
+@GRID
+def test_meta_test_stack_matches_episodes(distance, lam, iterations, k):
+    eps = episodes()
+    cfg = RectifyConfig(iterations=iterations, lam=lam, k=k, distance=distance)
+    results = meta_test(PARAMS, eps, cfg)
+    assert len(results) == len(eps)
+    for got, episode in zip(results, eps):
+        want = meta_test(PARAMS, episode, cfg)
+        assert got.accuracy == want.accuracy
+        for field in ("predictions", "prototypes", "confidence"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_meta_test_list_of_one_matches_single_episode():
+    episode = episodes(T=1)[0]
+    [got] = meta_test(PARAMS, [episode], RectifyConfig())
+    want = meta_test(PARAMS, episode, RectifyConfig())
+    np.testing.assert_array_equal(got.confidence, want.confidence)
+    assert got.accuracy == want.accuracy
+
+
+def test_meta_test_rejects_a_stack_of_unequal_shapes():
+    mixed = episodes(T=1) + episodes(T=1, k_shot=5)
+    with pytest.raises(ValueError, match="share one shape"):
+        meta_test(PARAMS, mixed, RectifyConfig())
+
+
+def test_stacked_validation_names_the_episode():
+    Y = stacked(episodes(), "candidates")
+    Y[2, :, 3] = 0
+    with pytest.raises(ValueError, match="episode 2: sample 3 has no candidate label"):
+        validate_candidates(Y)
+
+
+def reference_meta_train(config, world):
+    """Batch-mean SGD one task at a time, with 2-D calls only."""
+    pool = np.arange(config.train_classes)
+    rect = config.resolved_rectify()
+    params = init_network(config.network, config.init_seed)
+    losses = []
+    for epoch in range(config.max_epoch):
+        lr = lr_at(epoch, config.lr0, config.lr_half_period)
+        grad_w = [np.zeros_like(w) for w in params.weights]
+        grad_b = [np.zeros_like(b) for b in params.biases]
+        loss_sum = 0.0
+        for task in range(config.tasks_per_epoch):
+            episode = _sample_task(config, world, pool, epoch, task)
+            layers = embed_layers(params, episode.support)
+            _, Q = rectify(layers[-1], episode.candidates, rect)
+            loss, task_w, task_b = episode_loss_grad(params, layers, episode, Q, rect.distance)
+            loss_sum += loss
+            for i in range(len(params.weights)):
+                grad_w[i] += task_w[i]
+                grad_b[i] += task_b[i]
+        scale = lr / config.tasks_per_epoch
+        for i in range(len(params.weights)):
+            params.weights[i] = params.weights[i] - scale * grad_w[i]
+            params.biases[i] = params.biases[i] - scale * grad_b[i]
+        losses.append(loss_sum / config.tasks_per_epoch)
+    return params, losses
+
+
+# One episode's largest temporary is 8 * m * l * n = 8 * 6 * 5 * 50 bytes, n
+# the larger of 5 x 10 support and 5 x 4 query samples:
+# the default budget stacks all 7 tasks of an epoch; 36000 bytes gives
+# stacks of 3, 3 and 1.
+@pytest.mark.parametrize("stack_bytes", [fspll.pll_core.STACK_BYTES, 36000])
+def test_batch_mean_meta_train_matches_per_task_reference(monkeypatch, stack_bytes):
+    monkeypatch.setattr(fspll.pll_core, "STACK_BYTES", stack_bytes)
+    world = make_world(34, classes=12, dim=4, sigma=0.7)
+    config = TrainConfig(network=NetworkSpec(4, (8,), 6), max_epoch=3, tasks_per_epoch=7,
+                         n_way=5, k_support=10, k_query=4, train_classes=8,
+                         rectify=RectifyConfig(iterations=10, lam=0.5),
+                         corruption=CorruptionSpec(1.0, 2), lr0=0.05, init_seed=35,
+                         task_seed=36)
+    params, log = meta_train(config, world)
+    want, losses = reference_meta_train(config, world)
+    assert log.losses() == losses
+    for got, ref in zip(params.weights + params.biases, want.weights + want.biases):
+        np.testing.assert_array_equal(got, ref)
