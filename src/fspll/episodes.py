@@ -120,10 +120,56 @@ def sample_episode(world: World, class_ids, k_support: int, k_query: int,
     return Episode(class_ids, support, candidates, queries, support_truth, query_truth)
 
 
+def _choice_rows(rng: np.random.Generator, n: int, pop: int, r: int) -> np.ndarray:
+    """The (n, r) array that n successive `rng.choice(pop, r, replace=False)`
+    calls return, leaving rng in the same state, drawn in one call.
+
+    For pop <= 10000, `Generator.choice` without replacement is Floyd's
+    sampling (a bounded draw on [0, j] for j = pop - r .. pop - 1; a value
+    already picked is replaced by j) followed by a Fisher-Yates shuffle of the
+    r picks (a bounded draw on [0, i] for i = r - 1 .. 1, swapping i with it).
+    Each bounded draw on [0, b - 1], b > 1, is Lemire's multiply-shift of one
+    32-bit word u: (u * b) >> 32, unless (u * b) mod 2**32 falls below
+    (2**32 - b) mod b, when it is rejected and redrawn. So every row consumes
+    the same words unless one is rejected; then the state is restored and the
+    per-row loop runs instead.
+    """
+    if pop <= 10000:
+        floyd = range(pop - r, pop)
+        bounds = [j + 1 for j in floyd if j > 0] + list(range(r, 1, -1))
+        state = rng.bit_generator.state
+        m = rng.integers(0, 2**32, size=(n, len(bounds)), dtype=np.uint32) \
+            * np.array(bounds, dtype=np.uint64)
+        reject = np.array([(2**32 - b) % b for b in bounds], dtype=np.uint32)
+        if not (m.astype(np.uint32) < reject).any():
+            draws = iter((m >> 32).astype(np.int64).T)
+            picks = np.zeros((r, n), dtype=np.int64)  # one row per pick, one column per call
+            for t, j in enumerate(floyd):
+                if j == 0:  # a draw on [0, 0] consumes no word
+                    continue
+                picks[t] = next(draws)
+                seen = (picks[:t] == picks[t]).any(axis=0)
+                picks[t, seen] = j
+            calls = np.arange(n)
+            for i in range(r - 1, 0, -1):
+                k = next(draws)
+                swap = picks[k, calls]
+                picks[k, calls] = picks[i]
+                picks[i] = swap
+            return picks.T
+        rng.bit_generator.state = state
+    return np.stack([rng.choice(pop, r, replace=False) for _ in range(n)])
+
+
 def corrupt(episode: Episode, spec: CorruptionSpec, seed) -> Episode:
     """Partially label the support set: floor(p * n_s) samples, chosen without
     replacement, each gain r labels from the episode's other classes. Ground
-    truth stays a candidate; queries are untouched."""
+    truth stays a candidate; queries are untouched.
+
+    Stream contract: after the draw of the hit samples, each hit sample's extra
+    labels are exactly the draw `rng.choice(l - 1, r, replace=False)` would
+    make, one call per hit sample in order, shifted past the truth; the tests
+    pin this against that per-sample loop."""
     l = episode.n_classes
     if spec.r > l - 1:
         raise ValueError(f"r={spec.r} needs at least r+1={spec.r + 1} classes, episode has {l}")
@@ -132,12 +178,10 @@ def corrupt(episode: Episode, spec: CorruptionSpec, seed) -> Episode:
     if n_hit > 0 and spec.r > 0:
         rng = np.random.default_rng(seed)
         hit = rng.choice(episode.n_support, size=n_hit, replace=False)
-        for i in hit:
-            # indices into the l - 1 other classes, shifted past the truth;
-            # the same draw as a choice over that array
-            extra = rng.choice(l - 1, size=spec.r, replace=False)
-            extra[extra >= episode.support_truth[i]] += 1
-            Y[extra, i] = 1
+        # indices into the l - 1 other classes, shifted past the truth
+        extra = _choice_rows(rng, n_hit, l - 1, spec.r)
+        extra += extra >= episode.support_truth[hit][:, None]
+        Y[extra, hit[:, None]] = 1
     return replace(episode, candidates=Y)
 
 

@@ -24,7 +24,8 @@ def tree_bytes(root):
     for dirpath, _, files in os.walk(root):
         for name in files:
             path = os.path.join(dirpath, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
     return out
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fspll.episodes import (CorruptionSpec, DatasetFormatError, FeaturePool,
-                            corrupt, episode_hash, load_feature_dataset,
+                            _choice_rows, corrupt, episode_hash, load_feature_dataset,
                             make_world, sample_episode, save_feature_dataset,
                             world_from_manifest, world_to_manifest)
 
@@ -125,6 +125,73 @@ def test_corrupt_determinism_and_hash():
     c = corrupt(sample_episode(world, [0, 1, 2], 3, 4, seed=17),
                 CorruptionSpec(1.0, 1), seed=19)
     assert episode_hash(a) != episode_hash(c)
+
+
+def _per_sample_candidates(episode, spec, rng):
+    # reference for corrupt's stream contract: one rng.choice per hit sample
+    Y = episode.candidates.copy()
+    n_hit = int(np.floor(spec.p * episode.n_support))
+    if n_hit > 0 and spec.r > 0:
+        hit = rng.choice(episode.n_support, size=n_hit, replace=False)
+        for i in hit:
+            extra = rng.choice(episode.n_classes - 1, size=spec.r, replace=False)
+            extra[extra >= episode.support_truth[i]] += 1
+            Y[extra, i] = 1
+    return Y
+
+
+def _twin_generators(seed, buffered_half):
+    twins = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered_half:
+        # an odd number of 32-bit words leaves half of a 64-bit output cached
+        for rng in twins:
+            rng.integers(0, 2**32, size=3, dtype=np.uint32)
+        assert twins[0].bit_generator.state["has_uint32"] == 1
+    return twins
+
+
+@pytest.mark.parametrize("buffered_half", [False, True])
+@pytest.mark.parametrize("l", [2, 3, 4, 10, 20])
+def test_corrupt_matches_per_sample_choice(l, buffered_half):
+    world = make_world(3, classes=20, dim=2, sigma=0.5)
+    for seed in range(4):
+        ep = sample_episode(world, np.arange(l), 3, 1, seed=seed)
+        for r in range(1, l):
+            for p in (0.5, 1.0):
+                vectorised, looped = _twin_generators([seed, r], buffered_half)
+                out = corrupt(ep, CorruptionSpec(p, r), vectorised)
+                expected = _per_sample_candidates(ep, CorruptionSpec(p, r), looped)
+                case = f"seed={seed} l={l} r={r} p={p}"
+                np.testing.assert_array_equal(out.candidates, expected, err_msg=case)
+                assert vectorised.bit_generator.state == looped.bit_generator.state, case
+
+
+@pytest.mark.parametrize("buffered_half", [False, True])
+@pytest.mark.parametrize("l", [2, 3, 4, 10, 20])
+def test_choice_rows_match_choice_calls_in_order(l, buffered_half):
+    # a candidate set is blind to the order of the picks, so the shuffle that
+    # choice applies to them is checked here, on the rows themselves
+    for seed in range(4):
+        for r in range(1, l):
+            vectorised, looped = _twin_generators([seed, r], buffered_half)
+            rows = _choice_rows(vectorised, 7, l - 1, r)
+            expected = np.stack([looped.choice(l - 1, r, replace=False) for _ in range(7)])
+            case = f"seed={seed} l={l} r={r}"
+            np.testing.assert_array_equal(rows, expected, err_msg=case)
+            assert vectorised.bit_generator.state == looped.bit_generator.state, case
+
+
+def test_choice_rows_rejection_falls_back_to_the_loop():
+    # the cached word 0 meets bound b = 9 (pop = 9, r = 1): (0 * 9) mod 2**32 = 0
+    # is below (2**32 - 9) mod 9 = 4, so choice rejects it and draws again
+    state = np.random.PCG64(21).state
+    state["has_uint32"], state["uinteger"] = 1, 0
+    vectorised, looped = np.random.default_rng(), np.random.default_rng()
+    vectorised.bit_generator.state = looped.bit_generator.state = state
+    rows = _choice_rows(vectorised, 4, 9, 1)
+    expected = np.stack([looped.choice(9, 1, replace=False) for _ in range(4)])
+    np.testing.assert_array_equal(rows, expected)
+    assert vectorised.bit_generator.state == looped.bit_generator.state
 
 
 @pytest.mark.parametrize("r, digest", [(0, "b5824c459b05798e"), (1, "37ecd95eb1ee4311"),

@@ -232,4 +232,5 @@ def test_non_finite_loss_aborts_with_location():
     config = tiny_config(max_epoch=1, tasks_per_epoch=1,
                          rectify=RectifyConfig(iterations=0))
     with pytest.raises(RuntimeError, match="epoch 0, task 0"):
-        meta_train(config, world)
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in subtract"):
+            meta_train(config, world)
