@@ -7,7 +7,10 @@ and scored in stacks of equal-shape episodes; each round's episode comes from
 its own stream key, so stacking changes no result. Checkpoints are
 trained once per distinct training signature and shared; "plus" variants
 meta-train on clean labels, everything else meta-trains under the same
-corruption as the cell it is evaluated in.
+corruption as the cell it is evaluated in. On clean labels (r = 0 or p = 0)
+rectification is the identity, so a clean-label signature keeps only the
+distance of its rectify config (and r = 0): every method of an r = 0 cell,
+and both "plus" variants, share one checkpoint.
 """
 
 from __future__ import annotations
@@ -142,11 +145,16 @@ def config_hash(signature: dict) -> str:
 
 def _train_for(spec: BenchSpec, variant: MethodVariant, r_cell: int,
                cache: dict, task_seed: int) -> NetworkParams:
-    r_train = 0 if variant.clean_meta_train else r_cell
-    corruption = CorruptionSpec(spec.p, r_train)
-    key = (variant.train_rectify, corruption, task_seed)
+    corruption = CorruptionSpec(spec.p, 0 if variant.clean_meta_train else r_cell)
+    rect = variant.train_rectify
+    if corruption.exact:
+        # no label is ambiguous: r draws nothing, rectification is the
+        # identity, and only the distance shapes training
+        corruption = replace(corruption, r=0)
+        rect = RectifyConfig(iterations=0, distance=rect.distance)
+    key = (rect, corruption, task_seed)
     if key not in cache:
-        cfg = replace(spec.train, rectify=variant.train_rectify, corruption=corruption,
+        cfg = replace(spec.train, rectify=rect, corruption=corruption,
                       train_classes=spec.train_classes, task_seed=task_seed)
         params, _ = meta_train(cfg, spec.world)
         cache[key] = params

@@ -351,15 +351,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def add(name, func, help_text, seed_keys=None):
-        """seed_keys: the config keys --seed overrides; None: no --config."""
-        p = sub.add_parser(name, help=help_text, epilog=epilog,
+        """seed_keys: the config keys --seed overrides; None: a command that
+        reads no config and writes no file, so no --config, --out or epilog."""
+        configured = seed_keys is not None
+        p = sub.add_parser(name, help=help_text, epilog=epilog if configured else None,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
-        if seed_keys is not None:
+        if configured:
             p.add_argument("--config", required=True, help="JSON config file")
+            p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override " + " and ".join(seed_keys) if seed_keys
                        else "seed of the check (default 0)")
-        p.add_argument("--out", default=None, help="output directory")
         p.set_defaults(func=func, seed_keys=seed_keys)
         return p
 

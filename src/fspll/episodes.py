@@ -41,7 +41,9 @@ class World:
 
 @dataclass(frozen=True)
 class CorruptionSpec:
-    """p: proportion of support samples corrupted; r: irrelevant labels added each."""
+    """p: proportion of support samples corrupted; r: irrelevant labels added
+    each. With r = 0 or p = 0 every label stays exact (see `exact`), and
+    rectifying such an episode returns its labels unchanged."""
 
     p: float
     r: int
@@ -51,6 +53,11 @@ class CorruptionSpec:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         if self.r < 0:
             raise ValueError(f"r must be >= 0, got {self.r}")
+
+    @property
+    def exact(self) -> bool:
+        """True when no sample of any episode gains an irrelevant label."""
+        return self.r == 0 or self.p == 0
 
 
 @dataclass(frozen=True)

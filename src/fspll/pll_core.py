@@ -201,16 +201,23 @@ def rectify(Z: np.ndarray, Y: np.ndarray, cfg: RectifyConfig) -> tuple[np.ndarra
     recomputes prototypes, applies the candidate softmax update, then the
     neighbor smoothing. The neighbor graph is built once (Z is fixed here).
     Returns (P, Q) with P recomputed from the final Q.
+
+    When every sample of every episode has exactly one candidate, the loop is
+    skipped: each step maps that Q to itself to the last bit (the softmax over
+    one candidate is exp(0) / 1 = 1.0, smoothing gives x / x = 1.0, and
+    non-candidates stay +0.0), so the result is the same.
     """
     Z = np.asarray(Z, dtype=np.float64)
     Y = np.asarray(Y)
     validate_candidates(Y)
-    Q = Y / Y.sum(axis=-2, keepdims=True)
-    neighbors = None
-    if cfg.iterations > 0 and cfg.lam > 0:
-        if cfg.k is None:
-            raise ValueError("rectify: cfg.k must be resolved before smoothing runs")
-        neighbors = knn_indices(Z, cfg.k)
+    counts = Y.sum(axis=-2, keepdims=True)
+    Q = Y / counts
+    smooth = cfg.iterations > 0 and cfg.lam > 0
+    if smooth and cfg.k is None:
+        raise ValueError("rectify: cfg.k must be resolved before smoothing runs")
+    if (counts == 1).all():
+        return compute_prototypes(Z, Q), Q
+    neighbors = knn_indices(Z, cfg.k) if smooth else None
     for _ in range(cfg.iterations):
         P = compute_prototypes(Z, Q)
         D = pairwise_distance(P.swapaxes(-1, -2), Z, cfg.distance)

@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fspll.bench
 from fspll.bench import (METHODS, BenchSpec, Cell, method_variant, run_benchmark,
                          sweep, write_report)
 from fspll.embedding import NetworkSpec
-from fspll.episodes import make_world
-from fspll.pll_core import RectifyConfig
-from fspll.trainer import TrainConfig
+from fspll.episodes import CorruptionSpec, make_world
+from fspll.pll_core import DISTANCE_KINDS, RectifyConfig
+from fspll.trainer import TrainConfig, meta_train
 
 
 def tiny_spec(**overrides):
@@ -143,6 +144,69 @@ def test_sweep_k_axis_validates_range():
 def test_sweep_rejects_bad_axis():
     with pytest.raises(ValueError, match="axis"):
         sweep(tiny_spec(), "temperature", [1.0])
+
+
+# -- shared clean-label checkpoints -----------------------------------------------
+
+@pytest.mark.parametrize("corruption", [CorruptionSpec(1.0, 0), CorruptionSpec(0.0, 2)],
+                         ids=["r0", "p0"])
+@pytest.mark.parametrize("step_per_task", [False, True])
+@pytest.mark.parametrize("distance", DISTANCE_KINDS)
+def test_clean_label_training_ignores_rectification(distance, step_per_task, corruption):
+    # the invariant the checkpoint cache relies on: on exact labels the
+    # fspll, fspll-nm and pn training configs, and the one the cache trains,
+    # give the same weights to the last bit
+    assert corruption.exact
+    world = make_world(5, classes=10, dim=4, sigma=0.6)
+    base = RectifyConfig(distance=distance)
+    trained = []
+    for rect in [method_variant(m, base).train_rectify for m in ("fspll", "fspll-nm", "pn")] \
+            + [RectifyConfig(iterations=0, distance=distance)]:
+        config = TrainConfig(network=NetworkSpec(4, (6,), 4), max_epoch=2, tasks_per_epoch=3,
+                             n_way=3, k_support=3, k_query=4, train_classes=6, rectify=rect,
+                             corruption=corruption, lr0=0.05, init_seed=6, task_seed=7,
+                             step_per_task=step_per_task)
+        params, _ = meta_train(config, world)
+        trained.append(params.weights + params.biases)
+    for other in trained[1:]:
+        for got, want in zip(other, trained[0]):
+            np.testing.assert_array_equal(got, want)
+
+
+def train_per_variant(spec, variant, r_cell, cache, task_seed):
+    """Reference checkpoint cache: one checkpoint per rectify variant, with no
+    sharing on clean labels."""
+    corruption = CorruptionSpec(spec.p, 0 if variant.clean_meta_train else r_cell)
+    key = (variant.train_rectify, corruption, task_seed)
+    if key not in cache:
+        cfg = replace(spec.train, rectify=variant.train_rectify, corruption=corruption,
+                      train_classes=spec.train_classes, task_seed=task_seed)
+        cache[key] = fspll.bench.meta_train(cfg, spec.world)[0]
+    return cache[key]
+
+
+# p = 1: r = 0 puts every method on one clean checkpoint; r = 1 adds fspll,
+# fspll-nm and pn, while the plus variants reuse the clean one. p = 0: no
+# label is ever ambiguous, so one checkpoint serves every cell and method.
+@pytest.mark.parametrize("p, shared", [(1.0, 4), (0.0, 1)])
+def test_clean_label_checkpoints_are_shared_without_changing_reports(tmp_path, monkeypatch,
+                                                                     p, shared):
+    calls = []
+
+    def counting_meta_train(config, world):
+        calls.append(config)
+        return meta_train(config, world)
+
+    monkeypatch.setattr(fspll.bench, "meta_train", counting_meta_train)
+    spec = tiny_spec(r=[0, 1], p=p, methods=list(METHODS), rounds=3)
+    write_report(run_benchmark(spec), tmp_path / "shared")
+    assert len(calls) == shared
+    monkeypatch.setattr(fspll.bench, "_train_for", train_per_variant)
+    write_report(run_benchmark(spec), tmp_path / "per_variant")
+    assert len(calls) == shared + 6
+    for name in ("rounds.csv", "summary.csv", "meta.json"):
+        assert (tmp_path / "shared" / name).read_bytes() == \
+            (tmp_path / "per_variant" / name).read_bytes()
 
 
 # -- reports -----------------------------------------------------------------------

@@ -158,6 +158,16 @@ def test_grad_check_command(capsys):
     assert "fused training gradient vs graph" in out
 
 
+def test_grad_check_takes_no_out_and_no_config_epilog(tmp_path, capsys):
+    # grad-check reads no config and writes no file
+    out = tmp_path / "out"
+    assert main(["grad-check", "--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+    assert main(["grad-check", "--help"]) == 0
+    assert "config keys" not in capsys.readouterr().out
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

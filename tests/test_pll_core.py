@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fspll.pll_core
 from fspll.autodiff import Graph
 from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
 from fspll.pll_core import (RectifyConfig, classify_proba, compute_prototypes,
@@ -321,6 +322,89 @@ def test_rectify_column_stochastic_and_zero_off_candidate():
         _, Q = rectify(Z, Y, RectifyConfig(iterations=5, lam=0.7, k=k))
         np.testing.assert_allclose(Q.sum(axis=0), 1.0, rtol=0, atol=1e-9)
         assert (Q[Y == 0] == 0).all()
+
+
+# -- exact labels: rectify skips the loop ----------------------------------------
+
+def loop_rectify(Z, Y, cfg):
+    """rectify without its exact-label shortcut: the loop itself, stacks too."""
+    Q = Y / Y.sum(axis=-2, keepdims=True)
+    neighbors = knn_indices(Z, cfg.k) if cfg.iterations > 0 and cfg.lam > 0 else None
+    for _ in range(cfg.iterations):
+        P = compute_prototypes(Z, Q)
+        Q = update_confidence(pairwise_distance(P.swapaxes(-1, -2), Z, cfg.distance), Y)
+        if neighbors is not None:
+            Q = smooth_confidence(Q, Y, neighbors, cfg.lam)
+    return compute_prototypes(Z, Q), Q
+
+
+def exact_instance(rng, T=None, l=3, n_s=8, m=4):
+    """Z and a one-candidate-per-sample Y covering every class, one episode
+    (T None) or a stack of T."""
+    lead = () if T is None else (T,)
+    Z = rng.uniform(-2, 2, lead + (m, n_s))
+    Y = np.zeros(lead + (l, n_s), dtype=int)
+    for y in Y.reshape(-1, l, n_s):
+        y[rng.permutation(np.arange(n_s) % l), np.arange(n_s)] = 1
+    return Z, Y
+
+
+@pytest.mark.parametrize("T", [None, 3], ids=["2d", "stacked"])
+@pytest.mark.parametrize("distance", ["euclidean", "squared"])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("iterations", [0, 1, 10])
+@pytest.mark.parametrize("k", [1, 4])
+def test_rectify_exact_labels_match_the_loop_bit_for_bit(T, distance, lam, iterations, k):
+    Z, Y = exact_instance(np.random.default_rng(40), T)
+    cfg = RectifyConfig(iterations=iterations, lam=lam, k=k, distance=distance)
+    P, Q = rectify(Z, Y, cfg)
+    P2, Q2 = loop_rectify(Z, Y, cfg)
+    np.testing.assert_array_equal(Q, Q2)
+    np.testing.assert_array_equal(P, P2)
+    np.testing.assert_array_equal(Q, Y.astype(float))
+
+
+def test_rectify_exact_labels_skip_the_knn_graph_and_the_loop(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the exact-label shortcut was not taken")
+
+    for name in ("knn_indices", "update_confidence", "smooth_confidence"):
+        monkeypatch.setattr(fspll.pll_core, name, unreachable)
+    Z, Y = exact_instance(np.random.default_rng(41), T=2)
+    rectify(Z, Y, RectifyConfig(iterations=10, lam=0.5, k=2))
+
+
+@pytest.mark.parametrize("iterations", [1, 10])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_rectify_stack_with_one_ambiguous_sample_runs_the_loop(iterations, lam):
+    # one two-candidate column in one episode of the stack: the whole stack
+    # takes the loop, and that column leaves its uniform start
+    Z, Y = exact_instance(np.random.default_rng(42), T=3)
+    Y[1, :, 5] = [1, 1, 0] if Y[1, 2, 5] == 0 else [1, 0, 1]
+    cfg = RectifyConfig(iterations=iterations, lam=lam, k=2)
+    P, Q = rectify(Z, Y, cfg)
+    P2, Q2 = loop_rectify(Z, Y, cfg)
+    np.testing.assert_array_equal(Q, Q2)
+    np.testing.assert_array_equal(P, P2)
+    assert not np.array_equal(Q, Y / Y.sum(axis=-2, keepdims=True))
+
+
+@pytest.mark.parametrize("column", [[0.5, 0.5, 0.0], [2.0, -1.0, 0.0]])
+def test_rectify_rejects_non_binary_columns_that_sum_to_one(column):
+    Y = np.eye(3)
+    Y[:, 0] = column
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        rectify(np.zeros((2, 3)), Y, RectifyConfig(iterations=10, lam=0.5, k=1))
+
+
+def test_rectify_exact_labels_still_validate():
+    Y = np.zeros((3, 4), dtype=int)
+    Y[[0, 1, 0, 1], np.arange(4)] = 1  # class 2 has no sample
+    with pytest.raises(ValueError, match="class 2 is not a candidate"):
+        rectify(np.zeros((2, 4)), Y, RectifyConfig(iterations=10, lam=0.5, k=1))
+    Y[:, 3] = [0, 0, 1]  # now exact and valid
+    with pytest.raises(ValueError, match="cfg.k must be resolved"):
+        rectify(np.zeros((2, 4)), Y, RectifyConfig(iterations=10, lam=0.5))
 
 
 # -- posteriors, loss, prediction -------------------------------------------------
