@@ -5,9 +5,8 @@ from .autodiff import Graph, GradCheckResult, Tensor, grad_check
 from .bench import BenchResult, BenchSpec, method_variant, run_benchmark, sweep, write_report
 from .embedding import (NetworkParams, NetworkSpec, embed, init_network,
                         load_checkpoint, save_checkpoint)
-from .episodes import (CorruptionSpec, Episode, FeaturePool, World, corrupt,
-                       episode_hash, load_feature_dataset, make_world,
-                       sample_episode, save_feature_dataset)
+from .episodes import (CorruptionSpec, Episode, World, corrupt, episode_hash, make_world,
+                       sample_episode)
 from .pll_core import (RectifyConfig, classify_proba, compute_prototypes, knn_indices,
                        pairwise_distance, predict, query_loss, rectify,
                        smooth_confidence, update_confidence)
@@ -16,13 +15,12 @@ from .trainer import TrainConfig, TrainLog, lr_at, meta_test, meta_train
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchResult", "BenchSpec", "CorruptionSpec", "Episode", "FeaturePool",
-    "GradCheckResult", "Graph", "NetworkParams", "NetworkSpec", "RectifyConfig",
-    "Tensor", "TrainConfig", "TrainLog", "World", "classify_proba",
-    "compute_prototypes", "corrupt", "embed", "episode_hash", "grad_check",
-    "init_network", "knn_indices", "load_checkpoint", "load_feature_dataset",
-    "lr_at", "make_world", "meta_test", "meta_train", "method_variant",
-    "pairwise_distance", "predict", "query_loss", "rectify", "run_benchmark",
-    "sample_episode", "save_checkpoint", "save_feature_dataset",
+    "BenchResult", "BenchSpec", "CorruptionSpec", "Episode", "GradCheckResult",
+    "Graph", "NetworkParams", "NetworkSpec", "RectifyConfig", "Tensor",
+    "TrainConfig", "TrainLog", "World", "classify_proba", "compute_prototypes",
+    "corrupt", "embed", "episode_hash", "grad_check", "init_network",
+    "knn_indices", "load_checkpoint", "lr_at", "make_world", "meta_test",
+    "meta_train", "method_variant", "pairwise_distance", "predict", "query_loss",
+    "rectify", "run_benchmark", "sample_episode", "save_checkpoint",
     "smooth_confidence", "sweep", "update_confidence", "write_report",
 ]

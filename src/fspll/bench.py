@@ -105,6 +105,12 @@ class BenchSpec:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.k_query < 1:
+            raise ValueError(f"bench.k_query must be >= 1, got {self.k_query}")
+        r_max = max(self.r, default=0)
+        if r_max > min(self.n_way) - 1:
+            raise ValueError(f"bench.r={r_max} needs r + 1 classes per episode, "
+                             f"but the smallest bench.n_way is {min(self.n_way)}")
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for m in self.methods:

@@ -149,8 +149,6 @@ def _load_config(args) -> tuple[dict, str]:
         for key in args.seed_keys:
             section, name = key.split(".")
             cfg[section][name] = args.seed
-    if cfg["rectify"]["distance"] == "squared-euclidean":
-        cfg["rectify"]["distance"] = "squared"
     return cfg, os.path.dirname(os.path.abspath(args.config))
 
 
@@ -242,6 +240,9 @@ def cmd_test(args) -> int:
     section = cfg["test"]
     if section["checkpoint"] is None:
         raise ValueError("config key test.checkpoint is required")
+    for key in ("rounds", "k_query"):
+        if section[key] < 1:
+            raise ValueError(f"config key test.{key} must be >= 1, got {section[key]}")
     rect = _parse_rectify(cfg)
     cell = Cell(section["n_way"], section["k_shot"], cfg["corruption"]["r"],
                 cfg["corruption"]["p"])

@@ -45,11 +45,6 @@ class NetworkParams:
     def n_params(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(self.spec, self.seed,
-                             [w.copy() for w in self.weights],
-                             [b.copy() for b in self.biases])
-
 
 def init_network(spec: NetworkSpec, seed: int) -> NetworkParams:
     """He-initialized weights (std sqrt(2/in_dim)), zero biases, deterministic per seed."""

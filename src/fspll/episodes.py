@@ -11,9 +11,7 @@ Everything is a pure function of explicit seeds.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -199,90 +197,6 @@ def episode_hash(episode: Episode) -> str:
                 episode.queries, episode.support_truth, episode.query_truth):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()[:16]
-
-
-# -- external feature datasets -------------------------------------------------
-
-class DatasetFormatError(ValueError):
-    """Raised for malformed feature dataset files; message carries the line number."""
-
-
-@dataclass(frozen=True)
-class FeaturePool:
-    """Feature vectors grouped by class, loaded from a CSV dataset."""
-
-    dim: int
-    features_by_class: dict[int, np.ndarray]  # class id -> dim x count
-
-    @property
-    def classes(self) -> list[int]:
-        return sorted(self.features_by_class)
-
-    @property
-    def n_records(self) -> int:
-        return sum(block.shape[1] for block in self.features_by_class.values())
-
-
-def load_feature_dataset(path) -> FeaturePool:
-    """Read a `class,f0,...,f{d-1}` CSV into a per-class feature pool.
-
-    Ragged rows, a missing/misnamed class column, bad or non-finite numbers
-    and empty files all raise DatasetFormatError naming the offending line.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: file is empty") from None
-        if not header or header[0] != "class":
-            raise DatasetFormatError(
-                f"{path}: line 1: first column must be 'class', got {header[:1]!r}")
-        dim = len(header) - 1
-        expected = ["class"] + [f"f{i}" for i in range(dim)]
-        if dim < 1 or header != expected:
-            raise DatasetFormatError(
-                f"{path}: line 1: header must be class,f0,...,f{{d-1}}, got {header!r}")
-
-        by_class: dict[int, list[list[float]]] = {}
-        n_rows = 0
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != dim + 1:
-                raise DatasetFormatError(
-                    f"{path}: line {line_no}: expected {dim + 1} fields, got {len(row)}")
-            try:
-                cls = int(row[0])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}: line {line_no}: class {row[0]!r} is not an integer") from None
-            if cls < 0:
-                raise DatasetFormatError(f"{path}: line {line_no}: class must be >= 0")
-            try:
-                vec = [float(v) for v in row[1:]]
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}: line {line_no}: non-numeric feature value") from None
-            if not all(math.isfinite(v) for v in vec):
-                raise DatasetFormatError(f"{path}: line {line_no}: non-finite feature value")
-            by_class.setdefault(cls, []).append(vec)
-            n_rows += 1
-        if n_rows == 0:
-            raise DatasetFormatError(f"{path}: file has a header but no records")
-
-    grouped = {cls: np.asarray(rows, dtype=np.float64).T for cls, rows in by_class.items()}
-    return FeaturePool(dim, grouped)
-
-
-def save_feature_dataset(pool: FeaturePool, path) -> None:
-    """Write the pool back in load_feature_dataset's format, classes in sorted
-    order. Floats are written with repr, which round-trips exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class"] + [f"f{i}" for i in range(pool.dim)])
-        for cls in pool.classes:
-            block = pool.features_by_class[cls]
-            for col in range(block.shape[1]):
-                writer.writerow([cls] + [repr(float(v)) for v in block[:, col]])
 
 
 # -- world manifests -----------------------------------------------------------

@@ -84,7 +84,6 @@ class EpochStats:
 @dataclass
 class TrainLog:
     entries: list[EpochStats] = field(default_factory=list)
-    checkpoint_path: str | None = None
 
     def losses(self) -> list[float]:
         return [e.loss for e in self.entries]
@@ -255,29 +254,25 @@ def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainL
     return params, log
 
 
-def meta_test(params: NetworkParams, episodes: Episode | list[Episode],
-              rectify_cfg: RectifyConfig) -> TestResult | list[TestResult]:
+def meta_test(params: NetworkParams, episodes: list[Episode],
+              rectify_cfg: RectifyConfig) -> list[TestResult]:
     """Adapt to each episode with the network frozen and score its queries.
 
-    `episodes` is one episode, which gives one TestResult, or a list of
-    equal-shape episodes, which are embedded, rectified and classified as one
+    The equal-shape `episodes` are embedded, rectified and classified as one
     stack and give one TestResult each, the same as one at a time.
     rectify_cfg.k left unset resolves to the per-class shot count minus one.
     """
-    single = isinstance(episodes, Episode)
-    batch = [episodes] if single else list(episodes)
-    first = batch[0]
+    first = episodes[0]
     if first.support.shape[0] != params.spec.input_dim:
         raise ValueError(
             f"episode dim {first.support.shape[0]} does not match "
             f"network input {params.spec.input_dim}")
-    if len({(e.support.shape, e.queries.shape, e.candidates.shape) for e in batch}) > 1:
+    if len({(e.support.shape, e.queries.shape, e.candidates.shape) for e in episodes}) > 1:
         raise ValueError("meta_test: a stack of episodes must share one shape")
     cfg = rectify_cfg.resolve_k(first.n_support // first.n_classes, "shots per class")
-    z_support = embed(params, np.stack([e.support for e in batch]))
-    protos, confidence = rectify(z_support, np.stack([e.candidates for e in batch]), cfg)
-    z_query = embed(params, np.stack([e.queries for e in batch]))
+    z_support = embed(params, np.stack([e.support for e in episodes]))
+    protos, confidence = rectify(z_support, np.stack([e.candidates for e in episodes]), cfg)
+    z_query = embed(params, np.stack([e.queries for e in episodes]))
     preds = predict(classify_proba(z_query, protos, cfg.distance))
-    results = [TestResult(p, float((p == e.query_truth).mean()), protos[t], confidence[t])
-               for t, (p, e) in enumerate(zip(preds, batch))]
-    return results[0] if single else results
+    return [TestResult(p, float((p == e.query_truth).mean()), protos[t], confidence[t])
+            for t, (p, e) in enumerate(zip(preds, episodes))]

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +109,21 @@ def test_spec_validation():
         tiny_spec(methods=["nope"])
     with pytest.raises(ValueError, match="rounds"):
         tiny_spec(rounds=0)
+
+
+# n_way [3, 2] puts the N3 cell, which r = 2 fits, before the N2 cell it does not
+@pytest.mark.parametrize("overrides, message", [
+    (dict(k_query=0), "bench.k_query must be >= 1, got 0"),
+    (dict(n_way=[3, 2], r=[2]),
+     "bench.r=2 needs r + 1 classes per episode, but the smallest bench.n_way is 2"),
+], ids=["k_query", "r"])
+def test_spec_rejects_bad_settings_before_any_training(monkeypatch, overrides, message):
+    def no_training(*args):
+        raise AssertionError("meta_train must not run")
+
+    monkeypatch.setattr(fspll.bench, "meta_train", no_training)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_benchmark(tiny_spec(**overrides))
 
 
 # -- sweep -------------------------------------------------------------------------

@@ -334,6 +334,26 @@ def test_one_shot_smoothing_fails_before_any_work(tmp_path, capsys, monkeypatch,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["rounds", "k_query"])
+def test_test_rejects_a_count_below_one(tmp_path, capsys, key):
+    doc = tiny_bench_doc()
+    doc["test"] = {"checkpoint": "never-read.json", "n_way": 3, "k_shot": 3, key: 0}
+    cfg = write_config(tmp_path, doc)
+    assert main(["test", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: config key test.{key} must be >= 1, got 0\n"
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_distance_takes_only_the_listed_spellings(tmp_path, capsys):
+    doc = tiny_train_doc()
+    doc["rectify"]["distance"] = "squared-euclidean"
+    cfg = write_config(tmp_path, doc)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error: distance must be one of ('euclidean', 'squared'), "
+                                       "got 'squared-euclidean'\n")
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_one_shot_sweep_without_smoothing_runs(tmp_path):
     doc = tiny_bench_doc()
     doc["bench"].update(k_shot=[1], methods=["fspll"])

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from fspll.episodes import (CorruptionSpec, DatasetFormatError, FeaturePool,
-                            _choice_rows, corrupt, episode_hash, load_feature_dataset,
-                            make_world, sample_episode, save_feature_dataset,
-                            world_from_manifest, world_to_manifest)
+from fspll.episodes import (CorruptionSpec, _choice_rows, corrupt, episode_hash, make_world,
+                            sample_episode, world_from_manifest, world_to_manifest)
 
 
 def test_world_determinism():
@@ -211,74 +209,3 @@ def test_corruption_spec_validation():
         CorruptionSpec(1.5, 1)
     with pytest.raises(ValueError):
         CorruptionSpec(0.5, -1)
-
-
-# -- feature dataset files ------------------------------------------------------
-
-def test_load_small_dataset(tmp_path):
-    path = tmp_path / "pool.csv"
-    path.write_text("class,f0,f1,f2\n0,1.0,2.0,3.0\n1,-1.0,0.5,0.25\n")
-    pool = load_feature_dataset(path)
-    assert pool.dim == 3
-    assert pool.classes == [0, 1]
-    assert pool.n_records == 2
-    np.testing.assert_array_equal(pool.features_by_class[0], [[1.0], [2.0], [3.0]])
-
-
-def test_load_ragged_row_names_line(tmp_path):
-    path = tmp_path / "pool.csv"
-    path.write_text("class,f0,f1\n0,1.0,2.0\n1,3.0\n")
-    with pytest.raises(DatasetFormatError, match="line 3"):
-        load_feature_dataset(path)
-
-
-def test_load_empty_file(tmp_path):
-    path = tmp_path / "pool.csv"
-    path.write_text("")
-    with pytest.raises(DatasetFormatError, match="empty"):
-        load_feature_dataset(path)
-
-
-def test_load_header_only(tmp_path):
-    path = tmp_path / "pool.csv"
-    path.write_text("class,f0\n")
-    with pytest.raises(DatasetFormatError, match="no records"):
-        load_feature_dataset(path)
-
-
-def test_load_bad_class_column(tmp_path):
-    path = tmp_path / "pool.csv"
-    path.write_text("label,f0\n0,1.0\n")
-    with pytest.raises(DatasetFormatError, match="class"):
-        load_feature_dataset(path)
-
-
-def test_load_non_integer_class(tmp_path):
-    path = tmp_path / "pool.csv"
-    path.write_text("class,f0\nxyz,1.0\n")
-    with pytest.raises(DatasetFormatError, match="line 2"):
-        load_feature_dataset(path)
-
-
-@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf"])
-def test_load_non_numeric_feature(tmp_path, value):
-    path = tmp_path / "pool.csv"
-    path.write_text(f"class,f0\n0,{value}\n")
-    with pytest.raises(DatasetFormatError, match="line 2"):
-        load_feature_dataset(path)
-
-
-def test_dataset_round_trip(tmp_path):
-    rng = np.random.default_rng(20)
-    pool = FeaturePool(4, {
-        0: rng.uniform(-2, 2, (4, 3)),
-        5: rng.uniform(-2, 2, (4, 2)),
-    })
-    path = tmp_path / "pool.csv"
-    save_feature_dataset(pool, path)
-    loaded = load_feature_dataset(path)
-    assert loaded.dim == pool.dim
-    assert loaded.classes == pool.classes
-    for cls in pool.classes:
-        np.testing.assert_array_equal(loaded.features_by_class[cls],
-                                      pool.features_by_class[cls])

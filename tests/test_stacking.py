@@ -106,18 +106,10 @@ def test_meta_test_stack_matches_episodes(distance, lam, iterations, k):
     results = meta_test(PARAMS, eps, cfg)
     assert len(results) == len(eps)
     for got, episode in zip(results, eps):
-        want = meta_test(PARAMS, episode, cfg)
+        [want] = meta_test(PARAMS, [episode], cfg)
         assert got.accuracy == want.accuracy
         for field in ("predictions", "prototypes", "confidence"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
-
-
-def test_meta_test_list_of_one_matches_single_episode():
-    episode = episodes(T=1)[0]
-    [got] = meta_test(PARAMS, [episode], RectifyConfig())
-    want = meta_test(PARAMS, episode, RectifyConfig())
-    np.testing.assert_array_equal(got.confidence, want.confidence)
-    assert got.accuracy == want.accuracy
 
 
 def test_meta_test_rejects_a_stack_of_unequal_shapes():

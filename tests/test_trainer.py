@@ -165,7 +165,7 @@ def test_meta_test_perfect_on_separable_world():
     world = tiny_world(sigma=1e-9)
     params = init_network(NetworkSpec(4, (), 4), seed=6)
     episode = sample_episode(world, [6, 7, 8], 3, 5, seed=7)
-    result = meta_test(params, episode, RectifyConfig())
+    [result] = meta_test(params, [episode], RectifyConfig())
     assert result.accuracy == 1.0
 
 
@@ -175,7 +175,7 @@ def test_meta_test_does_not_mutate_params():
     before = [w.copy() for w in params.weights] + [b.copy() for b in params.biases]
     episode = corrupt(sample_episode(world, [0, 1, 2], 3, 4, seed=9),
                       CorruptionSpec(1.0, 1), seed=10)
-    meta_test(params, episode, RectifyConfig())
+    meta_test(params, [episode], RectifyConfig())
     after = list(params.weights) + list(params.biases)
     for a, b in zip(before, after):
         np.testing.assert_array_equal(a, b)
@@ -189,7 +189,7 @@ def test_meta_test_zero_iterations_equals_pn_rule():
     params = init_network(NetworkSpec(4, (5,), 4), seed=11)
     episode = corrupt(sample_episode(world, [1, 3, 5], 3, 6, seed=12),
                       CorruptionSpec(1.0, 1), seed=13)
-    result = meta_test(params, episode, RectifyConfig(iterations=0))
+    [result] = meta_test(params, [episode], RectifyConfig(iterations=0))
     z = embed(params, episode.support)
     q = episode.candidates / episode.candidates.sum(axis=0)
     protos = compute_prototypes(z, q)
@@ -201,7 +201,7 @@ def test_meta_test_dimension_mismatch():
     params = init_network(NetworkSpec(5, (), 4), seed=14)
     episode = sample_episode(tiny_world(), [0, 1], 2, 2, seed=15)
     with pytest.raises(ValueError, match="dim"):
-        meta_test(params, episode, RectifyConfig())
+        meta_test(params, [episode], RectifyConfig())
 
 
 def test_train_config_validation():
