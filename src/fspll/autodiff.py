@@ -327,8 +327,9 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def lse_cols(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=0, keepdims=True)
-    return np.log(np.exp(x - m).sum(axis=0, keepdims=True)) + m
+    """Log-sum-exp of each column of x (..., rows, cols), max-shifted."""
+    m = x.max(axis=-2, keepdims=True)
+    return np.log(np.exp(x - m).sum(axis=-2, keepdims=True)) + m
 
 
 @dataclass

@@ -10,7 +10,9 @@ meta-train on clean labels, everything else meta-trains under the same
 corruption as the cell it is evaluated in. On clean labels (r = 0 or p = 0)
 rectification is the identity, so a clean-label signature keeps only the
 distance of its rectify config (and r = 0): every method of an r = 0 cell,
-and both "plus" variants, share one checkpoint.
+and both "plus" variants, share one checkpoint. Likewise a stack of rounds is
+scored once per (checkpoint, effective test config), and every method of an
+r = 0 cell shares one.
 """
 
 from __future__ import annotations
@@ -113,8 +115,13 @@ class BenchSpec:
                              f"but the smallest bench.n_way is {min(self.n_way)}")
         if not self.methods:
             raise ValueError("methods must be nonempty")
-        for m in self.methods:
-            method_variant(m, self.base_rectify)  # validates the name
+        variants = [method_variant(m, self.base_rectify) for m in self.methods]
+        # the r values a checkpoint trains under; "plus" variants train clean
+        trained = [r for r in self.r if not CorruptionSpec(self.p, r).exact] \
+            if any(not v.clean_meta_train for v in variants) else []
+        if max(trained, default=0) > self.train.n_way - 1:
+            raise ValueError(f"bench.r={max(trained)} needs r + 1 classes per training task, "
+                             f"but train.n_way is {self.train.n_way}")
         held_out = self.world.classes - self.train_classes
         if held_out < max(self.n_way):
             raise ValueError(
@@ -149,15 +156,18 @@ def config_hash(signature: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _effective(rect: RectifyConfig, corruption: CorruptionSpec) -> RectifyConfig:
+    """A rectify config that gives rect's results under corruption: on exact
+    labels rectification is the identity, and only the distance counts."""
+    return RectifyConfig(iterations=0, distance=rect.distance) if corruption.exact else rect
+
+
 def _train_for(spec: BenchSpec, variant: MethodVariant, r_cell: int,
                cache: dict, task_seed: int) -> NetworkParams:
     corruption = CorruptionSpec(spec.p, 0 if variant.clean_meta_train else r_cell)
-    rect = variant.train_rectify
-    if corruption.exact:
-        # no label is ambiguous: r draws nothing, rectification is the
-        # identity, and only the distance shapes training
+    rect = _effective(variant.train_rectify, corruption)
+    if corruption.exact:  # no label is ambiguous, and r draws nothing
         corruption = replace(corruption, r=0)
-        rect = RectifyConfig(iterations=0, distance=rect.distance)
     key = (rect, corruption, task_seed)
     if key not in cache:
         cfg = replace(spec.train, rectify=rect, corruption=corruption,
@@ -173,30 +183,28 @@ def _stream_rng(eval_seed: int, cell: Cell, round_no: int) -> np.random.Generato
     return np.random.default_rng([eval_seed, cell.n_way, cell.k_shot, cell.r, round_no])
 
 
-def _draw_round_episode(world: World, train_classes: int, k_query: int, eval_seed: int,
-                        cell: Cell, round_no: int):
-    """The round's episode on the held-out classes (every world class from
-    train_classes on), corrupted by the cell's (p, r)."""
-    rng = _stream_rng(eval_seed, cell, round_no)
-    held_out = np.arange(train_classes, world.classes)
-    class_ids = rng.choice(held_out, size=cell.n_way, replace=False)
-    episode = sample_episode(world, class_ids, cell.k_shot, k_query, rng)
-    return corrupt(episode, CorruptionSpec(cell.p, cell.r), rng)
-
-
 def _round_chunks(world: World, train_classes: int, k_query: int, eval_seed: int,
                   cell: Cell, rounds: int, size: int):
-    """Yield (first round, episodes) over the cell's rounds in round order,
-    `size` episodes at a time."""
+    """Yield (first round, episode stack) over the cell's rounds in round
+    order, `size` rounds at a time. Each round's episode is drawn on the
+    held-out classes (every world class from train_classes on) from its own
+    stream and corrupted by the cell's (p, r)."""
+    held_out = np.arange(train_classes, world.classes)
+    corruption = CorruptionSpec(cell.p, cell.r)
     for start in range(0, rounds, size):
-        yield start, [_draw_round_episode(world, train_classes, k_query, eval_seed, cell, r)
-                      for r in range(start, min(start + size, rounds))]
+        rngs = [_stream_rng(eval_seed, cell, r) for r in range(start, min(start + size, rounds))]
+        class_ids = np.stack([rng.choice(held_out, size=cell.n_way, replace=False)
+                              for rng in rngs])
+        episodes = sample_episode(world, class_ids, cell.k_shot, k_query, rngs)
+        yield start, corrupt(episodes, corruption, rngs)
 
 
 def _run_cells(spec: BenchSpec, cells: list[Cell],
                variants: dict[str, list[MethodVariant]]) -> BenchResult:
     """Evaluate every cell. `variants` maps each cell label to the method
-    pipelines to score on that cell's shared episode stream."""
+    pipelines to score on that cell's shared episode stream. Methods that
+    share a checkpoint and an effective test config (every method of an
+    exact-label cell does) are scored once."""
     for cell in cells:  # fail before any checkpoint is trained
         for variant in variants[cell.label()]:
             variant.test_rectify.resolve_k(cell.k_shot, f"cell {cell.label()}: k_shot")
@@ -206,6 +214,7 @@ def _run_cells(spec: BenchSpec, cells: list[Cell],
     for cell in cells:
         label = cell.label()
         cell_variants = variants[label]
+        corruption = CorruptionSpec(cell.p, cell.r)
         hashes[label] = []
         for variant in cell_variants:
             accuracies[(label, variant.name)] = []
@@ -216,11 +225,17 @@ def _run_cells(spec: BenchSpec, cells: list[Cell],
                                              spec.eval_seed, cell, spec.rounds, size):
             task_seed = (spec.train.task_seed if not spec.retrain_per_round
                          else hash_seed(spec.train.task_seed, start))
-            hashes[label].extend(episode_hash(e) for e in episodes)
+            hashes[label].extend(episode_hash(episodes))
+            # (checkpoint, effective test config) -> accuracies; the cache
+            # keeps every checkpoint alive, so its id names it
+            scored: dict = {}
             for variant in cell_variants:
                 params = _train_for(spec, variant, cell.r, cache, task_seed)
-                results = meta_test(params, episodes, variant.test_rectify)
-                accuracies[(label, variant.name)].extend(r.accuracy for r in results)
+                test = _effective(variant.test_rectify, corruption)
+                key = (id(params), test)
+                if key not in scored:
+                    scored[key] = [r.accuracy for r in meta_test(params, episodes, test)]
+                accuracies[(label, variant.name)].extend(scored[key])
     meta = {
         "config_hash": config_hash(spec.signature()),
         "seeds": {"world": spec.world.seed, "init": spec.train.init_seed,

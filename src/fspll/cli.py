@@ -257,7 +257,7 @@ def cmd_test(args) -> int:
     size = stack_size(params.spec.output_dim, cell.n_way, cell.k_shot, section["k_query"])
     for _, episodes in _round_chunks(world, cfg["train_classes"], section["k_query"],
                                      section["eval_seed"], cell, rounds, size):
-        hashes.extend(episode_hash(e) for e in episodes)
+        hashes.extend(episode_hash(episodes))
         accs.extend(r.accuracy for r in meta_test(params, episodes, rect))
 
     mean, std = float(np.mean(accs)), float(np.std(accs))

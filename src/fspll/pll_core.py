@@ -178,15 +178,17 @@ def smooth_confidence(Q: np.ndarray, Y: np.ndarray, neighbors: np.ndarray,
         return Q.copy()
     l, n = Q.shape[-2:]
     k = neighbors.shape[-1]
-    # Gather the neighbours' confidence columns as rows of the (T * n) x l
-    # transpose, into (..., n, k, l), and sum over k: with l innermost NumPy
-    # adds the k neighbours one at a time, in order. A k-innermost gather
-    # would be summed pairwise and move the last bit once k >= 8.
+    # Gather each neighbour's confidence columns as (..., n, l) rows of the
+    # (T * n) x l transpose and add the k of them one at a time, in order. A
+    # pairwise sum over k would move the last bit once k >= 8.
     lead = Q.shape[:-2]
     if lead:  # episode t's rows start at t * n; one episode needs no offset
         neighbors = neighbors + n * np.arange(math.prod(lead)).reshape(*lead, 1, 1)
-    rows = np.take(Q.swapaxes(-1, -2).reshape(-1, l), neighbors, axis=0)
-    pooled = rows.sum(axis=-2).swapaxes(-1, -2)
+    rows = Q.swapaxes(-1, -2).reshape(-1, l)
+    pooled = rows[neighbors[..., 0]]
+    for j in range(1, k):
+        pooled += rows[neighbors[..., j]]
+    pooled = pooled.swapaxes(-1, -2)
     smoothed = np.where(Y > 0, Q + (lam / k) * pooled, 0.0)
     totals = smoothed.sum(axis=-2, keepdims=True)
     if (totals <= 0).any():

@@ -1,15 +1,19 @@
 """Episodic meta-training of the embedding network, and meta-test adaptation.
 
-Each epoch samples T fresh tasks. Per task: embed the support set once, run
-the rectification loop on it to get label confidences (held constant for
-gradients), then evaluate the loss and its gradient in one fused closed-form
-pass (episode_loss_grad) -- support embeddings feed the prototypes, query
-embeddings feed the posterior, the loss is the mean negative log of the top
-posterior per query. One plain SGD step per epoch on the task-averaged
-gradient (per-task stepping available by flag); the learning rate halves on a
-fixed epoch period. Under the per-epoch step the parameters are fixed within
-an epoch, so its tasks are embedded and rectified as stacks; the gradients
-still run, and sum, task by task in task order.
+Each epoch draws its T fresh tasks as one stack of equal-shape episodes; each
+task keeps its own stream key (task seed, epoch, task), so the stack holds
+the tasks drawn one at a time, bit for bit. Per task: embed the support set
+once, run the rectification loop on it to get label confidences (held
+constant for gradients), then evaluate the loss and its gradient in one fused
+closed-form pass (episode_loss_grad) -- support embeddings feed the
+prototypes, query embeddings feed the posterior, the loss is the mean
+negative log of the top posterior per query. One plain SGD step per epoch on
+the task-averaged gradient (per-task stepping available by flag); the
+learning rate halves on a fixed epoch period. Per-task stepping slices the
+epoch's stack task by task, since the parameters change after every task.
+Under the per-epoch step they are fixed within an epoch, so its tasks are
+embedded, rectified and differentiated in stacks of pll_core.stack_size
+tasks; the per-task gradients then sum task by task, in task order.
 
 episode_loss_graph builds the same loss on the autodiff graph. Training does
 not use it: it is the reference the fused gradient is tested against, and the
@@ -66,6 +70,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.lr0 <= 0:
             raise ValueError("lr0 must be > 0")
+        if self.corruption.r > self.n_way - 1:
+            raise ValueError(f"corruption.r={self.corruption.r} needs r + 1 classes per "
+                             f"training task, but train.n_way is {self.n_way}")
 
     def resolved_rectify(self) -> RectifyConfig:
         # k is only meaningful when smoothing runs; resolving it lazily keeps
@@ -129,7 +136,7 @@ def episode_loss_graph(params: NetworkParams, episode: Episode, Q: np.ndarray,
 def episode_loss_grad(params: NetworkParams, support_layers: list[np.ndarray],
                       episode: Episode, Q: np.ndarray, distance: str,
                       supervised: bool = False
-                      ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+                      ) -> tuple[float | np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """The loss of episode_loss_graph and its parameter gradient, fused in
     closed form. support_layers is embed_layers(params, episode.support).
 
@@ -138,32 +145,39 @@ def episode_loss_grad(params: NetworkParams, support_layers: list[np.ndarray],
     than log(0). With pick the max-posterior label (or the true label when
     supervised), loss = -mean(logp[pick, q]) and
     d loss / d neg = -(onehot(pick) - softmax) / n_q, which is passed back
-    through the distances, the Q-weighted prototypes and the relu MLP."""
+    through the distances, the Q-weighted prototypes and the relu MLP.
+
+    Returns (loss, grad_w, grad_b). A stack of tasks (leading axes on the
+    episode, support_layers and Q, broadcast as in pll_core) gives an array of
+    per-task losses and per-task gradients with the same leading axes, each
+    task's the same bits as on its own."""
     query_layers = embed_layers(params, episode.queries)
     z_q = query_layers[-1]
     # C-contiguous like the graph's leaf copy: a transposed view changes the
     # last bits of the BLAS products
-    weights = np.ascontiguousarray((Q / Q.sum(axis=1)[:, None]).T)  # n_s x l
-    protos = support_layers[-1] @ weights                           # m x l
+    weights = np.ascontiguousarray(
+        (Q / Q.sum(axis=-1)[..., None]).swapaxes(-1, -2))  # n_s x l
+    protos = support_layers[-1] @ weights                   # m x l
     d2 = sqdist(protos, z_q)
     dist = sqrt_eps(d2) if distance == "euclidean" else d2
     neg = -dist
     logp = neg - lse_cols(neg)
-    n_q = logp.shape[1]
-    cols = np.arange(n_q)
-    pick = episode.query_truth if supervised else logp.argmax(axis=0)
-    loss = float(-logp[pick, cols].mean())
+    n_q = logp.shape[-1]
+    pick = (episode.query_truth if supervised else logp.argmax(axis=-2))[..., None, :]
+    loss = -np.take_along_axis(logp, pick, axis=-2)[..., 0, :].mean(axis=-1)
 
     g = np.exp(logp)                        # d loss / d dist = (onehot - softmax) / n_q
-    g[pick, cols] -= 1.0
+    g -= pick == np.arange(logp.shape[-2])[:, None]
     g /= -n_q
     if distance == "euclidean":
         g = g * 0.5 / dist
-    g_protos = 2.0 * (protos * g.sum(axis=1)[None, :] - z_q @ g.T)
-    g_query = 2.0 * (z_q * g.sum(axis=0)[None, :] - protos @ g)
+    g_protos = 2.0 * (protos * g.sum(axis=-1)[..., None, :] - z_q @ g.swapaxes(-1, -2))
+    g_query = 2.0 * (z_q * g.sum(axis=-2)[..., None, :] - protos @ g)
     grad_w, grad_b = _mlp_backward(params, query_layers, g_query)
-    support_w, support_b = _mlp_backward(params, support_layers, g_protos @ weights.T)
-    return (loss, [a + b for a, b in zip(grad_w, support_w)],
+    support_w, support_b = _mlp_backward(params, support_layers,
+                                         g_protos @ weights.swapaxes(-1, -2))
+    return (float(loss) if loss.ndim == 0 else loss,
+            [a + b for a, b in zip(grad_w, support_w)],
             [a + b for a, b in zip(grad_b, support_b)])
 
 
@@ -175,32 +189,31 @@ def _mlp_backward(params: NetworkParams, layers: list[np.ndarray],
     for i in reversed(range(n)):
         if i < n - 1:
             g = g * (layers[i + 1] > 0.0)  # relu subgradient 0 at the kink
-        grad_w[i] = g @ layers[i].T
-        grad_b[i] = g.sum(axis=1, keepdims=True)
+        grad_w[i] = g @ layers[i].swapaxes(-1, -2)
+        grad_b[i] = g.sum(axis=-1, keepdims=True)
         if i > 0:
             g = params.weights[i].T @ g
     return grad_w, grad_b
 
 
-def _sample_task(config: TrainConfig, world: World, pool: np.ndarray,
-                 epoch: int, task: int) -> Episode:
-    rng = np.random.default_rng([config.task_seed, epoch, task])
-    class_ids = rng.choice(pool, size=config.n_way, replace=False)
-    episode = sample_episode(world, class_ids, config.k_support, config.k_query, rng)
-    return corrupt(episode, config.corruption, rng)
+def _sample_tasks(config: TrainConfig, world: World, pool: np.ndarray,
+                  epoch: int) -> Episode:
+    """The epoch's tasks as one stack; task t draws from its own stream."""
+    rngs = [np.random.default_rng([config.task_seed, epoch, task])
+            for task in range(config.tasks_per_epoch)]
+    class_ids = np.stack([rng.choice(pool, size=config.n_way, replace=False) for rng in rngs])
+    episodes = sample_episode(world, class_ids, config.k_support, config.k_query, rngs)
+    return corrupt(episodes, config.corruption, rngs)
 
 
-def _rectify_supports(params: NetworkParams, episodes: list[Episode],
-                      rect: RectifyConfig) -> list[tuple[list[np.ndarray], np.ndarray]]:
-    """(support activations, rectified confidences) per episode. Several
-    episodes share one stacked pass; a single one takes the 2-D calls, which
-    skip the stacking overhead that per-task stepping would pay on every task."""
-    if len(episodes) == 1:
-        layers = embed_layers(params, episodes[0].support)
-        return [(layers, rectify(layers[-1], episodes[0].candidates, rect)[1])]
-    layers = embed_layers(params, np.stack([e.support for e in episodes]))
-    _, Q = rectify(layers[-1], np.stack([e.candidates for e in episodes]), rect)
-    return [([a[t] for a in layers], Q[t]) for t in range(len(episodes))]
+def _task_loss_grad(params: NetworkParams, episode: Episode, rect: RectifyConfig,
+                    supervised: bool
+                    ) -> tuple[float | np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """episode_loss_grad of a task, or of a stack of tasks, after embedding
+    and rectifying its support set."""
+    layers = embed_layers(params, episode.support)
+    _, Q = rectify(layers[-1], episode.candidates, rect)
+    return episode_loss_grad(params, layers, episode, Q, rect.distance, supervised)
 
 
 def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainLog]:
@@ -214,65 +227,69 @@ def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainL
             f"need n_way={config.n_way} <= train pool={n_pool} <= world classes={world.classes}")
     pool = np.arange(n_pool)
     rect = config.resolved_rectify()
-    # per-task steps change the parameters after every task: no stacking
-    chunk = 1 if config.step_per_task else stack_size(
-        config.network.output_dim, config.n_way, config.k_support, config.k_query)
+    chunk = stack_size(config.network.output_dim, config.n_way, config.k_support,
+                       config.k_query)
 
     params = init_network(config.network, config.init_seed)
     log = TrainLog()
     for epoch in range(config.max_epoch):
         t0 = time.perf_counter()
         lr = lr_at(epoch, config.lr0, config.lr_half_period)
-        grad_w = [np.zeros_like(w) for w in params.weights]
-        grad_b = [np.zeros_like(b) for b in params.biases]
+        tasks = _sample_tasks(config, world, pool, 0 if config.fixed_tasks else epoch)
         loss_sum = 0.0
-        sample_epoch = 0 if config.fixed_tasks else epoch
-        for start in range(0, config.tasks_per_epoch, chunk):
-            tasks = range(start, min(start + chunk, config.tasks_per_epoch))
-            episodes = [_sample_task(config, world, pool, sample_epoch, task) for task in tasks]
-            rectified = _rectify_supports(params, episodes, rect)
-            for task, episode, (support_layers, Q) in zip(tasks, episodes, rectified):
-                loss, task_w, task_b = episode_loss_grad(params, support_layers, episode, Q,
-                                                         rect.distance, config.supervised_loss)
-                if not np.isfinite(loss):
-                    raise RuntimeError(f"non-finite loss at epoch {epoch}, task {task}")
+        if config.step_per_task:
+            # the parameters change after every task: no stacking
+            for task in range(config.tasks_per_epoch):
+                loss, task_w, task_b = _task_loss_grad(params, tasks[task], rect,
+                                                       config.supervised_loss)
+                _check_loss(loss, epoch, task)
                 loss_sum += loss
                 for i in range(len(params.weights)):
-                    if config.step_per_task:
-                        params.weights[i] = params.weights[i] - lr * task_w[i]
-                        params.biases[i] = params.biases[i] - lr * task_b[i]
-                    else:
-                        grad_w[i] += task_w[i]
-                        grad_b[i] += task_b[i]
-        if not config.step_per_task:
+                    params.weights[i] = params.weights[i] - lr * task_w[i]
+                    params.biases[i] = params.biases[i] - lr * task_b[i]
+        else:
+            grad_w = [np.zeros_like(w) for w in params.weights]
+            grad_b = [np.zeros_like(b) for b in params.biases]
+            for start in range(0, config.tasks_per_epoch, chunk):
+                stack_loss, stack_w, stack_b = _task_loss_grad(
+                    params, tasks[start:start + chunk], rect, config.supervised_loss)
+                for t, loss in enumerate(stack_loss.tolist()):
+                    _check_loss(loss, epoch, start + t)
+                    loss_sum += loss
+                    for i in range(len(params.weights)):
+                        grad_w[i] += stack_w[i][t]
+                        grad_b[i] += stack_b[i][t]
             scale = lr / config.tasks_per_epoch
             for i in range(len(params.weights)):
                 params.weights[i] = params.weights[i] - scale * grad_w[i]
                 params.biases[i] = params.biases[i] - scale * grad_b[i]
+        del tasks  # free the epoch's stack before the next one is drawn
         log.entries.append(EpochStats(epoch, loss_sum / config.tasks_per_epoch, lr,
                                       time.perf_counter() - t0))
     return params, log
 
 
-def meta_test(params: NetworkParams, episodes: list[Episode],
-              rectify_cfg: RectifyConfig) -> list[TestResult]:
-    """Adapt to each episode with the network frozen and score its queries.
+def _check_loss(loss: float, epoch: int, task: int) -> None:
+    if not np.isfinite(loss):
+        raise RuntimeError(f"non-finite loss at epoch {epoch}, task {task}")
 
-    The equal-shape `episodes` are embedded, rectified and classified as one
-    stack and give one TestResult each, the same as one at a time.
+
+def meta_test(params: NetworkParams, episodes: Episode,
+              rectify_cfg: RectifyConfig) -> list[TestResult]:
+    """Adapt to each episode of a stack with the network frozen and score its
+    queries.
+
+    The (T, ...) stack `episodes` (as sample_episode draws it; `episode[None]`
+    makes one episode a stack of one) is embedded, rectified and classified in
+    one pass and gives one TestResult per episode, the same as one at a time.
     rectify_cfg.k left unset resolves to the per-class shot count minus one.
     """
-    first = episodes[0]
-    if first.support.shape[0] != params.spec.input_dim:
+    if episodes.support.shape[-2] != params.spec.input_dim:
         raise ValueError(
-            f"episode dim {first.support.shape[0]} does not match "
+            f"episode dim {episodes.support.shape[-2]} does not match "
             f"network input {params.spec.input_dim}")
-    if len({(e.support.shape, e.queries.shape, e.candidates.shape) for e in episodes}) > 1:
-        raise ValueError("meta_test: a stack of episodes must share one shape")
-    cfg = rectify_cfg.resolve_k(first.n_support // first.n_classes, "shots per class")
-    z_support = embed(params, np.stack([e.support for e in episodes]))
-    protos, confidence = rectify(z_support, np.stack([e.candidates for e in episodes]), cfg)
-    z_query = embed(params, np.stack([e.queries for e in episodes]))
-    preds = predict(classify_proba(z_query, protos, cfg.distance))
-    return [TestResult(p, float((p == e.query_truth).mean()), protos[t], confidence[t])
-            for t, (p, e) in enumerate(zip(preds, episodes))]
+    cfg = rectify_cfg.resolve_k(episodes.n_support // episodes.n_classes, "shots per class")
+    protos, confidence = rectify(embed(params, episodes.support), episodes.candidates, cfg)
+    preds = predict(classify_proba(embed(params, episodes.queries), protos, cfg.distance))
+    return [TestResult(p, float((p == truth).mean()), protos[t], confidence[t])
+            for t, (p, truth) in enumerate(zip(preds, episodes.query_truth))]

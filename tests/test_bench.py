@@ -12,7 +12,7 @@ from fspll.bench import (METHODS, BenchSpec, Cell, method_variant, run_benchmark
 from fspll.embedding import NetworkSpec
 from fspll.episodes import CorruptionSpec, make_world
 from fspll.pll_core import DISTANCE_KINDS, RectifyConfig
-from fspll.trainer import TrainConfig, meta_train
+from fspll.trainer import TrainConfig, meta_test, meta_train
 
 
 def tiny_spec(**overrides):
@@ -126,6 +126,17 @@ def test_spec_rejects_bad_settings_before_any_training(monkeypatch, overrides, m
         run_benchmark(tiny_spec(**overrides))
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(methods=["fspll-plus", "pn-plus"]),  # every checkpoint trains on clean labels
+    dict(p=0.0),                              # no label is ever ambiguous
+], ids=["plus", "p0"])
+def test_spec_checks_only_the_r_values_it_trains(overrides):
+    train = replace(tiny_spec().train, n_way=2)
+    with pytest.raises(ValueError, match="bench.r=2 needs r [+] 1 classes per training task"):
+        tiny_spec(train=train, r=[0, 2])
+    tiny_spec(train=train, r=[0, 2], **overrides)
+
+
 # -- sweep -------------------------------------------------------------------------
 
 def test_sweep_lambda_with_retrain_reproduces_ablation():
@@ -220,6 +231,33 @@ def test_clean_label_checkpoints_are_shared_without_changing_reports(tmp_path, m
     monkeypatch.setattr(fspll.bench, "_train_for", train_per_variant)
     write_report(run_benchmark(spec), tmp_path / "per_variant")
     assert len(calls) == shared + 6
+    for name in ("rounds.csv", "summary.csv", "meta.json"):
+        assert (tmp_path / "shared" / name).read_bytes() == \
+            (tmp_path / "per_variant" / name).read_bytes()
+
+
+def test_exact_label_cells_score_each_checkpoint_once(tmp_path, monkeypatch):
+    # on the r = 0 cell fspll, fspll-nm and pn share one checkpoint, and each
+    # test config reduces to the identity there: one meta_test call scores
+    # all three. With one checkpoint per variant nothing is shared, and the
+    # reports must not change.
+    calls = []
+
+    def counting_meta_test(params, episodes, cfg):
+        calls.append(cfg)
+        return meta_test(params, episodes, cfg)
+
+    monkeypatch.setattr(fspll.bench, "meta_test", counting_meta_test)
+    spec = tiny_spec(r=[0, 1], methods=["fspll", "fspll-nm", "pn"], rounds=3)
+    result = run_benchmark(spec)
+    write_report(result, tmp_path / "shared")
+    assert len(calls) == 1 + 3  # one stack of 3 rounds per cell
+    exact = result.cells[0].label()
+    assert result.accuracies[(exact, "fspll")] == result.accuracies[(exact, "fspll-nm")] \
+        == result.accuracies[(exact, "pn")]
+    monkeypatch.setattr(fspll.bench, "_train_for", train_per_variant)
+    write_report(run_benchmark(spec), tmp_path / "per_variant")
+    assert len(calls) == 4 + 3 + 3
     for name in ("rounds.csv", "summary.csv", "meta.json"):
         assert (tmp_path / "shared" / name).read_bytes() == \
             (tmp_path / "per_variant" / name).read_bytes()

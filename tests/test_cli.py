@@ -375,3 +375,20 @@ def test_invalid_json_config_exits_one(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("train", lambda doc: doc["corruption"].update(r=2),
+     "corruption.r=2 needs r + 1 classes per training task, but train.n_way is 2"),
+    ("bench", lambda doc: doc["bench"].update(r=[2]),
+     "bench.r=2 needs r + 1 classes per training task, but train.n_way is 2"),
+], ids=["train", "bench"])
+def test_training_r_above_n_way_fails_before_any_output(tmp_path, capsys, command, edit,
+                                                        message):
+    doc = tiny_bench_doc()
+    doc["train"]["n_way"] = 2
+    edit(doc)
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(tmp_path / "o")

@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from fspll.episodes import (CorruptionSpec, _choice_rows, corrupt, episode_hash, make_world,
-                            sample_episode, world_from_manifest, world_to_manifest)
+from fspll.episodes import (CorruptionSpec, Episode, _choice_rows, corrupt, episode_hash,
+                            make_world, sample_episode, world_from_manifest, world_to_manifest)
 
 
 def test_world_determinism():
@@ -168,28 +170,73 @@ def test_corrupt_matches_per_sample_choice(l, buffered_half):
 @pytest.mark.parametrize("l", [2, 3, 4, 10, 20])
 def test_choice_rows_match_choice_calls_in_order(l, buffered_half):
     # a candidate set is blind to the order of the picks, so the shuffle that
-    # choice applies to them is checked here, on the rows themselves
+    # choice applies to them is checked here, on the rows themselves; row t
+    # of the result comes from generator t
     for seed in range(4):
         for r in range(1, l):
-            vectorised, looped = _twin_generators([seed, r], buffered_half)
-            rows = _choice_rows(vectorised, 7, l - 1, r)
-            expected = np.stack([looped.choice(l - 1, r, replace=False) for _ in range(7)])
-            case = f"seed={seed} l={l} r={r}"
-            np.testing.assert_array_equal(rows, expected, err_msg=case)
-            assert vectorised.bit_generator.state == looped.bit_generator.state, case
+            twins = [_twin_generators([seed, r, t], buffered_half) for t in range(3)]
+            rows = _choice_rows([v for v, _ in twins], 7, l - 1, r)
+            assert rows.shape == (3, 7, r)
+            for t, (vectorised, looped) in enumerate(twins):
+                expected = np.stack([looped.choice(l - 1, r, replace=False) for _ in range(7)])
+                case = f"seed={seed} l={l} r={r} t={t}"
+                np.testing.assert_array_equal(rows[t], expected, err_msg=case)
+                assert vectorised.bit_generator.state == looped.bit_generator.state, case
 
 
 def test_choice_rows_rejection_falls_back_to_the_loop():
     # the cached word 0 meets bound b = 9 (pop = 9, r = 1): (0 * 9) mod 2**32 = 0
-    # is below (2**32 - 9) mod 9 = 4, so choice rejects it and draws again
+    # is below (2**32 - 9) mod 9 = 4, so choice rejects it and draws again;
+    # only the middle generator of the stack falls back
     state = np.random.PCG64(21).state
     state["has_uint32"], state["uinteger"] = 1, 0
-    vectorised, looped = np.random.default_rng(), np.random.default_rng()
-    vectorised.bit_generator.state = looped.bit_generator.state = state
-    rows = _choice_rows(vectorised, 4, 9, 1)
-    expected = np.stack([looped.choice(9, 1, replace=False) for _ in range(4)])
-    np.testing.assert_array_equal(rows, expected)
-    assert vectorised.bit_generator.state == looped.bit_generator.state
+    twins = [_twin_generators([22, t], False) for t in range(3)]
+    for rng in twins[1]:
+        rng.bit_generator.state = state
+    rows = _choice_rows([v for v, _ in twins], 4, 9, 1)
+    for t, (vectorised, looped) in enumerate(twins):
+        expected = np.stack([looped.choice(9, 1, replace=False) for _ in range(4)])
+        np.testing.assert_array_equal(rows[t], expected, err_msg=f"t={t}")
+        assert vectorised.bit_generator.state == looped.bit_generator.state
+
+
+@pytest.mark.parametrize("p, r", [(1.0, 0), (0.5, 1), (1.0, 2), (1.0, 4)])
+def test_stacked_draws_match_episodes_one_at_a_time(p, r):
+    # one generator per episode: the stack holds each episode as drawn on its
+    # own, and leaves each generator where the single draw leaves it
+    world = make_world(3, classes=12, dim=3, sigma=0.5)
+    rngs = [np.random.default_rng([40, t]) for t in range(5)]
+    class_ids = np.stack([rng.choice(12, size=5, replace=False) for rng in rngs])
+    stack = corrupt(sample_episode(world, class_ids, 4, 3, rngs), CorruptionSpec(p, r), rngs)
+    assert stack.support.shape == (5, 3, 20) and stack.candidates.shape == (5, 5, 20)
+    for t in range(5):
+        rng = np.random.default_rng([40, t])
+        ids = rng.choice(12, size=5, replace=False)
+        single = corrupt(sample_episode(world, ids, 4, 3, rng), CorruptionSpec(p, r), rng)
+        for field in fields(Episode):
+            got, want = getattr(stack[t], field.name), getattr(single, field.name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want, err_msg=f"t={t} {field.name}")
+        assert rngs[t].bit_generator.state == rng.bit_generator.state
+    assert episode_hash(stack) == [episode_hash(stack[t]) for t in range(5)]
+
+
+def test_stack_needs_one_seed_per_episode():
+    world = make_world(3, classes=8, dim=3, sigma=0.5)
+    with pytest.raises(ValueError, match="2 episodes need one seed each, got 3"):
+        sample_episode(world, [[0, 1], [2, 3]], 2, 2, [1, 2, 3])
+    stack = sample_episode(world, [[0, 1, 2], [3, 4, 5]], 2, 2, [1, 2])
+    with pytest.raises(ValueError, match="2 episodes need one seed each, got 1"):
+        corrupt(stack, CorruptionSpec(1.0, 1), [3])
+
+
+def test_episode_indexing_slices_the_stack():
+    world = make_world(3, classes=8, dim=3, sigma=0.5)
+    stack = sample_episode(world, [[0, 1, 2], [3, 4, 5], [6, 7, 0]], 2, 2, [1, 2, 3])
+    assert stack[1:].support.shape == (2, 3, 6)
+    single = stack[2]
+    assert (single.n_classes, single.n_support, single.n_queries) == (3, 6, 6)
+    assert episode_hash(single[None]) == [episode_hash(single)]
 
 
 @pytest.mark.parametrize("r, digest", [(0, "b5824c459b05798e"), (1, "37ecd95eb1ee4311"),

@@ -55,7 +55,10 @@ def test_traced_bench_reaches_every_stage(tmp_path):
     # 2 checkpoints x 2 epochs x 2 tasks; then 2 rounds x 2 methods
     assert layers["trainer.tasks"] == 8
     assert layers["bench.checkpoints_trained"] == 2
-    assert layers["episodes.episodes"] == 8 + 2
+    # episodes.episodes counts sample_episode calls, and each call now draws
+    # a stack: one per epoch (2 checkpoints x 2 epochs) and one for the
+    # cell's 2 rounds, where it counted 8 training tasks and 2 rounds
+    assert layers["episodes.episodes"] == 4 + 1
     # The call counts count stacks. Each epoch's 2 tasks are one stack
     # (2 checkpoints x 2 epochs = 4 calls), and each method scores the 2
     # rounds as one stack (2 calls): pll_core.stack_size allows 227 episodes

@@ -1,20 +1,21 @@
 """A stack of T equal-shape episodes must give, bit for bit, what the T
 episodes give one at a time: every pll_core helper, rectify, the embedding,
-meta_test, and batch-mean meta_train, which rectifies an epoch's tasks in
-stacks. k = 9 is the case where a neighbour sum in another order would move
-the last bit."""
+the fused loss gradient, meta_test, and batch-mean meta_train, which draws,
+rectifies and differentiates an epoch's tasks in stacks. k = 9 is the case
+where a neighbour sum in another order would move the last bit."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import fspll.pll_core
 from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
-from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
+from fspll.episodes import CorruptionSpec, Episode, corrupt, make_world, sample_episode
 from fspll.pll_core import (DISTANCE_KINDS, RectifyConfig, classify_proba, compute_prototypes,
                             knn_indices, pairwise_distance, predict, rectify,
                             smooth_confidence, update_confidence, validate_candidates)
-from fspll.trainer import (TrainConfig, _sample_task, episode_loss_grad, lr_at, meta_test,
-                           meta_train)
+from fspll.trainer import TrainConfig, episode_loss_grad, lr_at, meta_test, meta_train
 
 PARAMS = init_network(NetworkSpec(6, (8,), 5), seed=33)
 
@@ -32,6 +33,11 @@ def episodes(T=4, n_way=10, k_shot=10, k_query=6, r=2):
 
 def stacked(eps, name):
     return np.stack([getattr(e, name) for e in eps])
+
+
+def stack(eps):
+    """The episodes as one Episode stack."""
+    return Episode(*(stacked(eps, field.name) for field in fields(Episode)))
 
 
 GRID = pytest.mark.parametrize("distance, lam, iterations, k", [
@@ -59,6 +65,33 @@ def reference_smooth(Q, Y, neighbors, lam):
     pooled = Q[:, neighbors].sum(axis=2)
     smoothed = np.where(Y > 0, Q + (lam / neighbors.shape[1]) * pooled, 0.0)
     return smoothed / smoothed.sum(axis=0, keepdims=True)
+
+
+def gathered_smooth(Q, Y, neighbors, lam):
+    """Reference smoothing: one gather of every neighbour row into
+    (..., n, k, l), summed over k (l innermost, so in order)."""
+    l, n = Q.shape[-2:]
+    lead = Q.shape[:-2]
+    if lead:
+        neighbors = neighbors + n * np.arange(np.prod(lead)).reshape(*lead, 1, 1)
+    rows = np.take(Q.swapaxes(-1, -2).reshape(-1, l), neighbors, axis=0)
+    pooled = rows.sum(axis=-2).swapaxes(-1, -2)
+    smoothed = np.where(Y > 0, Q + (lam / neighbors.shape[-1]) * pooled, 0.0)
+    return smoothed / smoothed.sum(axis=-2, keepdims=True)
+
+
+@pytest.mark.parametrize("k", [4, 9])
+def test_smoothing_by_ordered_adds_matches_one_gather(k):
+    eps = episodes()
+    Z = embed(PARAMS, stacked(eps, "support"))
+    Y = stacked(eps, "candidates")
+    P = compute_prototypes(Z, Y / Y.sum(axis=-2, keepdims=True))
+    Q = update_confidence(pairwise_distance(P.swapaxes(-1, -2), Z), Y)
+    neighbors = knn_indices(Z, k)
+    np.testing.assert_array_equal(smooth_confidence(Q, Y, neighbors, 0.5),
+                                  gathered_smooth(Q, Y, neighbors, 0.5))
+    np.testing.assert_array_equal(smooth_confidence(Q[1], Y[1], neighbors[1], 0.5),
+                                  gathered_smooth(Q[1], Y[1], neighbors[1], 0.5))
 
 
 @pytest.mark.parametrize("distance", DISTANCE_KINDS)
@@ -103,19 +136,35 @@ def test_rectify_stack_matches_episodes(distance, lam, iterations, k):
 def test_meta_test_stack_matches_episodes(distance, lam, iterations, k):
     eps = episodes()
     cfg = RectifyConfig(iterations=iterations, lam=lam, k=k, distance=distance)
-    results = meta_test(PARAMS, eps, cfg)
+    results = meta_test(PARAMS, stack(eps), cfg)
     assert len(results) == len(eps)
     for got, episode in zip(results, eps):
-        [want] = meta_test(PARAMS, [episode], cfg)
+        [want] = meta_test(PARAMS, episode[None], cfg)
         assert got.accuracy == want.accuracy
         for field in ("predictions", "prototypes", "confidence"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
-def test_meta_test_rejects_a_stack_of_unequal_shapes():
-    mixed = episodes(T=1) + episodes(T=1, k_shot=5)
-    with pytest.raises(ValueError, match="share one shape"):
-        meta_test(PARAMS, mixed, RectifyConfig())
+@pytest.mark.parametrize("hidden", [(), (8,), (8, 7)])
+@pytest.mark.parametrize("supervised", [False, True])
+@pytest.mark.parametrize("distance", DISTANCE_KINDS)
+def test_loss_grad_stack_matches_episodes(distance, supervised, hidden):
+    eps = episodes()
+    params = init_network(NetworkSpec(6, hidden, 5), seed=37)
+    cfg = RectifyConfig(iterations=10, lam=0.5, k=9, distance=distance)
+    layers = embed_layers(params, stacked(eps, "support"))
+    _, Q = rectify(layers[-1], stacked(eps, "candidates"), cfg)
+    losses, grad_w, grad_b = episode_loss_grad(params, layers, stack(eps), Q, distance,
+                                               supervised)
+    assert losses.shape == (len(eps),)
+    for t, episode in enumerate(eps):
+        single = embed_layers(params, episode.support)
+        _, q = rectify(single[-1], episode.candidates, cfg)
+        loss, want_w, want_b = episode_loss_grad(params, single, episode, q, distance,
+                                                 supervised)
+        assert isinstance(loss, float) and losses[t] == loss
+        for got, want in zip(grad_w + grad_b, want_w + want_b):
+            np.testing.assert_array_equal(got[t], want)
 
 
 def test_stacked_validation_names_the_episode():
@@ -126,7 +175,8 @@ def test_stacked_validation_names_the_episode():
 
 
 def reference_meta_train(config, world):
-    """Batch-mean SGD one task at a time, with 2-D calls only."""
+    """Batch-mean SGD one task at a time, drawn one at a time, with 2-D calls
+    only."""
     pool = np.arange(config.train_classes)
     rect = config.resolved_rectify()
     params = init_network(config.network, config.init_seed)
@@ -137,7 +187,10 @@ def reference_meta_train(config, world):
         grad_b = [np.zeros_like(b) for b in params.biases]
         loss_sum = 0.0
         for task in range(config.tasks_per_epoch):
-            episode = _sample_task(config, world, pool, epoch, task)
+            rng = np.random.default_rng([config.task_seed, epoch, task])
+            class_ids = rng.choice(pool, size=config.n_way, replace=False)
+            episode = sample_episode(world, class_ids, config.k_support, config.k_query, rng)
+            episode = corrupt(episode, config.corruption, rng)
             layers = embed_layers(params, episode.support)
             _, Q = rectify(layers[-1], episode.candidates, rect)
             loss, task_w, task_b = episode_loss_grad(params, layers, episode, Q, rect.distance)

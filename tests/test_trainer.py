@@ -5,7 +5,7 @@ from fspll.autodiff import grad_check
 from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
 from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
 from fspll.pll_core import RectifyConfig, rectify
-from fspll.trainer import (TrainConfig, _sample_task, episode_loss_graph, episode_loss_grad,
+from fspll.trainer import (TrainConfig, _sample_tasks, episode_loss_graph, episode_loss_grad,
                            lr_at, meta_test, meta_train)
 
 
@@ -139,7 +139,7 @@ def test_meta_train_steps_with_fused_gradient():
                          network=NetworkSpec(4, (6,), 5))
     params, log = meta_train(config, world)
     init = init_network(config.network, config.init_seed)
-    episode = _sample_task(config, world, np.arange(config.train_classes), 0, 0)
+    episode = _sample_tasks(config, world, np.arange(config.train_classes), 0)[0]
     support_layers = embed_layers(init, episode.support)
     rect = config.resolved_rectify()
     _, Q = rectify(support_layers[-1], episode.candidates, rect)
@@ -165,7 +165,7 @@ def test_meta_test_perfect_on_separable_world():
     world = tiny_world(sigma=1e-9)
     params = init_network(NetworkSpec(4, (), 4), seed=6)
     episode = sample_episode(world, [6, 7, 8], 3, 5, seed=7)
-    [result] = meta_test(params, [episode], RectifyConfig())
+    [result] = meta_test(params, episode[None], RectifyConfig())
     assert result.accuracy == 1.0
 
 
@@ -175,7 +175,7 @@ def test_meta_test_does_not_mutate_params():
     before = [w.copy() for w in params.weights] + [b.copy() for b in params.biases]
     episode = corrupt(sample_episode(world, [0, 1, 2], 3, 4, seed=9),
                       CorruptionSpec(1.0, 1), seed=10)
-    meta_test(params, [episode], RectifyConfig())
+    meta_test(params, episode[None], RectifyConfig())
     after = list(params.weights) + list(params.biases)
     for a, b in zip(before, after):
         np.testing.assert_array_equal(a, b)
@@ -189,7 +189,7 @@ def test_meta_test_zero_iterations_equals_pn_rule():
     params = init_network(NetworkSpec(4, (5,), 4), seed=11)
     episode = corrupt(sample_episode(world, [1, 3, 5], 3, 6, seed=12),
                       CorruptionSpec(1.0, 1), seed=13)
-    [result] = meta_test(params, [episode], RectifyConfig(iterations=0))
+    [result] = meta_test(params, episode[None], RectifyConfig(iterations=0))
     z = embed(params, episode.support)
     q = episode.candidates / episode.candidates.sum(axis=0)
     protos = compute_prototypes(z, q)
@@ -201,7 +201,7 @@ def test_meta_test_dimension_mismatch():
     params = init_network(NetworkSpec(5, (), 4), seed=14)
     episode = sample_episode(tiny_world(), [0, 1], 2, 2, seed=15)
     with pytest.raises(ValueError, match="dim"):
-        meta_test(params, [episode], RectifyConfig())
+        meta_test(params, episode[None], RectifyConfig())
 
 
 def test_train_config_validation():
@@ -211,6 +211,10 @@ def test_train_config_validation():
         tiny_config(tasks_per_epoch=0)
     with pytest.raises(ValueError, match="max_epoch"):
         tiny_config(max_epoch=-1)
+    with pytest.raises(ValueError, match="corruption.r=3 needs r [+] 1 classes per training "
+                                         "task, but train.n_way is 3"):
+        tiny_config(corruption=CorruptionSpec(1.0, 3))
+    tiny_config(corruption=CorruptionSpec(1.0, 2))
 
 
 def test_meta_train_rejects_small_class_pool():
