@@ -102,7 +102,6 @@ class BenchSpec:
     k_query: int = 15
     eval_seed: int = 1
     base_rectify: RectifyConfig = field(default_factory=RectifyConfig)
-    retrain_per_round: bool = False
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -163,15 +162,15 @@ def _effective(rect: RectifyConfig, corruption: CorruptionSpec) -> RectifyConfig
 
 
 def _train_for(spec: BenchSpec, variant: MethodVariant, r_cell: int,
-               cache: dict, task_seed: int) -> NetworkParams:
+               cache: dict) -> NetworkParams:
     corruption = CorruptionSpec(spec.p, 0 if variant.clean_meta_train else r_cell)
     rect = _effective(variant.train_rectify, corruption)
     if corruption.exact:  # no label is ambiguous, and r draws nothing
         corruption = replace(corruption, r=0)
-    key = (rect, corruption, task_seed)
+    key = (rect, corruption)
     if key not in cache:
         cfg = replace(spec.train, rectify=rect, corruption=corruption,
-                      train_classes=spec.train_classes, task_seed=task_seed)
+                      train_classes=spec.train_classes)
         params, _ = meta_train(cfg, spec.world)
         cache[key] = params
     return cache[key]
@@ -185,10 +184,10 @@ def _stream_rng(eval_seed: int, cell: Cell, round_no: int) -> np.random.Generato
 
 def _round_chunks(world: World, train_classes: int, k_query: int, eval_seed: int,
                   cell: Cell, rounds: int, size: int):
-    """Yield (first round, episode stack) over the cell's rounds in round
-    order, `size` rounds at a time. Each round's episode is drawn on the
-    held-out classes (every world class from train_classes on) from its own
-    stream and corrupted by the cell's (p, r)."""
+    """Yield the cell's rounds as episode stacks in round order, `size` rounds
+    at a time. Each round's episode is drawn on the held-out classes (every
+    world class from train_classes on) from its own stream and corrupted by
+    the cell's (p, r)."""
     held_out = np.arange(train_classes, world.classes)
     corruption = CorruptionSpec(cell.p, cell.r)
     for start in range(0, rounds, size):
@@ -196,7 +195,7 @@ def _round_chunks(world: World, train_classes: int, k_query: int, eval_seed: int
         class_ids = np.stack([rng.choice(held_out, size=cell.n_way, replace=False)
                               for rng in rngs])
         episodes = sample_episode(world, class_ids, cell.k_shot, k_query, rngs)
-        yield start, corrupt(episodes, corruption, rngs)
+        yield corrupt(episodes, corruption, rngs)
 
 
 def _run_cells(spec: BenchSpec, cells: list[Cell],
@@ -218,19 +217,15 @@ def _run_cells(spec: BenchSpec, cells: list[Cell],
         hashes[label] = []
         for variant in cell_variants:
             accuracies[(label, variant.name)] = []
-        # a checkpoint per round when retraining: rounds go one at a time
-        size = 1 if spec.retrain_per_round else stack_size(
-            spec.train.network.output_dim, cell.n_way, cell.k_shot, spec.k_query)
-        for start, episodes in _round_chunks(spec.world, spec.train_classes, spec.k_query,
-                                             spec.eval_seed, cell, spec.rounds, size):
-            task_seed = (spec.train.task_seed if not spec.retrain_per_round
-                         else hash_seed(spec.train.task_seed, start))
+        size = stack_size(spec.train.network, cell.n_way, cell.k_shot, spec.k_query)
+        for episodes in _round_chunks(spec.world, spec.train_classes, spec.k_query,
+                                      spec.eval_seed, cell, spec.rounds, size):
             hashes[label].extend(episode_hash(episodes))
             # (checkpoint, effective test config) -> accuracies; the cache
             # keeps every checkpoint alive, so its id names it
             scored: dict = {}
             for variant in cell_variants:
-                params = _train_for(spec, variant, cell.r, cache, task_seed)
+                params = _train_for(spec, variant, cell.r, cache)
                 test = _effective(variant.test_rectify, corruption)
                 key = (id(params), test)
                 if key not in scored:
@@ -246,12 +241,6 @@ def _run_cells(spec: BenchSpec, cells: list[Cell],
         "episode_hashes": hashes,
     }
     return BenchResult(cells, meta["methods"], accuracies, hashes, meta)
-
-
-def hash_seed(*parts: int) -> int:
-    """Stable derived seed from integer components."""
-    h = hashlib.sha256(",".join(str(p) for p in parts).encode()).digest()
-    return int.from_bytes(h[:8], "big")
 
 
 def run_benchmark(spec: BenchSpec) -> BenchResult:

@@ -45,8 +45,7 @@ DEFAULTS = {
     "test": {"checkpoint": None, "n_way": 5, "k_shot": 5, "k_query": 15, "rounds": 50,
              "eval_seed": 1},
     "bench": {"n_way": [5, 10], "k_shot": [5, 10], "r": [0, 1, 2], "p": 1.0, "rounds": 50,
-              "methods": ["fspll", "fspll-nm", "pn"], "k_query": 15, "eval_seed": 1,
-              "retrain_per_round": False},
+              "methods": ["fspll", "fspll-nm", "pn"], "k_query": 15, "eval_seed": 1},
     "sweep": {"axis": None, "values": None, "retrain": False},
 }
 
@@ -254,9 +253,9 @@ def cmd_test(args) -> int:
 
     rounds = section["rounds"]
     accs, hashes = [], []
-    size = stack_size(params.spec.output_dim, cell.n_way, cell.k_shot, section["k_query"])
-    for _, episodes in _round_chunks(world, cfg["train_classes"], section["k_query"],
-                                     section["eval_seed"], cell, rounds, size):
+    size = stack_size(params.spec, cell.n_way, cell.k_shot, section["k_query"])
+    for episodes in _round_chunks(world, cfg["train_classes"], section["k_query"],
+                                  section["eval_seed"], cell, rounds, size):
         hashes.extend(episode_hash(episodes))
         accs.extend(r.accuracy for r in meta_test(params, episodes, rect))
 

@@ -12,7 +12,9 @@ Queries are classified by a softmax over (negative) distances to the final
 prototypes. Every function here is pure, and every array function also takes
 a stack of T equal-shape episodes: leading axes broadcast, so Z is
 (..., m, n_s), Y and Q are (..., l, n_s), and a 2-D input is the unstacked
-case. Each episode of a stack gets the same bits as on its own.
+case. Each episode of a stack gets the same bits as on its own. stack_size
+picks how many episodes share a call, from the network's widest layer and
+the episode shape.
 
 The *_nodes builders at the bottom are the autodiff-graph counterparts that
 make up trainer.episode_loss_graph, the test reference for the fused training
@@ -27,19 +29,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Graph, Tensor, sqdist, sqrt_eps
+from .embedding import NetworkSpec
 
 DISTANCE_KINDS = ("euclidean", "squared")
 
-# Byte budget for the largest per-episode temporary of a stacked call, the
-# m x l x n float64 difference tensor of a distance: it sets how many episodes
-# share one call, and so bounds the memory stacking adds.
+# Byte budget for the largest per-episode array of a stacked call: it sets
+# how many episodes share one call, and so bounds the memory stacking adds.
+# That array is a layer's embeddings (width x n) or an l x n confidence,
+# distance or squared-difference plane; sqdist adds its planes one at a time,
+# so no m x l x n tensor is built.
 STACK_BYTES = 256 * 1024
 
 
-def stack_size(m: int, n_way: int, k_support: int, k_query: int) -> int:
-    """How many n_way-way episodes with embedding dim m go in one stack (at
-    least one), with n the larger of the support and query sample counts."""
-    return max(1, STACK_BYTES // (8 * m * n_way * n_way * max(k_support, k_query)))
+def stack_size(spec: NetworkSpec, n_way: int, k_support: int, k_query: int) -> int:
+    """How many n_way-way episodes embedded by a `spec` network go in one stack
+    (at least one): n float64 columns of the wider of n_way and the widest
+    layer per episode, n the larger of the support and query sample counts."""
+    width = max(n_way, spec.input_dim, *spec.hidden_dims, spec.output_dim)
+    return max(1, STACK_BYTES // (8 * width * n_way * max(k_support, k_query)))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Each epoch draws its T fresh tasks as one stack of equal-shape episodes; each
 task keeps its own stream key (task seed, epoch, task), so the stack holds
-the tasks drawn one at a time, bit for bit. Per task: embed the support set
-once, run the rectification loop on it to get label confidences (held
-constant for gradients), then evaluate the loss and its gradient in one fused
+the tasks drawn one at a time, bit for bit. Under fixed_tasks every epoch
+reuses epoch 0's stack, drawn once. Per task: embed the support set once,
+run the rectification loop on it to get label confidences (held constant for
+gradients), then evaluate the loss and its gradient in one fused
 closed-form pass (episode_loss_grad) -- support embeddings feed the
 prototypes, query embeddings feed the posterior, the loss is the mean
 negative log of the top posterior per query. One plain SGD step per epoch on
@@ -13,7 +14,8 @@ learning rate halves on a fixed epoch period. Per-task stepping slices the
 epoch's stack task by task, since the parameters change after every task.
 Under the per-epoch step they are fixed within an epoch, so its tasks are
 embedded, rectified and differentiated in stacks of pll_core.stack_size
-tasks; the per-task gradients then sum task by task, in task order.
+tasks (a whole epoch when the network is narrow); the per-task gradients
+then sum task by task, in task order.
 
 episode_loss_graph builds the same loss on the autodiff graph. Training does
 not use it: it is the reference the fused gradient is tested against, and the
@@ -227,15 +229,15 @@ def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainL
             f"need n_way={config.n_way} <= train pool={n_pool} <= world classes={world.classes}")
     pool = np.arange(n_pool)
     rect = config.resolved_rectify()
-    chunk = stack_size(config.network.output_dim, config.n_way, config.k_support,
-                       config.k_query)
+    chunk = stack_size(config.network, config.n_way, config.k_support, config.k_query)
 
     params = init_network(config.network, config.init_seed)
     log = TrainLog()
+    fixed = _sample_tasks(config, world, pool, 0) if config.fixed_tasks else None
     for epoch in range(config.max_epoch):
         t0 = time.perf_counter()
         lr = lr_at(epoch, config.lr0, config.lr_half_period)
-        tasks = _sample_tasks(config, world, pool, 0 if config.fixed_tasks else epoch)
+        tasks = fixed if config.fixed_tasks else _sample_tasks(config, world, pool, epoch)
         loss_sum = 0.0
         if config.step_per_task:
             # the parameters change after every task: no stacking
@@ -263,7 +265,7 @@ def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainL
             for i in range(len(params.weights)):
                 params.weights[i] = params.weights[i] - scale * grad_w[i]
                 params.biases[i] = params.biases[i] - scale * grad_b[i]
-        del tasks  # free the epoch's stack before the next one is drawn
+        del tasks  # free a per-epoch stack before the next one is drawn
         log.entries.append(EpochStats(epoch, loss_sum / config.tasks_per_epoch, lr,
                                       time.perf_counter() - t0))
     return params, log

@@ -200,14 +200,14 @@ def test_clean_label_training_ignores_rectification(distance, step_per_task, cor
             np.testing.assert_array_equal(got, want)
 
 
-def train_per_variant(spec, variant, r_cell, cache, task_seed):
+def train_per_variant(spec, variant, r_cell, cache):
     """Reference checkpoint cache: one checkpoint per rectify variant, with no
     sharing on clean labels."""
     corruption = CorruptionSpec(spec.p, 0 if variant.clean_meta_train else r_cell)
-    key = (variant.train_rectify, corruption, task_seed)
+    key = (variant.train_rectify, corruption)
     if key not in cache:
         cfg = replace(spec.train, rectify=variant.train_rectify, corruption=corruption,
-                      train_classes=spec.train_classes, task_seed=task_seed)
+                      train_classes=spec.train_classes)
         cache[key] = fspll.bench.meta_train(cfg, spec.world)[0]
     return cache[key]
 
@@ -307,12 +307,3 @@ def test_aggregation_matches_recomputation():
 def test_cell_labels():
     assert Cell(5, 5, 2, 1.0).label() == "N5-K5-r2-p1"
     assert Cell(5, 5, 2, 1.0, "lambda", 0.5).label() == "N5-K5-r2-p1-lambda0.5"
-
-
-def test_retrain_per_round_mode_runs():
-    res_a = run_benchmark(tiny_spec(rounds=2, retrain_per_round=True))
-    res_b = run_benchmark(tiny_spec(rounds=2, retrain_per_round=False))
-    label = res_a.cells[0].label()
-    assert len(res_a.accuracies[(label, "fspll")]) == 2
-    # identical episode streams either way
-    assert res_a.episode_hashes == res_b.episode_hashes

@@ -61,8 +61,8 @@ def test_traced_bench_reaches_every_stage(tmp_path):
     assert layers["episodes.episodes"] == 4 + 1
     # The call counts count stacks. Each epoch's 2 tasks are one stack
     # (2 checkpoints x 2 epochs = 4 calls), and each method scores the 2
-    # rounds as one stack (2 calls): pll_core.stack_size allows 227 episodes
-    # of m = 4, l = 3, n = 3 x max(3, 4) = 12.
+    # rounds as one stack (2 calls): pll_core.stack_size allows 455 episodes
+    # of width 6 (the hidden layer) and n = 3 x max(3, 4) = 12.
     assert layers["trainer.meta_test_calls"] == 2
     assert layers["pll_core.rectify_calls"] == 4 + 2
     assert layers["trainer.meta_test_s"] > 0

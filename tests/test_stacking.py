@@ -1,8 +1,9 @@
 """A stack of T equal-shape episodes must give, bit for bit, what the T
-episodes give one at a time: every pll_core helper, rectify, the embedding,
-the fused loss gradient, meta_test, and batch-mean meta_train, which draws,
-rectifies and differentiates an epoch's tasks in stacks. k = 9 is the case
-where a neighbour sum in another order would move the last bit."""
+episodes give one at a time: the squared distances, every pll_core helper,
+rectify, the embedding, the fused loss gradient, meta_test, and batch-mean
+meta_train, which draws, rectifies and differentiates an epoch's tasks in
+stacks. k = 9 is the case where a neighbour sum in another order would move
+the last bit."""
 
 from dataclasses import fields
 
@@ -10,11 +11,13 @@ import numpy as np
 import pytest
 
 import fspll.pll_core
+from fspll.autodiff import sqdist
 from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
 from fspll.episodes import CorruptionSpec, Episode, corrupt, make_world, sample_episode
 from fspll.pll_core import (DISTANCE_KINDS, RectifyConfig, classify_proba, compute_prototypes,
                             knn_indices, pairwise_distance, predict, rectify,
-                            smooth_confidence, update_confidence, validate_candidates)
+                            smooth_confidence, stack_size, update_confidence,
+                            validate_candidates)
 from fspll.trainer import TrainConfig, episode_loss_grad, lr_at, meta_test, meta_train
 
 PARAMS = init_network(NetworkSpec(6, (8,), 5), seed=33)
@@ -92,6 +95,52 @@ def test_smoothing_by_ordered_adds_matches_one_gather(k):
                                   gathered_smooth(Q, Y, neighbors, 0.5))
     np.testing.assert_array_equal(smooth_confidence(Q[1], Y[1], neighbors[1], 0.5),
                                   gathered_smooth(Q[1], Y[1], neighbors[1], 0.5))
+
+
+def einsum_sqdist(a, b):
+    """Reference squared distances of one episode: einsum over its whole
+    m x p x q difference tensor."""
+    diff = a[:, :, None] - b[:, None, :]
+    return np.einsum("mpq,mpq->pq", diff, diff)
+
+
+# (a's leading axes, b's); the last two broadcast to (2, 3) and (3,)
+@pytest.mark.parametrize("lead_a, lead_b", [((1,), (1,)), ((3,), (3,)), ((2, 3), (2, 3)),
+                                            ((2, 1), (3,)), ((3,), ())])
+@pytest.mark.parametrize("m", [1, 4, 8, 64])
+@pytest.mark.parametrize("scale", [1.0, 1e154])
+def test_stacked_sqdist_adds_planes_like_einsum(lead_a, lead_b, m, scale):
+    # at scale 1e154 about a third of the squares overflow to inf, silently
+    rng = np.random.default_rng([m, len(lead_a), len(lead_b)])
+    a = scale * rng.normal(size=(*lead_a, m, 5))
+    b = scale * rng.normal(size=(*lead_b, m, 7))
+    lead = np.broadcast_shapes(lead_a, lead_b)
+    got = sqdist(a, b)
+    assert got.shape == (*lead, 5, 7)
+    assert np.isinf(got).any() == (scale > 1)
+    a, b = np.broadcast_to(a, (*lead, m, 5)), np.broadcast_to(b, (*lead, m, 7))
+    for t in np.ndindex(*lead):
+        np.testing.assert_array_equal(got[t], einsum_sqdist(a[t], b[t]))
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_sqdist_warns_where_the_subtraction_overflows(lead):
+    a = np.full((*lead, 3, 4), 1e308)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
+        assert np.isinf(sqdist(a, -a)).all()
+
+
+def test_stack_size_follows_the_widest_layer():
+    # 256 KB over 8 bytes x width x n, n = 10 x max(5, 10) samples
+    assert stack_size(NetworkSpec(8, (), 8), 10, 5, 10) == 262144 // (8 * 10 * 100)
+    # an output (or input) narrower than n_way leaves n_way the width
+    assert stack_size(NetworkSpec(2, (), 2), 10, 5, 10) == 32
+    # a hidden layer, input or output wider than n_way shrinks the stack
+    assert stack_size(NetworkSpec(8, (40,), 8), 10, 5, 10) == 8
+    assert stack_size(NetworkSpec(40, (), 8), 10, 5, 10) == 8
+    assert stack_size(NetworkSpec(8, (), 40), 10, 5, 10) == 8
+    # never below one episode, even past the budget
+    assert stack_size(NetworkSpec(64, (256,), 64), 20, 20, 15) == 1
 
 
 @pytest.mark.parametrize("distance", DISTANCE_KINDS)
@@ -206,11 +255,11 @@ def reference_meta_train(config, world):
     return params, losses
 
 
-# One episode's largest temporary is 8 * m * l * n = 8 * 6 * 5 * 50 bytes, n
-# the larger of 5 x 10 support and 5 x 4 query samples:
-# the default budget stacks all 7 tasks of an epoch; 36000 bytes gives
-# stacks of 3, 3 and 1.
-@pytest.mark.parametrize("stack_bytes", [fspll.pll_core.STACK_BYTES, 36000])
+# One episode's largest array is 8 * width * n = 8 * 8 * 50 bytes, with width
+# the hidden layer's 8 (wider than n_way = 5) and n the larger of 5 x 10
+# support and 5 x 4 query samples: the default budget stacks all 7 tasks of an
+# epoch; 9600 bytes gives stacks of 3, 3 and 1.
+@pytest.mark.parametrize("stack_bytes", [fspll.pll_core.STACK_BYTES, 9600])
 def test_batch_mean_meta_train_matches_per_task_reference(monkeypatch, stack_bytes):
     monkeypatch.setattr(fspll.pll_core, "STACK_BYTES", stack_bytes)
     world = make_world(34, classes=12, dim=4, sigma=0.7)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fspll.trainer
 from fspll.autodiff import grad_check
 from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
 from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
@@ -70,6 +71,21 @@ def test_meta_train_logs_every_epoch_with_schedule():
     _, log = meta_train(config, world)
     assert [e.epoch for e in log.entries] == [0, 1, 2, 3]
     assert [e.lr for e in log.entries] == [0.001, 0.001, 0.0005, 0.0005]
+
+
+@pytest.mark.parametrize("step_per_task", [False, True])
+@pytest.mark.parametrize("fixed_tasks, draws", [(True, 1), (False, 3)])
+def test_fixed_tasks_are_drawn_once(monkeypatch, fixed_tasks, draws, step_per_task):
+    calls = []
+
+    def counting_sample_episode(*args):
+        calls.append(args)
+        return sample_episode(*args)
+
+    monkeypatch.setattr(fspll.trainer, "sample_episode", counting_sample_episode)
+    meta_train(tiny_config(fixed_tasks=fixed_tasks, step_per_task=step_per_task),
+               tiny_world())
+    assert len(calls) == draws  # one stack per draw, over 3 epochs
 
 
 def test_meta_train_loss_decreases_on_fixed_tasks():
