@@ -255,15 +255,15 @@ def reference_meta_train(config, world):
     return params, losses
 
 
-# One episode's largest array is 8 * width * n = 8 * 8 * 50 bytes, with width
-# the hidden layer's 8 (wider than n_way = 5) and n the larger of 5 x 10
+# One episode's largest array is 8 * width * n = 8 * 30 * 50 bytes, with width
+# the hidden layer's 30 (wider than n_way = 5) and n the larger of 5 x 10
 # support and 5 x 4 query samples: the default budget stacks all 7 tasks of an
-# epoch; 9600 bytes gives stacks of 3, 3 and 1.
-@pytest.mark.parametrize("stack_bytes", [fspll.pll_core.STACK_BYTES, 9600])
+# epoch; 36000 bytes gives stacks of 3, 3 and 1.
+@pytest.mark.parametrize("stack_bytes", [fspll.pll_core.STACK_BYTES, 36000])
 def test_batch_mean_meta_train_matches_per_task_reference(monkeypatch, stack_bytes):
     monkeypatch.setattr(fspll.pll_core, "STACK_BYTES", stack_bytes)
     world = make_world(34, classes=12, dim=4, sigma=0.7)
-    config = TrainConfig(network=NetworkSpec(4, (8,), 6), max_epoch=3, tasks_per_epoch=7,
+    config = TrainConfig(network=NetworkSpec(4, (30,), 6), max_epoch=3, tasks_per_epoch=7,
                          n_way=5, k_support=10, k_query=4, train_classes=8,
                          rectify=RectifyConfig(iterations=10, lam=0.5),
                          corruption=CorruptionSpec(1.0, 2), lr0=0.05, init_seed=35,
