@@ -317,6 +317,8 @@ class Graph:
 
 
 def sqrt_eps(x: np.ndarray) -> np.ndarray:
+    if x.size and x.min() >= SQRT_EPS:  # no entry to shift; NaN takes the where form
+        return np.sqrt(x)
     return np.sqrt(np.where(x < SQRT_EPS, x + SQRT_EPS, x))
 
 

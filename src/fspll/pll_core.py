@@ -8,6 +8,13 @@ labels), the rectification loop alternates three closed-form steps:
   2. a candidate-restricted softmax of negative prototype distances,
   3. k-nearest-neighbor smoothing of the confidences, then renormalization.
 
+Each step is a public function that checks its inputs and then calls a
+private kernel holding the step's math. rectify checks its inputs once at
+entry, builds the loop's invariants once (candidate mask, neighbor index
+columns, transposed Z), and runs its iterations on the kernels, which keep
+only the checks that depend on the data: no confident support, non-finite
+distances, lost confidence mass.
+
 Queries are classified by a softmax over (negative) distances to the final
 prototypes. Every function here is pure, and every array function also takes
 a stack of T equal-shape episodes: leading axes broadcast, so Z is
@@ -109,10 +116,15 @@ def compute_prototypes(Z: np.ndarray, Q: np.ndarray) -> np.ndarray:
     Q = np.asarray(Q, dtype=np.float64)
     if Z.shape[-1] != Q.shape[-1]:
         raise ValueError(f"sample count mismatch: Z {Z.shape} vs Q {Q.shape}")
+    return _prototypes(Z.swapaxes(-1, -2), Q)
+
+
+def _prototypes(ZT: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """compute_prototypes' kernel; ZT is Z.swapaxes(-1, -2)."""
     row_sums = Q.sum(axis=-1)
-    if (row_sums <= 0).any():
+    if row_sums.min() <= 0:
         raise ValueError(f"class {np.argwhere(row_sums <= 0)[0, -1]} has no confident support")
-    return (Q / row_sums[..., None]) @ Z.swapaxes(-1, -2)
+    return (Q / row_sums[..., None]) @ ZT
 
 
 def pairwise_distance(A: np.ndarray, B: np.ndarray, kind: str = "euclidean") -> np.ndarray:
@@ -127,6 +139,11 @@ def pairwise_distance(A: np.ndarray, B: np.ndarray, kind: str = "euclidean") -> 
         raise ValueError(f"pairwise_distance: dimension mismatch {A.shape} vs {B.shape}")
     if kind not in DISTANCE_KINDS:
         raise ValueError(f"distance must be one of {DISTANCE_KINDS}, got {kind!r}")
+    return _distance(A, B, kind)
+
+
+def _distance(A: np.ndarray, B: np.ndarray, kind: str) -> np.ndarray:
+    """pairwise_distance's kernel."""
     d2 = sqdist(A, B)
     return sqrt_eps(d2) if kind == "euclidean" else d2
 
@@ -141,14 +158,23 @@ def update_confidence(D: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y)
     if D.shape != Y.shape:
         raise ValueError(f"update_confidence: shape mismatch D {D.shape} vs Y {Y.shape}")
-    if not np.isfinite(D).all():
-        raise ValueError("update_confidence: distances must be finite")
     cand = Y > 0
     if not cand.any(axis=-2).all():
         raise ValueError("a sample has no candidate label")
-    shift = np.where(cand, D, np.inf).min(axis=-2, keepdims=True)
-    expd = np.where(cand, np.exp(shift - D), 0.0)
-    return expd / expd.sum(axis=-2, keepdims=True)
+    return _confidence(D, cand)
+
+
+def _confidence(D: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """update_confidence's kernel; cand is Y > 0, with a candidate in every
+    column. Non-candidates are set to +inf before the shift, so exp gives an
+    exact 0 there and cannot overflow."""
+    if not np.isfinite(D).all():
+        raise ValueError("update_confidence: distances must be finite")
+    x = np.where(cand, D, np.inf)
+    np.subtract(x.min(axis=-2, keepdims=True), x, out=x)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-2, keepdims=True)
+    return x
 
 
 def knn_indices(Z: np.ndarray, k: int) -> np.ndarray:
@@ -183,24 +209,41 @@ def smooth_confidence(Q: np.ndarray, Y: np.ndarray, neighbors: np.ndarray,
         raise ValueError("smooth_confidence: neighbor lists are empty")
     if lam == 0:
         return Q.copy()
-    l, n = Q.shape[-2:]
-    k = neighbors.shape[-1]
+    cols = _neighbor_columns(neighbors, Q.shape[:-2], Q.shape[-1])
+    return _smooth(Q, np.asarray(Y) > 0, cols, lam / len(cols))
+
+
+def _neighbor_columns(neighbors: np.ndarray, lead: tuple[int, ...],
+                      n: int) -> list[np.ndarray]:
+    """The k neighbor index columns (..., n), each contiguous, as row indices
+    into the (T * n) x l transpose of a confidence stack with leading axes
+    `lead`: episode t's rows start at t * n."""
+    if lead:  # one episode needs no offset
+        neighbors = neighbors + n * np.arange(math.prod(lead)).reshape(*lead, 1, 1)
+    return [np.ascontiguousarray(neighbors[..., j]) for j in range(neighbors.shape[-1])]
+
+
+def _smooth(Q: np.ndarray, cand: np.ndarray, cols: list[np.ndarray],
+            scale: float) -> np.ndarray:
+    """smooth_confidence's kernel for lam > 0: cand is Y > 0, cols the
+    _neighbor_columns of the neighbor lists, scale is lam / k, and Q >= 0, so
+    multiplying by cand zeroes non-candidates as +0.0."""
     # Gather each neighbour's confidence columns as (..., n, l) rows of the
     # (T * n) x l transpose and add the k of them one at a time, in order. A
-    # pairwise sum over k would move the last bit once k >= 8.
-    lead = Q.shape[:-2]
-    if lead:  # episode t's rows start at t * n; one episode needs no offset
-        neighbors = neighbors + n * np.arange(math.prod(lead)).reshape(*lead, 1, 1)
-    rows = Q.swapaxes(-1, -2).reshape(-1, l)
-    pooled = rows[neighbors[..., 0]]
-    for j in range(1, k):
-        pooled += rows[neighbors[..., j]]
-    pooled = pooled.swapaxes(-1, -2)
-    smoothed = np.where(Y > 0, Q + (lam / k) * pooled, 0.0)
+    # pairwise sum over k would move the last bit once k >= 8. take gathers
+    # the same rows as fancy indexing, in a third of its time at n = 50.
+    rows = Q.swapaxes(-1, -2).reshape(-1, Q.shape[-2])
+    pooled = rows.take(cols[0], axis=0)
+    for col in cols[1:]:
+        pooled += rows.take(col, axis=0)
+    pooled *= scale
+    smoothed = Q + pooled.swapaxes(-1, -2)  # C-contiguous like Q: totals add rows in order
+    smoothed *= cand
     totals = smoothed.sum(axis=-2, keepdims=True)
-    if (totals <= 0).any():
+    if totals.min() <= 0:
         raise ValueError("smooth_confidence: a column lost all confidence mass")
-    return smoothed / totals
+    smoothed /= totals
+    return smoothed
 
 
 def rectify(Z: np.ndarray, Y: np.ndarray, cfg: RectifyConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -211,6 +254,10 @@ def rectify(Z: np.ndarray, Y: np.ndarray, cfg: RectifyConfig) -> tuple[np.ndarra
     neighbor smoothing. The neighbor graph is built once (Z is fixed here).
     Returns (P, Q) with P recomputed from the final Q.
 
+    The inputs are checked once, here; the loop runs on the steps' kernels
+    and gives the bits of the public steps called in turn. Z's leading axes
+    must broadcast to Y's, as the candidate softmax keeps Y's shape.
+
     When every sample of every episode has exactly one candidate, the loop is
     skipped: each step maps that Q to itself to the last bit (the softmax over
     one candidate is exp(0) / 1 = 1.0, smoothing gives x / x = 1.0, and
@@ -219,21 +266,27 @@ def rectify(Z: np.ndarray, Y: np.ndarray, cfg: RectifyConfig) -> tuple[np.ndarra
     Z = np.asarray(Z, dtype=np.float64)
     Y = np.asarray(Y)
     validate_candidates(Y)
+    if (Z.shape[-1] != Y.shape[-1]
+            or np.broadcast_shapes(Z.shape[:-2], Y.shape[:-2]) != Y.shape[:-2]):
+        raise ValueError(f"rectify: Z {Z.shape} does not match Y {Y.shape}")
     counts = Y.sum(axis=-2, keepdims=True)
     Q = Y / counts
     smooth = cfg.iterations > 0 and cfg.lam > 0
     if smooth and cfg.k is None:
         raise ValueError("rectify: cfg.k must be resolved before smoothing runs")
+    ZT = Z.swapaxes(-1, -2)
     if (counts == 1).all():
-        return compute_prototypes(Z, Q), Q
-    neighbors = knn_indices(Z, cfg.k) if smooth else None
+        return _prototypes(ZT, Q), Q
+    cand = Y > 0
+    cols = None
+    if smooth:
+        cols = _neighbor_columns(knn_indices(Z, cfg.k), Y.shape[:-2], Y.shape[-1])
     for _ in range(cfg.iterations):
-        P = compute_prototypes(Z, Q)
-        D = pairwise_distance(P.swapaxes(-1, -2), Z, cfg.distance)
-        Q = update_confidence(D, Y)
-        if neighbors is not None:
-            Q = smooth_confidence(Q, Y, neighbors, cfg.lam)
-    return compute_prototypes(Z, Q), Q
+        P = _prototypes(ZT, Q)
+        Q = _confidence(_distance(P.swapaxes(-1, -2), Z, cfg.distance), cand)
+        if cols is not None:
+            Q = _smooth(Q, cand, cols, cfg.lam / cfg.k)
+    return _prototypes(ZT, Q), Q
 
 
 def classify_proba(Z_q: np.ndarray, P: np.ndarray, kind: str = "euclidean") -> np.ndarray:

@@ -166,10 +166,14 @@ def episode_loss_grad(params: NetworkParams, support_layers: list[np.ndarray],
     logp = neg - lse_cols(neg)
     n_q = logp.shape[-1]
     pick = (episode.query_truth if supervised else logp.argmax(axis=-2))[..., None, :]
-    loss = -np.take_along_axis(logp, pick, axis=-2)[..., 0, :].mean(axis=-1)
+    hit = pick == np.arange(logp.shape[-2])[:, None]
+    # x + -0.0 == x, so each column sums to its picked entry, save that a
+    # sum NumPy starts from +0.0 turns a picked -0.0 into +0.0; the mean
+    # over queries then gives the bits of the gathered entries either way
+    loss = -np.where(hit, logp, -0.0).sum(axis=-2).mean(axis=-1)
 
     g = np.exp(logp)                        # d loss / d dist = (onehot - softmax) / n_q
-    g -= pick == np.arange(logp.shape[-2])[:, None]
+    g -= hit
     g /= -n_q
     if distance == "euclidean":
         g = g * 0.5 / dist

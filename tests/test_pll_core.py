@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fspll.pll_core
-from fspll.autodiff import Graph
+from fspll.autodiff import SQRT_EPS, Graph, sqdist
 from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
 from fspll.pll_core import (RectifyConfig, classify_proba, compute_prototypes,
                             distance_nodes, knn_indices, loss_nodes,
@@ -179,6 +179,33 @@ def test_confidence_log3_distance():
     np.testing.assert_allclose(update_confidence(D, Y), [[0.75], [0.25]], rtol=1e-12)
 
 
+def test_confidence_ignores_a_much_closer_non_candidate():
+    # label 1 is 800 distance units closer than sample 0's candidates: exp of
+    # its shifted distance would overflow and warn; it is exactly 0 instead
+    D = np.array([[800.0], [0.0], [800.0 + np.log(3.0)]])
+    Y = np.array([[1], [0], [1]])
+    Q = update_confidence(D, Y)
+    np.testing.assert_allclose(Q, [[0.75], [0.0], [0.25]], rtol=1e-12)
+    assert Q[1, 0] == 0.0
+
+
+def where_confidence(D, Y):
+    """update_confidence's softmax with the non-candidates masked after exp."""
+    cand = Y > 0
+    shift = np.where(cand, D, np.inf).min(axis=-2, keepdims=True)
+    expd = np.where(cand, np.exp(shift - D), 0.0)
+    return expd / expd.sum(axis=-2, keepdims=True)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_confidence_matches_the_mask_after_exp_bit_for_bit(lead):
+    rng = np.random.default_rng(19)
+    D = rng.uniform(0, 6, lead + (10, 30))
+    Y = (rng.uniform(size=lead + (10, 30)) < 0.4).astype(int)
+    Y[..., 0, :] = 1
+    np.testing.assert_array_equal(update_confidence(D, Y), where_confidence(D, Y))
+
+
 def test_confidence_no_candidate_column_rejected():
     with pytest.raises(ValueError, match="candidate"):
         update_confidence(np.zeros((2, 1)), np.array([[0], [0]]))
@@ -327,7 +354,8 @@ def test_rectify_column_stochastic_and_zero_off_candidate():
 # -- exact labels: rectify skips the loop ----------------------------------------
 
 def loop_rectify(Z, Y, cfg):
-    """rectify without its exact-label shortcut: the loop itself, stacks too."""
+    """rectify's loop as the public steps called in turn, without the
+    exact-label shortcut: the reference for rectify's kernels, stacks too."""
     Q = Y / Y.sum(axis=-2, keepdims=True)
     neighbors = knn_indices(Z, cfg.k) if cfg.iterations > 0 and cfg.lam > 0 else None
     for _ in range(cfg.iterations):
@@ -368,7 +396,7 @@ def test_rectify_exact_labels_skip_the_knn_graph_and_the_loop(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the exact-label shortcut was not taken")
 
-    for name in ("knn_indices", "update_confidence", "smooth_confidence"):
+    for name in ("knn_indices", "_confidence", "_smooth"):
         monkeypatch.setattr(fspll.pll_core, name, unreachable)
     Z, Y = exact_instance(np.random.default_rng(41), T=2)
     rectify(Z, Y, RectifyConfig(iterations=10, lam=0.5, k=2))
@@ -387,6 +415,84 @@ def test_rectify_stack_with_one_ambiguous_sample_runs_the_loop(iterations, lam):
     np.testing.assert_array_equal(Q, Q2)
     np.testing.assert_array_equal(P, P2)
     assert not np.array_equal(Q, Y / Y.sum(axis=-2, keepdims=True))
+
+
+def ambiguous_instance(rng, lead=(), l=10, n_s=30, m=4, coincident=False):
+    """Z and a Y in which class 0's candidates are samples 0-3 and every
+    sample carries one of classes 1..l-1 plus random extra candidates. With
+    coincident, samples 0-3 sit at one point, so that class 0's prototype
+    lands on them and their distances take sqrt_eps's shifted branch."""
+    Z = rng.uniform(-2, 2, lead + (m, n_s))
+    Y = (rng.uniform(size=lead + (l, n_s)) < 0.3).astype(int)
+    Y[..., 0, :] = 0
+    Y[..., 0, :4] = 1
+    Y[..., np.arange(n_s) % (l - 1) + 1, np.arange(n_s)] = 1
+    if coincident:
+        Z[..., 1:4] = Z[..., :1]
+    return Z, Y
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["2d", "T3", "T2x3"])
+@pytest.mark.parametrize("distance", ["euclidean", "squared"])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("k", [1, 4, 9])
+@pytest.mark.parametrize("iterations", [0, 1, 10])
+def test_rectify_matches_the_public_steps_bit_for_bit(lead, distance, lam, k, iterations):
+    Z, Y = ambiguous_instance(np.random.default_rng(43), lead)
+    cfg = RectifyConfig(iterations=iterations, lam=lam, k=k, distance=distance)
+    P, Q = rectify(Z, Y, cfg)
+    P2, Q2 = loop_rectify(Z, Y, cfg)
+    np.testing.assert_array_equal(Q, Q2)
+    np.testing.assert_array_equal(P, P2)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "T3"])
+def test_rectify_on_coincident_samples_matches_the_public_steps(lead):
+    Z, Y = ambiguous_instance(np.random.default_rng(44), lead, coincident=True)
+    cfg = RectifyConfig(iterations=10, lam=0.5, k=4)
+    P, Q = rectify(Z, Y, cfg)
+    assert (sqdist(P.swapaxes(-1, -2), Z) < SQRT_EPS).any()
+    P2, Q2 = loop_rectify(Z, Y, cfg)
+    np.testing.assert_array_equal(Q, Q2)
+    np.testing.assert_array_equal(P, P2)
+
+
+def test_rectify_ignores_a_much_closer_non_candidate():
+    # sample 4's one candidate is class 0, whose prototype is over 2000 units
+    # further away than class 1's in both iterations
+    Z = np.array([[0.0, 0.0, 3000.0, 3000.0, 3000.0, 0.0]])
+    Y = np.array([[1, 1, 0, 0, 1, 1], [0, 0, 1, 1, 0, 1]], dtype=float)
+    P, Q = rectify(Z, Y, RectifyConfig(iterations=2, lam=0.0))
+    np.testing.assert_array_equal(Q, [[1, 1, 0, 0, 1, 1], [0, 0, 1, 1, 0, 0]])
+    np.testing.assert_array_equal(P, [[750.0], [3000.0]])
+
+
+def test_rectify_loop_rejects_non_finite_distances():
+    Z = np.array([[0.0, 1.0, 2.0, 1e200]])
+    Y = np.array([[1, 1, 0, 1], [0, 0, 1, 1]])
+    with pytest.raises(ValueError, match="update_confidence: distances must be finite"):
+        rectify(Z, Y, RectifyConfig(iterations=1, lam=0.0))
+
+
+@pytest.mark.parametrize("iterations", [1, 2])
+def test_rectify_loop_rejects_a_class_without_confident_support(iterations):
+    # class 1's only candidates are samples 4 and 5, on the prototypes of
+    # classes 0 and 2, 2000 apart: its softmax mass underflows to 0 in the
+    # first iteration, and the next prototype step raises, the final one
+    # after a single iteration
+    Z = np.array([[0.0, 0.0, 2000.0, 2000.0, 0.0, 2000.0]])
+    Y = np.array([[1, 1, 0, 0, 1, 0], [0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 1]])
+    with pytest.raises(ValueError, match="class 1 has no confident support"):
+        rectify(Z, Y, RectifyConfig(iterations=iterations, lam=0.0))
+
+
+@pytest.mark.parametrize("Z_shape, Y_shape", [((2, 5), (3, 4)), ((3, 2, 4), (3, 4))])
+def test_rectify_rejects_z_that_does_not_match_y(Z_shape, Y_shape):
+    Y = np.zeros(Y_shape, dtype=int)
+    Y[..., np.arange(Y_shape[-1]) % Y_shape[-2], np.arange(Y_shape[-1])] = 1
+    Y[..., 0, :] = 1
+    with pytest.raises(ValueError, match="does not match Y"):
+        rectify(np.zeros(Z_shape), Y, RectifyConfig(iterations=1, lam=0.0))
 
 
 @pytest.mark.parametrize("column", [[0.5, 0.5, 0.0], [2.0, -1.0, 0.0]])

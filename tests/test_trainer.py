@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import fspll.trainer
-from fspll.autodiff import grad_check
+from fspll.autodiff import grad_check, lse_cols
 from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
-from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
+from fspll.episodes import CorruptionSpec, Episode, corrupt, make_world, sample_episode
 from fspll.pll_core import RectifyConfig, rectify
 from fspll.trainer import (TrainConfig, _sample_tasks, episode_loss_graph, episode_loss_grad,
                            lr_at, meta_test, meta_train)
@@ -164,6 +164,64 @@ def test_meta_train_steps_with_fused_gradient():
     for w0, g, w in zip(init.weights + init.biases, grad_w + grad_b,
                         params.weights + params.biases):
         np.testing.assert_array_equal(w, w0 - config.lr0 * g)
+
+
+def spy_log_posteriors(monkeypatch):
+    """Make episode_loss_grad record logp = neg - lse_cols(neg) as it runs."""
+    seen = []
+
+    def spy(x):
+        out = lse_cols(x)
+        seen.append(x - out)
+        return out
+
+    monkeypatch.setattr(fspll.trainer, "lse_cols", spy)
+    return seen
+
+
+def take_loss(logp, pick):
+    """The loss as the picked log-posteriors, gathered by take_along_axis."""
+    return -np.take_along_axis(logp, pick[..., None, :], axis=-2)[..., 0, :].mean(axis=-1)
+
+
+@pytest.mark.parametrize("supervised", [False, True])
+@pytest.mark.parametrize("distance", ["euclidean", "squared"])
+def test_loss_pick_matches_take_along_axis(monkeypatch, distance, supervised):
+    world = tiny_world(sigma=0.8)
+    params = init_network(NetworkSpec(4, (6,), 5), seed=24)
+    episode = _sample_tasks(tiny_config(tasks_per_epoch=5, n_way=4), world, np.arange(6), 0)
+    layers = embed_layers(params, episode.support)
+    _, Q = rectify(layers[-1], episode.candidates, RectifyConfig(iterations=3, lam=0.5, k=2))
+    seen = spy_log_posteriors(monkeypatch)
+    loss, _, _ = episode_loss_grad(params, layers, episode, Q, distance, supervised)
+    [logp] = seen
+    pick = episode.query_truth if supervised else logp.argmax(axis=-2)
+    np.testing.assert_array_equal(loss, take_loss(logp, pick))
+
+
+def test_loss_pick_keeps_the_sign_of_a_zero_log_posterior(monkeypatch):
+    # identity embedding, squared distances, prototypes 40 apart: a query on
+    # its prototype has logp = -0.0 - 0.0 = -0.0, one a unit away -1 - -1 =
+    # +0.0, and the other class's exp underflows. One query per episode, so
+    # that no other entry enters its loss.
+    params = init_network(NetworkSpec(2, (), 2), seed=0)
+    params.weights[0] = np.eye(2)
+    support = np.array([[0.0, 40.0], [0.0, 0.0]])
+    episode = Episode(class_ids=np.array([[0, 1], [0, 1]]),
+                      support=np.stack([support, support]),
+                      candidates=np.stack([np.eye(2, dtype=int)] * 2),
+                      queries=np.array([[[0.0], [0.0]], [[1.0], [0.0]]]),
+                      support_truth=np.array([[0, 1], [0, 1]]),
+                      query_truth=np.array([[0], [0]]))
+    layers = embed_layers(params, episode.support)
+    seen = spy_log_posteriors(monkeypatch)
+    loss, _, _ = episode_loss_grad(params, layers, episode,
+                                   episode.candidates.astype(float), "squared")
+    [logp] = seen
+    np.testing.assert_array_equal(np.signbit(logp[:, 0, 0]), [True, False])
+    want = take_loss(logp, logp.argmax(axis=-2))
+    np.testing.assert_array_equal(loss, want)
+    np.testing.assert_array_equal(np.signbit(loss), np.signbit(want))
 
 
 def test_supervised_loss_stays_finite_when_posterior_underflows():
