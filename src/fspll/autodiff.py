@@ -325,25 +325,13 @@ def sqrt_eps(x: np.ndarray) -> np.ndarray:
 def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances between the columns of a (..., m, p) and b (..., m, q).
 
-    A 2-D call sums an m x p x q difference tensor with einsum, the faster
-    form for one small episode. A stack adds the m squared-difference planes
-    one at a time, in order: the same bits as einsum's in-order reduction
-    over m, without the (..., m, p, q) temporary. As inside einsum, the
-    squares and their sum overflow silently; the subtraction may warn.
+    One einsum over the (..., m, p, q) difference tensor, for every rank, so a
+    stacked call builds that m-fold temporary for the whole stack: at most
+    min(m, l) times pll_core.STACK_BYTES for a stack that stack_size sized.
+    The squares and their sum overflow silently; the subtraction may warn.
     """
-    if a.ndim <= 2 and b.ndim <= 2:
-        diff = a[:, :, None] - b[:, None, :]
-        return np.einsum("mpq,mpq->pq", diff, diff)
-    out = None
-    for i in range(a.shape[-2]):
-        diff = a[..., i, :, None] - b[..., i, None, :]
-        with np.errstate(over="ignore"):
-            diff *= diff
-            if out is None:
-                out = diff
-            else:
-                out += diff
-    return out
+    diff = a[..., :, :, None] - b[..., :, None, :]
+    return np.einsum("...mpq,...mpq->...pq", diff, diff)
 
 
 def lse_cols(x: np.ndarray) -> np.ndarray:

@@ -87,12 +87,11 @@ class Cell:
 
 @dataclass
 class BenchSpec:
-    """Everything a benchmark run depends on. The train config's rectify and
-    corruption fields are overridden per method/cell."""
+    """Everything a benchmark run depends on. Every method derives its rectify
+    config from the train config's; the corruption is set per method/cell."""
 
     world: World
     train: TrainConfig
-    train_classes: int
     n_way: list[int] = field(default_factory=lambda: [5, 10])
     k_shot: list[int] = field(default_factory=lambda: [5, 10])
     r: list[int] = field(default_factory=lambda: [0, 1, 2])
@@ -101,27 +100,30 @@ class BenchSpec:
     methods: list[str] = field(default_factory=lambda: ["fspll", "fspll-nm", "pn"])
     k_query: int = 15
     eval_seed: int = 1
-    base_rectify: RectifyConfig = field(default_factory=RectifyConfig)
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.k_query < 1:
-            raise ValueError(f"bench.k_query must be >= 1, got {self.k_query}")
-        r_max = max(self.r, default=0)
+        for key in ("rounds", "k_query"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"bench.{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("n_way", "k_shot", "r", "methods"):
+            if not getattr(self, key):
+                raise ValueError(f"bench.{key} must list at least one value")
+        for key in ("n_way", "k_shot"):
+            if min(getattr(self, key)) < 1:
+                raise ValueError(f"bench.{key} must be >= 1, got {min(getattr(self, key))}")
+        r_max = max(self.r)
         if r_max > min(self.n_way) - 1:
             raise ValueError(f"bench.r={r_max} needs r + 1 classes per episode, "
                              f"but the smallest bench.n_way is {min(self.n_way)}")
-        if not self.methods:
-            raise ValueError("methods must be nonempty")
-        variants = [method_variant(m, self.base_rectify) for m in self.methods]
+        variants = [method_variant(m, self.train.rectify) for m in self.methods]
         # the r values a checkpoint trains under; "plus" variants train clean
         trained = [r for r in self.r if not CorruptionSpec(self.p, r).exact] \
             if any(not v.clean_meta_train for v in variants) else []
         if max(trained, default=0) > self.train.n_way - 1:
             raise ValueError(f"bench.r={max(trained)} needs r + 1 classes per training task, "
                              f"but train.n_way is {self.train.n_way}")
-        held_out = self.world.classes - self.train_classes
+        n_train = self.train.train_classes  # None: every class, so none held out
+        held_out = self.world.classes - (self.world.classes if n_train is None else n_train)
         if held_out < max(self.n_way):
             raise ValueError(
                 f"held-out pool ({held_out} classes) is smaller than N2={max(self.n_way)}")
@@ -169,8 +171,7 @@ def _train_for(spec: BenchSpec, variant: MethodVariant, r_cell: int,
         corruption = replace(corruption, r=0)
     key = (rect, corruption)
     if key not in cache:
-        cfg = replace(spec.train, rectify=rect, corruption=corruption,
-                      train_classes=spec.train_classes)
+        cfg = replace(spec.train, rectify=rect, corruption=corruption)
         params, _ = meta_train(cfg, spec.world)
         cache[key] = params
     return cache[key]
@@ -206,7 +207,7 @@ def _run_cells(spec: BenchSpec, cells: list[Cell],
     exact-label cell does) are scored once."""
     for cell in cells:  # fail before any checkpoint is trained
         for variant in variants[cell.label()]:
-            variant.test_rectify.resolve_k(cell.k_shot, f"cell {cell.label()}: k_shot")
+            variant.test_rectify.resolve_k(cell.n_way, cell.k_shot, f"cell {cell.label()}: k_shot")
     accuracies: dict[tuple[str, str], list[float]] = {}
     hashes: dict[str, list[str]] = {}
     cache: dict = {}
@@ -218,7 +219,7 @@ def _run_cells(spec: BenchSpec, cells: list[Cell],
         for variant in cell_variants:
             accuracies[(label, variant.name)] = []
         size = stack_size(spec.train.network, cell.n_way, cell.k_shot, spec.k_query)
-        for episodes in _round_chunks(spec.world, spec.train_classes, spec.k_query,
+        for episodes in _round_chunks(spec.world, spec.train.train_classes, spec.k_query,
                                       spec.eval_seed, cell, spec.rounds, size):
             hashes[label].extend(episode_hash(episodes))
             # (checkpoint, effective test config) -> accuracies; the cache
@@ -236,7 +237,7 @@ def _run_cells(spec: BenchSpec, cells: list[Cell],
         "seeds": {"world": spec.world.seed, "init": spec.train.init_seed,
                   "task": spec.train.task_seed, "eval": spec.eval_seed},
         "std": "population",
-        "methods": [v.name for v in next(iter(variants.values()))],
+        "methods": list(spec.methods),
         "cells": [c.label() for c in cells],
         "episode_hashes": hashes,
     }
@@ -248,7 +249,7 @@ def run_benchmark(spec: BenchSpec) -> BenchResult:
     paired episode rounds."""
     cells = [Cell(n, k, r, spec.p)
              for n in spec.n_way for k in spec.k_shot for r in spec.r]
-    variants = {c.label(): [method_variant(m, spec.base_rectify) for m in spec.methods]
+    variants = {c.label(): [method_variant(m, spec.train.rectify) for m in spec.methods]
                 for c in cells}
     return _run_cells(spec, cells, variants)
 
@@ -263,20 +264,22 @@ def sweep(spec: BenchSpec, axis: str, values: list[float],
     pinned to the training shot count minus one).
     """
     if axis not in SWEEP_AXES:
-        raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ValueError(f"sweep.axis must be one of {SWEEP_AXES}, got {axis!r}")
     if not values:
-        raise ValueError("sweep needs at least one axis value")
+        raise ValueError("sweep.values must list at least one value")
     base_cells = [Cell(n, k, r, spec.p)
                   for n in spec.n_way for k in spec.k_shot for r in spec.r]
-    if axis == "k":
-        for v in values:
+    for v in values:
+        if axis == "lambda" and v < 0:
+            raise ValueError(f"sweep.values: lambda must be >= 0, got {v}")
+        if axis == "k":
             if int(v) != v or v < 1:
-                raise ValueError(f"neighbor count must be a positive integer, got {v}")
+                raise ValueError(f"sweep.values: k must be a positive integer, got {v}")
             for cell in base_cells:
                 n_s = cell.n_way * cell.k_shot
                 if v >= n_s:
-                    raise ValueError(
-                        f"k={int(v)} must be < n_s={n_s} for cell {cell.label()}")
+                    raise ValueError(f"sweep.values: k={int(v)} must be < n_s={n_s} "
+                                     f"for cell {cell.label()}")
 
     cells: list[Cell] = []
     variants: dict[str, list[MethodVariant]] = {}
@@ -285,7 +288,7 @@ def sweep(spec: BenchSpec, axis: str, values: list[float],
             cell = replace(base_cell, axis=axis, axis_value=float(v))
             cell_variants = []
             for m in spec.methods:
-                var = method_variant(m, spec.base_rectify)
+                var = method_variant(m, spec.train.rectify)
                 if axis == "lambda":
                     test = replace(var.test_rectify, lam=float(v))
                     train = replace(var.train_rectify, lam=float(v)) if retrain \

@@ -174,15 +174,13 @@ def _parse_train(cfg: dict, input_dim: int) -> TrainConfig:
 
 def _parse_bench(cfg: dict, base_dir: str) -> BenchSpec:
     world = _parse_world(cfg, base_dir)
-    return BenchSpec(world=world, train=_parse_train(cfg, world.dim),
-                     train_classes=cfg["train_classes"], base_rectify=_parse_rectify(cfg),
-                     **cfg["bench"])
+    return BenchSpec(world=world, train=_parse_train(cfg, world.dim), **cfg["bench"])
 
 
 def _require_out(args) -> str:
+    """--out, which is made only when results are written: a failed run leaves none."""
     if not args.out:
         raise ValueError("--out <dir> is required for this command")
-    os.makedirs(args.out, exist_ok=True)
     return args.out
 
 
@@ -191,6 +189,7 @@ def _require_out(args) -> str:
 def cmd_gen_world(args) -> int:
     world = _parse_world(*_load_config(args))
     out = _require_out(args)
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "world.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(world_to_manifest(world), fh, indent=1, sort_keys=True)
@@ -206,6 +205,7 @@ def cmd_train(args) -> int:
     out = _require_out(args)
 
     params, log = meta_train(config, world)
+    os.makedirs(out, exist_ok=True)
 
     snapshot = {key: cfg[key] for key in ("train_classes", "network", "train", "rectify",
                                           "corruption")}
@@ -239,13 +239,16 @@ def cmd_test(args) -> int:
     section = cfg["test"]
     if section["checkpoint"] is None:
         raise ValueError("config key test.checkpoint is required")
-    for key in ("rounds", "k_query"):
+    for key in ("n_way", "k_shot", "rounds", "k_query"):
         if section[key] < 1:
             raise ValueError(f"config key test.{key} must be >= 1, got {section[key]}")
     rect = _parse_rectify(cfg)
     cell = Cell(section["n_way"], section["k_shot"], cfg["corruption"]["r"],
                 cfg["corruption"]["p"])
-    rect.resolve_k(cell.k_shot, "test.k_shot")
+    if cell.r > cell.n_way - 1:
+        raise ValueError(f"corruption.r={cell.r} needs r + 1 classes per episode, "
+                         f"but test.n_way is {cell.n_way}")
+    rect.resolve_k(cell.n_way, cell.k_shot, "test.k_shot")
     held_out = max(0, world.classes - cfg["train_classes"])
     if held_out < cell.n_way:
         raise ValueError(f"held-out pool ({held_out}) smaller than n_way={cell.n_way}")
@@ -262,12 +265,12 @@ def cmd_test(args) -> int:
     mean, std = float(np.mean(accs)), float(np.std(accs))
     print(f"accuracy over {rounds} rounds: {mean:.6f} +/- {std:.6f}")
     if args.out:
-        out = _require_out(args)
-        with open(os.path.join(out, "test_rounds.csv"), "w", encoding="utf-8") as fh:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "test_rounds.csv"), "w", encoding="utf-8") as fh:
             fh.write("round,accuracy,episode_hash\n")
             for i, (acc, h) in enumerate(zip(accs, hashes)):
                 fh.write(f"{i},{acc:.6f},{h}\n")
-        with open(os.path.join(out, "test_summary.json"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(args.out, "test_summary.json"), "w", encoding="utf-8") as fh:
             json.dump({"mean": round(mean, 6), "std": round(std, 6), "rounds": rounds,
                        "n_way": cell.n_way, "k_shot": cell.k_shot,
                        "eval_seed": section["eval_seed"]},

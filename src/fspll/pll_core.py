@@ -42,9 +42,9 @@ DISTANCE_KINDS = ("euclidean", "squared")
 
 # Byte budget for the largest per-episode array of a stacked call: it sets
 # how many episodes share one call, and so bounds the memory stacking adds.
-# That array is a layer's embeddings (width x n) or an l x n confidence,
-# distance or squared-difference plane; sqdist adds its planes one at a time,
-# so no m x l x n tensor is built.
+# That array is a layer's embeddings (width x n) or an l x n confidence or
+# distance plane. sqdist's m x l x n difference tensor is the exception: it
+# is at most min(m, l) times the budget per stack, since width >= max(m, l).
 STACK_BYTES = 256 * 1024
 
 
@@ -80,16 +80,20 @@ class RectifyConfig:
         if self.distance not in DISTANCE_KINDS:
             raise ValueError(f"distance must be one of {DISTANCE_KINDS}, got {self.distance!r}")
 
-    def resolve_k(self, shots: int, source: str) -> RectifyConfig:
-        """Resolve an unset k to shots - 1 when smoothing runs. `source` names
-        the shot count in the error raised when that leaves no neighbor."""
-        if self.k is None and self.iterations > 0 and self.lam > 0:
-            if shots < 2:
-                raise ValueError(
-                    f"{source}={shots} leaves no neighbor for smoothing (k = shots - 1); "
-                    "set rectify.k, or rectify.lambda to 0")
-            return replace(self, k=shots - 1)
-        return self
+    def resolve_k(self, n_way: int, shots: int, source: str) -> RectifyConfig:
+        """Resolve an unset k to shots - 1 when smoothing runs, and check that a
+        set k leaves a sample out of the n_way * shots support samples.
+        `source` names the shot count in the errors."""
+        if self.iterations == 0 or self.lam == 0:
+            return self
+        if self.k is None and shots < 2:
+            raise ValueError(f"{source}={shots} leaves no neighbor for smoothing (k = shots - 1); "
+                             "set rectify.k, or rectify.lambda to 0")
+        k = shots - 1 if self.k is None else self.k
+        if k >= n_way * shots:
+            raise ValueError(f"rectify.k={k} needs k + 1 support samples, but "
+                             f"{source}={shots} gives {n_way} x {shots} = {n_way * shots}")
+        return replace(self, k=k)
 
 
 def validate_candidates(Y: np.ndarray) -> None:

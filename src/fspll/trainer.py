@@ -79,7 +79,7 @@ class TrainConfig:
     def resolved_rectify(self) -> RectifyConfig:
         # k is only meaningful when smoothing runs; resolving it lazily keeps
         # e.g. 1-shot configs with iterations=0 valid.
-        return self.rectify.resolve_k(self.k_support, "train.k_support")
+        return self.rectify.resolve_k(self.n_way, self.k_support, "train.k_support")
 
 
 @dataclass
@@ -229,8 +229,8 @@ def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainL
             f"world dim {world.dim} does not match network input {config.network.input_dim}")
     n_pool = config.train_classes if config.train_classes is not None else world.classes
     if not config.n_way <= n_pool <= world.classes:
-        raise ValueError(
-            f"need n_way={config.n_way} <= train pool={n_pool} <= world classes={world.classes}")
+        raise ValueError(f"train_classes={n_pool} must be between train.n_way="
+                         f"{config.n_way} and the world's {world.classes} classes")
     pool = np.arange(n_pool)
     rect = config.resolved_rectify()
     chunk = stack_size(config.network, config.n_way, config.k_support, config.k_query)
@@ -294,7 +294,8 @@ def meta_test(params: NetworkParams, episodes: Episode,
         raise ValueError(
             f"episode dim {episodes.support.shape[-2]} does not match "
             f"network input {params.spec.input_dim}")
-    cfg = rectify_cfg.resolve_k(episodes.n_support // episodes.n_classes, "shots per class")
+    cfg = rectify_cfg.resolve_k(episodes.n_classes, episodes.n_support // episodes.n_classes,
+                                "shots per class")
     protos, confidence = rectify(embed(params, episodes.support), episodes.candidates, cfg)
     preds = predict(classify_proba(embed(params, episodes.queries), protos, cfg.distance))
     return [TestResult(p, float((p == truth).mean()), protos[t], confidence[t])

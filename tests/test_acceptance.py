@@ -195,8 +195,8 @@ def ordering_spec():
     world = make_world(105, classes=50, dim=8, sigma=0.3, mean_scale=1.0)
     train = TrainConfig(network=NetworkSpec(8, (), 8), max_epoch=20,
                         tasks_per_epoch=20, n_way=10, k_support=5, k_query=10,
-                        init_seed=106, task_seed=107)
-    return BenchSpec(world=world, train=train, train_classes=30,
+                        train_classes=30, init_seed=106, task_seed=107)
+    return BenchSpec(world=world, train=train,
                      n_way=[5], k_shot=[5], r=[2], p=1.0, rounds=50,
                      methods=["fspll", "fspll-nm", "pn"], k_query=15, eval_seed=108)
 
@@ -222,9 +222,9 @@ def noise_impact_spec():
     world = make_world(205, classes=50, dim=16, sigma=0.4, mean_scale=1.0)
     train = TrainConfig(network=NetworkSpec(16, (32,), 4), max_epoch=40,
                         tasks_per_epoch=20, n_way=10, k_support=5, k_query=10,
-                        init_seed=206, task_seed=207, supervised_loss=True,
-                        step_per_task=True)
-    return BenchSpec(world=world, train=train, train_classes=30,
+                        train_classes=30, init_seed=206, task_seed=207,
+                        supervised_loss=True, step_per_task=True)
+    return BenchSpec(world=world, train=train,
                      n_way=[10], k_shot=[5], r=[2], p=1.0, rounds=50,
                      methods=["fspll", "pn", "fspll-plus", "pn-plus"],
                      k_query=15, eval_seed=208)
@@ -250,8 +250,8 @@ def test_c8_lambda_sensitivity():
     world = make_world(305, classes=50, dim=16, sigma=0.55, mean_scale=1.0)
     train = TrainConfig(network=NetworkSpec(16, (64, 64), 64), max_epoch=20,
                         tasks_per_epoch=20, n_way=10, k_support=5, k_query=10,
-                        init_seed=306, task_seed=307)
-    spec = BenchSpec(world=world, train=train, train_classes=30,
+                        train_classes=30, init_seed=306, task_seed=307)
+    spec = BenchSpec(world=world, train=train,
                      n_way=[5], k_shot=[5], r=[2], p=1.0, rounds=300,
                      methods=["fspll"], k_query=15, eval_seed=308)
     result = sweep(spec, "lambda", [0.0, 0.5, 5.0])  # fixed checkpoint

@@ -20,7 +20,7 @@ def tiny_spec(**overrides):
     train = TrainConfig(network=NetworkSpec(4, (), 4), max_epoch=2,
                         tasks_per_epoch=3, n_way=3, k_support=3, k_query=4,
                         train_classes=8, init_seed=2, task_seed=3)
-    defaults = dict(world=world, train=train, train_classes=8,
+    defaults = dict(world=world, train=train,
                     n_way=[3], k_shot=[3], r=[1], p=1.0, rounds=3,
                     methods=["fspll", "pn"], k_query=5, eval_seed=4)
     defaults.update(overrides)
@@ -88,7 +88,8 @@ def test_fspll_equals_pn_on_clean_episodes():
 
 
 def test_fspll_with_zero_iterations_reduces_to_pn():
-    spec = tiny_spec(r=[0], base_rectify=RectifyConfig(iterations=0), rounds=4)
+    train = replace(tiny_spec().train, rectify=RectifyConfig(iterations=0))
+    spec = tiny_spec(r=[0], train=train, rounds=4)
     res = run_benchmark(spec)
     label = res.cells[0].label()
     assert res.accuracies[(label, "fspll")] == res.accuracies[(label, "pn")]
@@ -103,6 +104,11 @@ def test_grid_covers_all_cells():
 def test_spec_validation():
     with pytest.raises(ValueError, match="held-out"):
         tiny_spec(n_way=[10])
+    # a train config without train_classes trains on every class
+    train = replace(tiny_spec().train, train_classes=None)
+    with pytest.raises(ValueError, match=re.escape(
+            "held-out pool (0 classes) is smaller than N2=3")):
+        tiny_spec(train=train)
     with pytest.raises(ValueError, match="methods"):
         tiny_spec(methods=[])
     with pytest.raises(ValueError, match="unknown method"):
@@ -206,8 +212,7 @@ def train_per_variant(spec, variant, r_cell, cache):
     corruption = CorruptionSpec(spec.p, 0 if variant.clean_meta_train else r_cell)
     key = (variant.train_rectify, corruption)
     if key not in cache:
-        cfg = replace(spec.train, rectify=variant.train_rectify, corruption=corruption,
-                      train_classes=spec.train_classes)
+        cfg = replace(spec.train, rectify=variant.train_rectify, corruption=corruption)
         cache[key] = fspll.bench.meta_train(cfg, spec.world)[0]
     return cache[key]
 

@@ -248,7 +248,6 @@ def test_config_defaults_match_library_defaults():
             assert DEFAULTS[section][key] == json.loads(json.dumps(library[key])), \
                 f"{section}.{key}"
     assert train["rectify"] == RectifyConfig()
-    assert _library_defaults(BenchSpec)["base_rectify"] == RectifyConfig()
     # The one deliberate difference: the CLI holds out classes by default,
     # while the library's None trains on every world class.
     assert DEFAULTS["train_classes"] == 30 and train["train_classes"] is None
@@ -332,15 +331,82 @@ def test_one_shot_smoothing_fails_before_any_work(tmp_path, capsys, monkeypatch,
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert named in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
 
 
-@pytest.mark.parametrize("key", ["rounds", "k_query"])
+def _set(*settings):
+    """An edit applying each (section, key, value); section None is the top
+    level."""
+    def edit(doc):
+        for section, key, value in settings:
+            (doc if section is None else doc.setdefault(section, {}))[key] = value
+    return edit
+
+
+def _sweep(**section):
+    return lambda doc: doc.update(sweep={"axis": "lambda", "values": [0.5], **section})
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("bench", _set(("bench", "n_way", [])), "bench.n_way must list at least one value"),
+    ("bench", _set(("bench", "k_shot", [])), "bench.k_shot must list at least one value"),
+    ("bench", _set(("bench", "r", [])), "bench.r must list at least one value"),
+    ("bench", _set(("bench", "n_way", [3, 0])), "bench.n_way must be >= 1, got 0"),
+    ("bench", _set(("bench", "k_shot", [0]), ("rectify", "lambda", 0)),
+     "bench.k_shot must be >= 1, got 0"),
+    ("bench", _set(("bench", "k_shot", [-1])), "bench.k_shot must be >= 1, got -1"),
+    ("bench", _set(("rectify", "k", 9)),
+     "rectify.k=9 needs k + 1 support samples, but cell N3-K3-r1-p1: k_shot=3 gives "
+     "3 x 3 = 9"),
+    ("sweep", _sweep(values=[]), "sweep.values must list at least one value"),
+    ("sweep", _sweep(axis="mu"), "sweep.axis must be one of ('lambda', 'k'), got 'mu'"),
+    ("sweep", _sweep(values=[-1.0]), "sweep.values: lambda must be >= 0, got -1.0"),
+    ("sweep", _sweep(axis="k", values=[9]),
+     "sweep.values: k=9 must be < n_s=9 for cell N3-K3-r1-p1"),
+    ("train", _set((None, "train_classes", 0)),
+     "train_classes=0 must be between train.n_way=3 and the world's 10 classes"),
+    ("train", _set((None, "train_classes", 11)),
+     "train_classes=11 must be between train.n_way=3 and the world's 10 classes"),
+    ("train", _set(("rectify", "k", 50)),
+     "rectify.k=50 needs k + 1 support samples, but train.k_support=3 gives 3 x 3 = 9"),
+], ids=["bench-n_way-empty", "bench-k_shot-empty", "bench-r-empty", "bench-n_way-0",
+        "bench-k_shot-0", "bench-k_shot-negative", "bench-k",
+        "sweep-values-empty", "sweep-axis", "sweep-lambda-negative", "sweep-k",
+        "train-classes-0", "train-classes-11", "train-k"])
+def test_config_errors_fail_before_any_output(tmp_path, capsys, monkeypatch, command, edit,
+                                              message):
+    def no_training(*args):
+        raise AssertionError("meta_train must not run")
+
+    # bench and sweep check before training; train's checks open meta_train,
+    # which this leaves alone
+    monkeypatch.setattr(fspll.bench, "meta_train", no_training)
+    doc = tiny_bench_doc()
+    edit(doc)
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("key", ["n_way", "k_shot", "rounds", "k_query"])
 def test_test_rejects_a_count_below_one(tmp_path, capsys, key):
     doc = tiny_bench_doc()
     doc["test"] = {"checkpoint": "never-read.json", "n_way": 3, "k_shot": 3, key: 0}
     cfg = write_config(tmp_path, doc)
     assert main(["test", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: config key test.{key} must be >= 1, got 0\n"
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_test_rejects_r_above_n_way(tmp_path, capsys):
+    doc = tiny_bench_doc()
+    doc["test"] = {"checkpoint": "never-read.json", "n_way": 3, "k_shot": 3}
+    doc["corruption"]["r"] = 3
+    cfg = write_config(tmp_path, doc)
+    assert main(["test", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error: corruption.r=3 needs r + 1 classes per episode, "
+                                       "but test.n_way is 3\n")
     assert not os.path.exists(tmp_path / "o")
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -628,3 +629,15 @@ def test_rectify_config_validation():
         RectifyConfig(k=0)
     with pytest.raises(ValueError):
         RectifyConfig(distance="cosine")
+
+
+def test_resolve_k_checks_a_set_k_against_the_support_size():
+    # 3 x 3 = 9 support samples leave at most 8 neighbors
+    assert RectifyConfig(k=8).resolve_k(3, 3, "shots").k == 8
+    with pytest.raises(ValueError, match=re.escape(
+            "rectify.k=9 needs k + 1 support samples, but shots=3 gives 3 x 3 = 9")):
+        RectifyConfig(k=9).resolve_k(3, 3, "shots")
+    # no smoothing, no neighbors: k is not used
+    assert RectifyConfig(k=50, lam=0.0).resolve_k(3, 3, "shots").k == 50
+    assert RectifyConfig(k=50, iterations=0).resolve_k(3, 3, "shots").k == 50
+    assert RectifyConfig().resolve_k(3, 3, "shots").k == 2

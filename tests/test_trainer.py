@@ -293,7 +293,7 @@ def test_train_config_validation():
 
 def test_meta_train_rejects_small_class_pool():
     world = tiny_world(classes=4)
-    with pytest.raises(ValueError, match="train pool"):
+    with pytest.raises(ValueError, match="train_classes=4 must be between train.n_way=5"):
         meta_train(tiny_config(n_way=5, train_classes=4), world)
 
 
