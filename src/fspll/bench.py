@@ -123,16 +123,26 @@ class BenchSpec:
             raise ValueError(f"bench.r={max(trained)} needs r + 1 classes per training task, "
                              f"but train.n_way is {self.train.n_way}")
         n_train = self.train.train_classes  # None: every class, so none held out
-        held_out = self.world.classes - (self.world.classes if n_train is None else n_train)
-        if held_out < max(self.n_way):
-            raise ValueError(
-                f"held-out pool ({held_out} classes) is smaller than N2={max(self.n_way)}")
+        check_held_out(self.world, self.world.classes if n_train is None else n_train,
+                       max(self.n_way), "bench.n_way")
 
     def signature(self) -> dict:
         """Canonical JSON-ready description; hashing it identifies the run."""
         doc = dataclasses.asdict(self)
         doc["world"] = world_to_manifest(self.world)
         return doc
+
+
+def check_held_out(world: World, train_classes: int, n_way: int, key: str) -> None:
+    """Reject a class split whose held-out pool (the world classes from
+    train_classes on) cannot fill an n_way-way episode; `key` names n_way."""
+    if not 0 <= train_classes <= world.classes:
+        raise ValueError(f"train_classes={train_classes} must be between 0 and "
+                         f"the world's {world.classes} classes")
+    held_out = world.classes - train_classes
+    if held_out < n_way:
+        raise ValueError(f"held-out pool ({held_out} classes) is smaller than {key}={n_way}: "
+                         f"the world's {world.classes} classes minus train_classes={train_classes}")
 
 
 @dataclass
@@ -163,15 +173,20 @@ def _effective(rect: RectifyConfig, corruption: CorruptionSpec) -> RectifyConfig
     return RectifyConfig(iterations=0, distance=rect.distance) if corruption.exact else rect
 
 
-def _train_for(spec: BenchSpec, variant: MethodVariant, r_cell: int,
-               cache: dict) -> NetworkParams:
+def _train_config(spec: BenchSpec, variant: MethodVariant, r_cell: int) -> TrainConfig:
+    """The config that trains a variant's checkpoint for a cell with r_cell."""
     corruption = CorruptionSpec(spec.p, 0 if variant.clean_meta_train else r_cell)
     rect = _effective(variant.train_rectify, corruption)
     if corruption.exact:  # no label is ambiguous, and r draws nothing
         corruption = replace(corruption, r=0)
-    key = (rect, corruption)
+    return replace(spec.train, rectify=rect, corruption=corruption)
+
+
+def _train_for(spec: BenchSpec, variant: MethodVariant, r_cell: int,
+               cache: dict) -> NetworkParams:
+    cfg = _train_config(spec, variant, r_cell)
+    key = (cfg.rectify, cfg.corruption)
     if key not in cache:
-        cfg = replace(spec.train, rectify=rect, corruption=corruption)
         params, _ = meta_train(cfg, spec.world)
         cache[key] = params
     return cache[key]
@@ -208,6 +223,7 @@ def _run_cells(spec: BenchSpec, cells: list[Cell],
     for cell in cells:  # fail before any checkpoint is trained
         for variant in variants[cell.label()]:
             variant.test_rectify.resolve_k(cell.n_way, cell.k_shot, f"cell {cell.label()}: k_shot")
+            _train_config(spec, variant, cell.r).resolved_rectify()
     accuracies: dict[tuple[str, str], list[float]] = {}
     hashes: dict[str, list[str]] = {}
     cache: dict = {}

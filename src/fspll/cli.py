@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .autodiff import grad_check
-from .bench import METHODS, SWEEP_AXES, BenchSpec, Cell, _round_chunks, run_benchmark, sweep, \
-    write_report
+from .bench import (METHODS, SWEEP_AXES, BenchSpec, Cell, _round_chunks, check_held_out,
+                    run_benchmark, sweep, write_report)
 from .embedding import NetworkSpec, embed_layers, init_network, load_checkpoint, save_checkpoint
 from .episodes import (CorruptionSpec, corrupt, episode_hash, make_world, sample_episode,
                        world_from_manifest, world_to_manifest)
@@ -249,9 +249,7 @@ def cmd_test(args) -> int:
         raise ValueError(f"corruption.r={cell.r} needs r + 1 classes per episode, "
                          f"but test.n_way is {cell.n_way}")
     rect.resolve_k(cell.n_way, cell.k_shot, "test.k_shot")
-    held_out = max(0, world.classes - cfg["train_classes"])
-    if held_out < cell.n_way:
-        raise ValueError(f"held-out pool ({held_out}) smaller than n_way={cell.n_way}")
+    check_held_out(world, cfg["train_classes"], cell.n_way, "test.n_way")
     params = load_checkpoint(_resolve(section["checkpoint"], base_dir))
 
     rounds = section["rounds"]

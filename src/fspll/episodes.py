@@ -105,7 +105,10 @@ def make_world(seed: int, classes: int, dim: int, sigma: float,
             f"invalid world parameters: classes={classes}, dim={dim}, sigma={sigma}")
     rng = np.random.default_rng(seed)
     means = rng.uniform(-mean_scale, mean_scale, size=(classes, dim))
-    if len(np.unique(means, axis=0)) != classes:
+    # equal rows sit side by side once sorted; == keeps float equality
+    # (-0.0 equals 0.0, NaN equals nothing)
+    rows = means[np.lexsort(means.T)]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise ValueError("class means collided; use a different seed")
     return World(seed, classes, dim, sigma, mean_scale, means)
 

@@ -186,18 +186,34 @@ def knn_indices(Z: np.ndarray, k: int) -> np.ndarray:
     in embedding space, ties broken by ascending sample index. Returns n_s x k.
 
     A stack is handled one episode at a time: its n_s x n_s distance matrices
-    stacked would cost memory and, at n_s = 100, time."""
+    stacked would cost memory and, at n_s = 100, time.
+
+    Each row is ranked by NumPy's default (unstable, faster) argsort. When
+    the first k + 1 distances of every row strictly increase, the k smallest
+    are distinct and below every other entry, so any sort puts the same k
+    indices first, in the same order. An episode with a tie, an inf or a NaN
+    among them is ranked again by the stable sort, which breaks the ties."""
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[-1]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     flat = Z.reshape(-1, *Z.shape[-2:])
     out = np.empty((len(flat), n, k), dtype=np.intp)
+    row_starts = np.arange(0, n * n, n)[:, None]  # flat index of each row's first entry
     for t, z in enumerate(flat):
         d2 = sqdist(z, z)
         np.fill_diagonal(d2, np.inf)
-        out[t] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        order = d2.argsort(axis=1)[:, :k + 1]
+        nearest = d2.take(order + row_starts)
+        if not (nearest[:, 1:] > nearest[:, :-1]).all():
+            order = _stable_order(d2)
+        out[t] = order[:, :k]
     return out.reshape(*Z.shape[:-2], n, k)
+
+
+def _stable_order(d2: np.ndarray) -> np.ndarray:
+    """Row-wise argsort of d2 that breaks ties by ascending column index."""
+    return d2.argsort(axis=1, kind="stable")
 
 
 def smooth_confidence(Q: np.ndarray, Y: np.ndarray, neighbors: np.ndarray,

@@ -298,5 +298,6 @@ def meta_test(params: NetworkParams, episodes: Episode,
                                 "shots per class")
     protos, confidence = rectify(embed(params, episodes.support), episodes.candidates, cfg)
     preds = predict(classify_proba(embed(params, episodes.queries), protos, cfg.distance))
-    return [TestResult(p, float((p == truth).mean()), protos[t], confidence[t])
-            for t, (p, truth) in enumerate(zip(preds, episodes.query_truth))]
+    accuracies = (preds == episodes.query_truth).mean(axis=-1)
+    return [TestResult(p, float(acc), protos[t], confidence[t])
+            for t, (p, acc) in enumerate(zip(preds, accuracies))]

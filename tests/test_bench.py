@@ -107,7 +107,8 @@ def test_spec_validation():
     # a train config without train_classes trains on every class
     train = replace(tiny_spec().train, train_classes=None)
     with pytest.raises(ValueError, match=re.escape(
-            "held-out pool (0 classes) is smaller than N2=3")):
+            "held-out pool (0 classes) is smaller than bench.n_way=3: "
+            "the world's 12 classes minus train_classes=12")):
         tiny_spec(train=train)
     with pytest.raises(ValueError, match="methods"):
         tiny_spec(methods=[])

@@ -2,6 +2,8 @@ import dataclasses
 import inspect
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,11 @@ from fspll.cli import DEFAULTS, config_keys, main
 from fspll.embedding import NetworkSpec
 from fspll.pll_core import RectifyConfig
 from fspll.trainer import TrainConfig
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = os.path.join(ROOT, "configs")
+SRC = os.path.join(ROOT, "src")
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -343,6 +350,12 @@ def _set(*settings):
     return edit
 
 
+def _test_section(*settings):
+    """A test section whose checkpoint must not be read, plus the settings."""
+    return _set(("test", "checkpoint", "never-read.json"), ("test", "n_way", 3),
+                ("test", "k_shot", 3), *settings)
+
+
 def _sweep(**section):
     return lambda doc: doc.update(sweep={"axis": "lambda", "values": [0.5], **section})
 
@@ -369,10 +382,21 @@ def _sweep(**section):
      "train_classes=11 must be between train.n_way=3 and the world's 10 classes"),
     ("train", _set(("rectify", "k", 50)),
      "rectify.k=50 needs k + 1 support samples, but train.k_support=3 gives 3 x 3 = 9"),
+    ("bench", _set((None, "train_classes", 11)),
+     "train_classes=11 must be between 0 and the world's 10 classes"),
+    ("bench", _set((None, "train_classes", 8)),
+     "held-out pool (2 classes) is smaller than bench.n_way=3: "
+     "the world's 10 classes minus train_classes=8"),
+    ("test", _test_section((None, "train_classes", 11)),
+     "train_classes=11 must be between 0 and the world's 10 classes"),
+    ("test", _test_section((None, "train_classes", 8)),
+     "held-out pool (2 classes) is smaller than test.n_way=3: "
+     "the world's 10 classes minus train_classes=8"),
 ], ids=["bench-n_way-empty", "bench-k_shot-empty", "bench-r-empty", "bench-n_way-0",
         "bench-k_shot-0", "bench-k_shot-negative", "bench-k",
         "sweep-values-empty", "sweep-axis", "sweep-lambda-negative", "sweep-k",
-        "train-classes-0", "train-classes-11", "train-k"])
+        "train-classes-0", "train-classes-11", "train-k",
+        "bench-classes-11", "bench-held-out", "test-classes-11", "test-held-out"])
 def test_config_errors_fail_before_any_output(tmp_path, capsys, monkeypatch, command, edit,
                                               message):
     def no_training(*args):
@@ -387,6 +411,40 @@ def test_config_errors_fail_before_any_output(tmp_path, capsys, monkeypatch, com
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.path.exists(tmp_path / "o")
+
+
+def test_bench_checks_training_rectify_before_any_training(tmp_path, capsys, monkeypatch):
+    # the desk-grid config trains a clean r = 0 checkpoint, which needs no k,
+    # before the r = 1 one, whose k = 49 exceeds its 10 x 4 support samples
+    def no_training(*args):
+        raise AssertionError("meta_train must not run")
+
+    monkeypatch.setattr(fspll.bench, "meta_train", no_training)
+    with open(os.path.join(CONFIGS, "bench_desk.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["bench"].update(n_way=[5], k_shot=[10], r=[0, 1], methods=["fspll"])
+    doc["rectify"]["k"] = 49
+    doc["train"]["k_support"] = 4
+    cfg = write_config(tmp_path, doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error: rectify.k=49 needs k + 1 support samples, "
+                                       "but train.k_support=4 gives 10 x 4 = 40\n")
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_bench_never_imports_numpy_ma(tmp_path):
+    # importing numpy.ma costs about 15 ms; np.unique(axis=0) imports it
+    argv = ["bench", "--config", write_config(tmp_path, tiny_bench_doc()),
+            "--out", str(tmp_path / "o")]
+    script = ("import sys\n"
+              "from fspll.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("key", ["n_way", "k_shot", "rounds", "k_query"])

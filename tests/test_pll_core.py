@@ -252,6 +252,72 @@ def test_knn_k_out_of_range():
         knn_indices(Z, 4)
 
 
+def stable_knn(Z, k):
+    """The kNN graph from a stable full sort of every row of the distances."""
+    d2 = sqdist(Z, Z)
+    n = Z.shape[-1]
+    d2[..., np.arange(n), np.arange(n)] = np.inf
+    return np.argsort(d2, axis=-1, kind="stable")[..., :k]
+
+
+@pytest.fixture
+def stable_sorts(monkeypatch):
+    """Record each distance plane that knn_indices hands to its stable sort."""
+    planes = []
+    stable_order = fspll.pll_core._stable_order
+
+    def spy(d2):
+        planes.append(d2.shape)
+        return stable_order(d2)
+
+    monkeypatch.setattr(fspll.pll_core, "_stable_order", spy)
+    return planes
+
+
+def _coincident(n, spots, seed):
+    """n samples in 2-D, each on one of `spots` shared points: ties everywhere."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(2, spots))[:, rng.integers(0, spots, n)]
+
+
+# (Z, k, whether an episode needs the stable sort)
+KNN_CASES = {
+    # samples 3 and 4 coincide: sample 0's 3rd and 4th nearest tie
+    "tie-at-kth": (np.array([[0.0, 1.0, 2.0, 3.0, 3.0, 7.0, 9.0, 11.0]]), 3, True),
+    # samples 1 and 2, and 3 and 4, are equidistant from sample 0
+    "tie-inside-k": (np.array([[0.0, 1.0, -1.0, 2.0, -2.0, 5.0]]), 4, True),
+    "coincident-n100": (_coincident(100, 5, 0), 9, True),
+    "coincident-n25": (_coincident(25, 4, 1), 4, True),
+    # squares past the float range: rows of inf, and an inf inside the k + 1
+    "inf": (np.array([[0.0, 1.0, 2.0, 1e200, -1e200, 3.0]]), 2, True),
+    "inf-k-n-1": (np.array([[0.0, 1.0, 2.0, 1e200, -1e200, 3.0]]), 5, True),
+    # sample 2's row and column are NaN, sorted last
+    "nan": (np.array([[0.0, 1.0, np.nan, 3.0, 4.0, 6.0], [0.0] * 6]), 2, True),
+    # the (k + 1)-th entry is the inf diagonal
+    "k-n-1": (np.random.default_rng(2).normal(size=(3, 9)), 8, False),
+    "distinct-n50": (np.random.default_rng(3).normal(size=(4, 50)), 4, False),
+    "distinct-n100": (np.random.default_rng(4).normal(size=(8, 100)), 9, False),
+}
+
+
+@pytest.mark.parametrize("case", list(KNN_CASES))
+def test_knn_matches_the_stable_sort(case, stable_sorts):
+    Z, k, ties = KNN_CASES[case]
+    np.testing.assert_array_equal(knn_indices(Z, k), stable_knn(Z, k))
+    assert stable_sorts == ([(Z.shape[-1],) * 2] if ties else [])
+
+
+@pytest.mark.parametrize("lead", [(1,), (3,), (2, 3)], ids=str)
+def test_knn_stack_sorts_only_tied_episodes_stably(lead, stable_sorts):
+    rng = np.random.default_rng(5)
+    Z = rng.normal(size=(*lead, 4, 30))
+    Z[(0,) * len(lead)][:, 7] = Z[(0,) * len(lead)][:, 3]  # episode 0: a coincident pair
+    got = knn_indices(Z, 5)
+    assert got.shape == (*lead, 30, 5)
+    np.testing.assert_array_equal(got, stable_knn(Z, 5))
+    assert len(stable_sorts) == 1
+
+
 # -- smoothing -------------------------------------------------------------------
 
 def test_smooth_lambda_zero_is_identity():
