@@ -1,15 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense 2-D float64 arrays.
 
-A :class:`Graph` owns an ordered list of nodes. Nodes are created through the
-graph's op methods and evaluated eagerly, so construction order is already a
-topological order; ``backward`` walks it in reverse. Leaf values may be
-rebound (``Tensor.set_values``) and the whole graph re-evaluated with
-``forward`` -- that is what finite-difference checking relies on.
+A :class:`Graph` owns an ordered list of nodes: a tape. Nodes are created
+through the graph's op methods and evaluated eagerly, so construction order is
+already a topological order; ``backward`` walks it in reverse. A graph is
+built for one set of leaf values; other values need a new graph.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,18 +35,6 @@ class Tensor:
     def is_leaf(self) -> bool:
         return self.op is None
 
-    def set_values(self, values) -> None:
-        """Rebind a leaf's values. The graph needs a forward() pass afterwards."""
-        if not self.is_leaf():
-            raise ValueError("set_values is only allowed on leaf tensors")
-        arr = _as_matrix(values)
-        if arr.shape != self.values.shape:
-            raise ValueError(
-                f"set_values: shape {arr.shape} does not match leaf shape {self.values.shape}")
-        self.values = arr
-        self.grad = np.zeros_like(arr)
-        self.graph._stale = True
-
     def __repr__(self):
         return f"Tensor(id={self.node_id}, op={self.op!r}, shape={self.shape})"
 
@@ -66,11 +51,10 @@ def _as_matrix(values) -> np.ndarray:
 
 
 class Graph:
-    """Computation graph. Single-writer: forward/backward must not run concurrently."""
+    """Computation graph. Single-writer: backward must not run concurrently."""
 
     def __init__(self):
         self.nodes: list[Tensor] = []
-        self._stale = False  # True after a leaf rebind, until forward() runs
 
     # -- construction -----------------------------------------------------
 
@@ -169,78 +153,17 @@ class Graph:
         node.cache["argmax"] = x.values.argmax(axis=0)
         return node
 
-    # -- evaluation --------------------------------------------------------
-
-    def forward(self) -> None:
-        """Recompute every non-leaf node, in order, from current leaf values."""
-        for node in self.nodes:
-            if not node.is_leaf():
-                node.values = self._eval(node)
-        self._stale = False
-        self._ran_forward = True
-
-    def _eval(self, node: Tensor) -> np.ndarray:
-        op = node.op
-        pv = self._parent_values(node)
-        if op == "add":
-            return pv[0] + pv[1]
-        if op == "sub":
-            return pv[0] - pv[1]
-        if op == "mul":
-            return pv[0] * pv[1]
-        if op == "scale":
-            return node.cache["c"] * pv[0]
-        if op == "add_scalar":
-            return pv[0] + node.cache["c"]
-        if op == "matmul":
-            return pv[0] @ pv[1]
-        if op == "add_bias":
-            return pv[0] + pv[1]
-        if op == "sub_row":
-            return pv[0] - pv[1]
-        if op == "relu":
-            return np.maximum(pv[0], 0.0)
-        if op == "exp":
-            return np.exp(pv[0])
-        if op == "log":
-            return np.log(pv[0])
-        if op == "sqrt":
-            return sqrt_eps(pv[0])
-        if op == "pairwise_sqdist":
-            return sqdist(pv[0], pv[1])
-        if op == "row_sum":
-            return pv[0].sum(axis=1, keepdims=True)
-        if op == "col_sum":
-            return pv[0].sum(axis=0, keepdims=True)
-        if op == "sum_all":
-            return pv[0].sum().reshape(1, 1)
-        if op == "logsumexp_cols":
-            out = lse_cols(pv[0])
-            node.cache["softmax"] = np.exp(pv[0] - out)
-            return out
-        if op == "col_max":
-            node.cache["argmax"] = pv[0].argmax(axis=0)
-            return pv[0].max(axis=0, keepdims=True)
-        raise ValueError(f"unknown op {op!r}")
-
     # -- differentiation ---------------------------------------------------
-
-    def reset_grads(self) -> None:
-        for node in self.nodes:
-            node.grad = np.zeros_like(node.values)
 
     def backward(self, sink: Tensor) -> None:
         """Accumulate d(sink)/d(node) into every node's grad.
 
-        Repeated calls without reset_grads accumulate. The sink must be 1x1
-        and the graph must not be stale (forward after any leaf rebind).
+        Repeated calls accumulate. The sink must be 1x1.
         """
         if sink.graph is not self:
             raise ValueError("sink belongs to a different graph")
         if sink.shape != (1, 1):
             raise ValueError(f"backward requires a scalar (1x1) sink, got shape {sink.shape}")
-        if self._stale:
-            raise RuntimeError("graph has rebound leaves; run forward() before backward()")
         seed = {sink.node_id: np.ones((1, 1))}
         for node in reversed(self.nodes[: sink.node_id + 1]):
             g = seed.pop(node.node_id, None)
@@ -300,21 +223,6 @@ class Graph:
             return [gx]
         raise ValueError(f"unknown op {op!r}")
 
-    # -- kink signature (finite-difference validity) ------------------------
-
-    def _kink_signature(self) -> list[np.ndarray]:
-        """Discrete state of every non-smooth node; a finite-difference step is
-        only trusted when the signature is identical on both sides."""
-        sig = []
-        for node in self.nodes:
-            if node.op == "relu":
-                sig.append(self._parent_values(node)[0] > 0.0)
-            elif node.op == "sqrt":
-                sig.append(self._parent_values(node)[0] < SQRT_EPS)
-            elif node.op == "col_max":
-                sig.append(node.cache["argmax"].copy())
-        return sig
-
 
 def sqrt_eps(x: np.ndarray) -> np.ndarray:
     if x.size and x.min() >= SQRT_EPS:  # no entry to shift; NaN takes the where form
@@ -338,65 +246,3 @@ def lse_cols(x: np.ndarray) -> np.ndarray:
     """Log-sum-exp of each column of x (..., rows, cols), max-shifted."""
     m = x.max(axis=-2, keepdims=True)
     return np.log(np.exp(x - m).sum(axis=-2, keepdims=True)) + m
-
-
-@dataclass
-class GradCheckResult:
-    """Outcome of a central finite-difference check on one leaf."""
-
-    max_rel_error: float
-    checked: int
-    excluded: int
-
-    def ok(self, tol: float = 1e-4) -> bool:
-        return self.checked > 0 and self.max_rel_error < tol
-
-
-def grad_check(graph: Graph, sink: Tensor, leaf: Tensor,
-               step: float = 1e-5) -> GradCheckResult:
-    """Compare backward() gradients of `sink` w.r.t. `leaf` against central
-    finite differences with the given step.
-
-    Relative error per entry is |analytic - numeric| / max(1, |analytic|).
-    Entries whose perturbation flips a relu/sqrt/argmax regime between the
-    two one-sided evaluations are excluded (the difference quotient spans a
-    kink there) and reported in the result.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if graph._stale:
-        graph.forward()
-    graph.reset_grads()
-    graph.backward(sink)
-    analytic = leaf.grad.copy()
-
-    base = leaf.values.copy()
-    rows, cols = base.shape
-    max_err = 0.0
-    excluded = 0
-    for i in range(rows):
-        for j in range(cols):
-            pert = base.copy()
-            pert[i, j] = base[i, j] + step
-            leaf.set_values(pert)
-            graph.forward()
-            f_plus = sink.values[0, 0]
-            sig_plus = graph._kink_signature()
-
-            pert[i, j] = base[i, j] - step
-            leaf.set_values(pert)
-            graph.forward()
-            f_minus = sink.values[0, 0]
-            sig_minus = graph._kink_signature()
-
-            if any(not np.array_equal(p, q) for p, q in zip(sig_plus, sig_minus)):
-                excluded += 1
-                continue
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            err = abs(analytic[i, j] - numeric) / max(1.0, abs(analytic[i, j]))
-            max_err = max(max_err, err)
-
-    leaf.set_values(base)
-    graph.forward()
-    graph.reset_grads()
-    return GradCheckResult(max_err, rows * cols - excluded, excluded)

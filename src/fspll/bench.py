@@ -111,6 +111,10 @@ class BenchSpec:
         for key in ("n_way", "k_shot"):
             if min(getattr(self, key)) < 1:
                 raise ValueError(f"bench.{key} must be >= 1, got {min(getattr(self, key))}")
+        if min(self.r) < 0:
+            raise ValueError(f"bench.r must be >= 0, got {min(self.r)}")
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"bench.p must be in [0, 1], got {self.p}")
         r_max = max(self.r)
         if r_max > min(self.n_way) - 1:
             raise ValueError(f"bench.r={r_max} needs r + 1 classes per episode, "

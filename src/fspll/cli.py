@@ -18,14 +18,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .autodiff import grad_check
 from .bench import (METHODS, SWEEP_AXES, BenchSpec, Cell, _round_chunks, check_held_out,
                     run_benchmark, sweep, write_report)
 from .embedding import NetworkSpec, embed_layers, init_network, load_checkpoint, save_checkpoint
 from .episodes import (CorruptionSpec, corrupt, episode_hash, make_world, sample_episode,
                        world_from_manifest, world_to_manifest)
 from .pll_core import DISTANCE_KINDS, RectifyConfig, rectify, stack_size
-from .trainer import TrainConfig, episode_loss_graph, episode_loss_grad, meta_test, meta_train
+from .trainer import (TrainConfig, episode_loss_graph, episode_loss_grad, grad_check, meta_test,
+                      meta_train)
 
 # Every config key with its default, laid out like the JSON file. Parsing, the
 # --help epilog and train's config.json all derive from this table, and a key
@@ -243,8 +243,8 @@ def cmd_test(args) -> int:
         if section[key] < 1:
             raise ValueError(f"config key test.{key} must be >= 1, got {section[key]}")
     rect = _parse_rectify(cfg)
-    cell = Cell(section["n_way"], section["k_shot"], cfg["corruption"]["r"],
-                cfg["corruption"]["p"])
+    corruption = CorruptionSpec(**cfg["corruption"])
+    cell = Cell(section["n_way"], section["k_shot"], corruption.r, corruption.p)
     if cell.r > cell.n_way - 1:
         raise ValueError(f"corruption.r={cell.r} needs r + 1 classes per episode, "
                          f"but test.n_way is {cell.n_way}")
@@ -322,14 +322,12 @@ def cmd_grad_check(args) -> int:
         rect = RectifyConfig(iterations=5, lam=0.5, k=2)
         support_layers = embed_layers(params, episode.support)
         _, Q = rectify(support_layers[-1], episode.candidates, rect)
-        graph, sink, layers = episode_loss_graph(params, episode, Q, rect.distance)
-        for w_node, b_node in layers:
-            for leaf in (w_node, b_node):
-                res = grad_check(graph, sink, leaf, step=1e-5)
-                worst = max(worst, res.max_rel_error)
-                excluded += res.excluded
-        # training steps with the fused gradient: it must equal the checked one
+        res = grad_check(params, episode, Q, rect.distance)
+        worst = max(worst, res.max_rel_error)
+        excluded += res.excluded
+        # the fused gradient must also equal the graph's
         _, grad_w, grad_b = episode_loss_grad(params, support_layers, episode, Q, rect.distance)
+        graph, sink, layers = episode_loss_graph(params, episode, Q, rect.distance)
         graph.backward(sink)
         for (w_node, b_node), gw, gb in zip(layers, grad_w, grad_b):
             for node, g in ((w_node, gw), (b_node, gb)):

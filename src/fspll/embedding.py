@@ -21,10 +21,12 @@ class NetworkSpec:
     output_dim: int = 64
 
     def __post_init__(self):
-        dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        for d in dims:
-            if int(d) < 1:
-                raise ValueError(f"network dimensions must be positive, got {dims}")
+        if self.input_dim < 1:  # world.dim on the command line, which the world checks
+            raise ValueError(f"network input_dim must be positive, got {self.input_dim}")
+        if any(d < 1 for d in self.hidden_dims):
+            raise ValueError(f"network.hidden_dims must be positive, got {list(self.hidden_dims)}")
+        if self.output_dim < 1:
+            raise ValueError(f"network.output_dim must be positive, got {self.output_dim}")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
 
     def layer_dims(self) -> list[tuple[int, int]]:

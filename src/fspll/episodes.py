@@ -36,12 +36,16 @@ class World:
     means: np.ndarray  # classes x dim
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError("a world needs at least 2 classes")
-        if self.dim < 1:
-            raise ValueError("feature dim must be >= 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        _check_world(self.classes, self.dim, self.sigma)
+
+
+def _check_world(classes: int, dim: int, sigma: float) -> None:
+    if classes < 2:
+        raise ValueError(f"world.classes must be >= 2, got {classes}")
+    if dim < 1:
+        raise ValueError(f"world.dim must be >= 1, got {dim}")
+    if not sigma > 0:
+        raise ValueError(f"world.sigma must be > 0, got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -55,9 +59,9 @@ class CorruptionSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
+            raise ValueError(f"corruption.p must be in [0, 1], got {self.p}")
         if self.r < 0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
+            raise ValueError(f"corruption.r must be >= 0, got {self.r}")
 
     @property
     def exact(self) -> bool:
@@ -100,9 +104,9 @@ class Episode:
 def make_world(seed: int, classes: int, dim: int, sigma: float,
                mean_scale: float = 1.0) -> World:
     """Class means drawn uniformly from [-mean_scale, mean_scale]^dim."""
-    if classes < 2 or dim < 1 or sigma <= 0:
-        raise ValueError(
-            f"invalid world parameters: classes={classes}, dim={dim}, sigma={sigma}")
+    _check_world(classes, dim, sigma)
+    if not np.isfinite(mean_scale):
+        raise ValueError(f"world.mean_scale must be finite, got {mean_scale}")
     rng = np.random.default_rng(seed)
     means = rng.uniform(-mean_scale, mean_scale, size=(classes, dim))
     # equal rows sit side by side once sorted; == keeps float equality

@@ -72,13 +72,14 @@ class RectifyConfig:
 
     def __post_init__(self):
         if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+            raise ValueError(f"rectify.iterations must be >= 0, got {self.iterations}")
         if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+            raise ValueError(f"rectify.lambda must be >= 0, got {self.lam}")
         if self.k is not None and self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ValueError(f"rectify.k must be >= 1, got {self.k}")
         if self.distance not in DISTANCE_KINDS:
-            raise ValueError(f"distance must be one of {DISTANCE_KINDS}, got {self.distance!r}")
+            raise ValueError(f"rectify.distance must be one of {DISTANCE_KINDS}, "
+                             f"got {self.distance!r}")
 
     def resolve_k(self, n_way: int, shots: int, source: str) -> RectifyConfig:
         """Resolve an unset k to shots - 1 when smoothing runs, and check that a
@@ -320,14 +321,6 @@ def classify_proba(Z_q: np.ndarray, P: np.ndarray, kind: str = "euclidean") -> n
     scores -= scores.max(axis=-2, keepdims=True)
     expd = np.exp(scores)
     return expd / expd.sum(axis=-2, keepdims=True)
-
-
-def query_loss(probs: np.ndarray) -> float:
-    """Mean negative log of each column's largest posterior entry."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not np.isfinite(probs).all():
-        raise ValueError("query_loss: posteriors must be finite")
-    return float(-np.log(probs.max(axis=0)).mean())
 
 
 def predict(probs: np.ndarray) -> np.ndarray:

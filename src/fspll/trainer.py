@@ -18,8 +18,9 @@ tasks (a whole epoch when the network is narrow); the per-task gradients
 then sum task by task, in task order.
 
 episode_loss_graph builds the same loss on the autodiff graph. Training does
-not use it: it is the reference the fused gradient is tested against, and the
-graph the finite-difference check runs on.
+not use it: it is the reference the fused gradient is tested against.
+grad_check compares the fused gradient with central finite differences of
+the fused loss itself.
 
 Meta-test freezes the network: embed, rectify, classify by nearest rectified
 prototype via the posterior argmax, for a stack of equal-shape episodes at a
@@ -30,10 +31,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Graph, Tensor, lse_cols, sqdist, sqrt_eps
+from .autodiff import SQRT_EPS, Graph, Tensor, lse_cols, sqdist, sqrt_eps
 from .embedding import (NetworkParams, NetworkSpec, embed, embed_layers, embed_nodes,
                         init_network, param_leaves)
 from .episodes import CorruptionSpec, Episode, World, corrupt, sample_episode
@@ -66,12 +68,12 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.max_epoch < 0:
-            raise ValueError("max_epoch must be >= 0")
+            raise ValueError(f"train.max_epoch must be >= 0, got {self.max_epoch}")
         for name in ("tasks_per_epoch", "n_way", "k_support", "k_query", "lr_half_period"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be > 0")
+                raise ValueError(f"train.{name} must be >= 1, got {getattr(self, name)}")
+        if not self.lr0 > 0:
+            raise ValueError(f"train.lr0 must be > 0, got {self.lr0}")
         if self.corruption.r > self.n_way - 1:
             raise ValueError(f"corruption.r={self.corruption.r} needs r + 1 classes per "
                              f"training task, but train.n_way is {self.n_way}")
@@ -153,6 +155,28 @@ def episode_loss_grad(params: NetworkParams, support_layers: list[np.ndarray],
     episode, support_layers and Q, broadcast as in pll_core) gives an array of
     per-task losses and per-task gradients with the same leading axes, each
     task's the same bits as on its own."""
+    loss, fwd = _loss_forward(params, support_layers, episode, Q, distance, supervised)
+    return (loss, *_loss_backward(params, support_layers, fwd, distance))
+
+
+class _LossForward(NamedTuple):
+    """episode_loss_grad's forward state: what its backward pass reads, and
+    d2 and pick, which grad_check's kink signature reads."""
+
+    query_layers: list[np.ndarray]
+    weights: np.ndarray  # n_s x l prototype weights
+    protos: np.ndarray
+    d2: np.ndarray
+    dist: np.ndarray
+    logp: np.ndarray
+    pick: np.ndarray
+    hit: np.ndarray
+
+
+def _loss_forward(params: NetworkParams, support_layers: list[np.ndarray], episode: Episode,
+                  Q: np.ndarray, distance: str, supervised: bool
+                  ) -> tuple[float | np.ndarray, _LossForward]:
+    """episode_loss_grad's loss, and the forward state its gradient needs."""
     query_layers = embed_layers(params, episode.queries)
     z_q = query_layers[-1]
     # C-contiguous like the graph's leaf copy: a transposed view changes the
@@ -164,27 +188,91 @@ def episode_loss_grad(params: NetworkParams, support_layers: list[np.ndarray],
     dist = sqrt_eps(d2) if distance == "euclidean" else d2
     neg = -dist
     logp = neg - lse_cols(neg)
-    n_q = logp.shape[-1]
     pick = (episode.query_truth if supervised else logp.argmax(axis=-2))[..., None, :]
     hit = pick == np.arange(logp.shape[-2])[:, None]
     # x + -0.0 == x, so each column sums to its picked entry, save that a
     # sum NumPy starts from +0.0 turns a picked -0.0 into +0.0; the mean
     # over queries then gives the bits of the gathered entries either way
     loss = -np.where(hit, logp, -0.0).sum(axis=-2).mean(axis=-1)
-
-    g = np.exp(logp)                        # d loss / d dist = (onehot - softmax) / n_q
-    g -= hit
-    g /= -n_q
-    if distance == "euclidean":
-        g = g * 0.5 / dist
-    g_protos = 2.0 * (protos * g.sum(axis=-1)[..., None, :] - z_q @ g.swapaxes(-1, -2))
-    g_query = 2.0 * (z_q * g.sum(axis=-2)[..., None, :] - protos @ g)
-    grad_w, grad_b = _mlp_backward(params, query_layers, g_query)
-    support_w, support_b = _mlp_backward(params, support_layers,
-                                         g_protos @ weights.swapaxes(-1, -2))
     return (float(loss) if loss.ndim == 0 else loss,
-            [a + b for a, b in zip(grad_w, support_w)],
+            _LossForward(query_layers, weights, protos, d2, dist, logp, pick, hit))
+
+
+def _loss_backward(params: NetworkParams, support_layers: list[np.ndarray],
+                   fwd: _LossForward, distance: str
+                   ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The parameter gradient of _loss_forward's loss, as (grad_w, grad_b)."""
+    z_q = fwd.query_layers[-1]
+    g = np.exp(fwd.logp)                    # d loss / d dist = (onehot - softmax) / n_q
+    g -= fwd.hit
+    g /= -fwd.logp.shape[-1]
+    if distance == "euclidean":
+        g = g * 0.5 / fwd.dist
+    g_protos = 2.0 * (fwd.protos * g.sum(axis=-1)[..., None, :] - z_q @ g.swapaxes(-1, -2))
+    g_query = 2.0 * (z_q * g.sum(axis=-2)[..., None, :] - fwd.protos @ g)
+    grad_w, grad_b = _mlp_backward(params, fwd.query_layers, g_query)
+    support_w, support_b = _mlp_backward(params, support_layers,
+                                         g_protos @ fwd.weights.swapaxes(-1, -2))
+    return ([a + b for a, b in zip(grad_w, support_w)],
             [a + b for a, b in zip(grad_b, support_b)])
+
+
+@dataclass
+class GradCheckResult:
+    """Outcome of a central finite-difference check of episode_loss_grad."""
+
+    max_rel_error: float
+    checked: int
+    excluded: int
+
+
+def grad_check(params: NetworkParams, episode: Episode, Q: np.ndarray, distance: str,
+               supervised: bool = False, step: float = 1e-5) -> GradCheckResult:
+    """Compare episode_loss_grad's gradient with central finite differences
+    of its loss, over every weight and bias entry; Q stays constant.
+
+    Relative error per entry is |analytic - numeric| / max(1, |analytic|).
+    An entry is excluded, and counted, when its two one-sided evaluations
+    differ in their kink signature: the relu masks of the support and query
+    activations, the sqrt_eps regime of the squared distances (euclidean
+    only) and the max-posterior pick (unsupervised only). The difference
+    quotient spans a kink there.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    _, grad_w, grad_b = episode_loss_grad(params, embed_layers(params, episode.support),
+                                          episode, Q, distance, supervised)
+    n = len(params.weights)
+
+    def loss_and_kinks(arrays: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+        probe = NetworkParams(params.spec, params.seed, arrays[:n], arrays[n:])
+        support_layers = embed_layers(probe, episode.support)
+        loss, fwd = _loss_forward(probe, support_layers, episode, Q, distance, supervised)
+        kinks = [h > 0.0 for h in support_layers[1:-1] + fwd.query_layers[1:-1]]
+        if distance == "euclidean":
+            kinks.append(fwd.d2 < SQRT_EPS)
+        if not supervised:
+            kinks.append(fwd.pick)
+        return loss, kinks
+
+    arrays = params.weights + params.biases
+    max_err, excluded = 0.0, 0
+    for a, analytic in enumerate(grad_w + grad_b):
+        for idx in np.ndindex(analytic.shape):
+            sides = []
+            for delta in (step, -step):
+                probe = list(arrays)
+                probe[a] = arrays[a].copy()
+                probe[a][idx] += delta
+                sides.append(loss_and_kinks(probe))
+            (f_plus, kinks_plus), (f_minus, kinks_minus) = sides
+            if any(not np.array_equal(p, q) for p, q in zip(kinks_plus, kinks_minus)):
+                excluded += 1
+                continue
+            numeric = (f_plus - f_minus) / (2.0 * step)
+            max_err = max(max_err, abs(analytic[idx] - numeric) / max(1.0, abs(analytic[idx])))
+    total = sum(x.size for x in arrays)
+    return GradCheckResult(float(max_err), total - excluded, excluded)
 
 
 def _mlp_backward(params: NetworkParams, layers: list[np.ndarray],

@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from fspll.autodiff import grad_check
 from fspll.bench import BenchSpec, run_benchmark, sweep
 from fspll.cli import main
 from fspll.embedding import NetworkSpec, embed_layers, init_network
@@ -20,7 +19,8 @@ from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
 from fspll.pll_core import (RectifyConfig, classify_proba, compute_prototypes,
                             knn_indices, pairwise_distance, predict, rectify,
                             smooth_confidence, update_confidence)
-from fspll.trainer import TrainConfig, episode_loss_graph, episode_loss_grad, lr_at, meta_train
+from fspll.trainer import (TrainConfig, episode_loss_graph, episode_loss_grad, grad_check, lr_at,
+                           meta_train)
 
 from test_pll_core import naive_rectify, random_instance
 
@@ -55,14 +55,12 @@ def test_c1_gradient_suite():
                             k=max(shots - 1, 1) if shots > 1 else None)
         support_layers = embed_layers(params, episode.support)
         _, Q = rectify(support_layers[-1], episode.candidates, cfg)
-        graph, sink, layers = episode_loss_graph(params, episode, Q, "euclidean")
-        for w_node, b_node in layers:
-            for leaf in (w_node, b_node):
-                res = grad_check(graph, sink, leaf, step=1e-5)
-                worst = max(worst, res.max_rel_error)
-                checked += res.checked
-        # the fused gradient meta_train steps with must equal the checked one
+        res = grad_check(params, episode, Q, "euclidean", step=1e-5)
+        worst = max(worst, res.max_rel_error)
+        checked += res.checked
+        # the fused gradient meta_train steps with must also equal the graph's
         _, grad_w, grad_b = episode_loss_grad(params, support_layers, episode, Q, "euclidean")
+        graph, sink, layers = episode_loss_graph(params, episode, Q, "euclidean")
         graph.backward(sink)
         for (w_node, b_node), gw, gb in zip(layers, grad_w, grad_b):
             for node, g in ((w_node, gw), (b_node, gb)):

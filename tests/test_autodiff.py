@@ -1,7 +1,32 @@
+import zlib
+
 import numpy as np
 import pytest
 
-from fspll.autodiff import SQRT_EPS, Graph, grad_check, sqrt_eps
+from fspll.autodiff import SQRT_EPS, Graph, sqrt_eps
+
+
+def fd_error(build, values, step=1e-5):
+    """Largest relative error, |analytic - numeric| / max(1, |analytic|), of
+    backward's gradient for each leaf that build(*values) returns, against
+    central differences of the sink. build(*values) -> (graph, sink, leaves),
+    one leaf per value; a graph is built for one set of values, so each
+    perturbed value gets a graph of its own."""
+    graph, sink, leaves = build(*values)
+    graph.backward(sink)
+    worst = 0.0
+    for k, leaf in enumerate(leaves):
+        analytic = leaf.grad
+        for idx in np.ndindex(analytic.shape):
+            f = []
+            for delta in (step, -step):
+                probe = list(values)
+                probe[k] = np.array(values[k], dtype=np.float64)
+                probe[k][idx] += delta
+                f.append(build(*probe)[1].values[0, 0])
+            numeric = (f[0] - f[1]) / (2.0 * step)
+            worst = max(worst, abs(analytic[idx] - numeric) / max(1.0, abs(analytic[idx])))
+    return worst
 
 
 def test_relu_values():
@@ -47,37 +72,27 @@ def test_relu_subgradient_zero_at_kink():
 
 def test_two_layer_chain_matches_finite_differences():
     rng = np.random.default_rng(7)
-    g = Graph()
-    w1 = g.leaf(rng.uniform(-1, 1, (5, 4)))
-    b1 = g.leaf(rng.uniform(-1, 1, (5, 1)))
-    w2 = g.leaf(rng.uniform(-1, 1, (3, 5)))
-    b2 = g.leaf(rng.uniform(-1, 1, (3, 1)))
-    x = g.leaf(rng.uniform(-1, 1, (4, 6)))
-    h = g.relu(g.add_bias(g.matmul(w1, x), b1))
-    out = g.add_bias(g.matmul(w2, h), b2)
-    sink = g.sum_all(g.mul(out, out))
-    for leaf in (w1, b1, w2, b2, x):
-        res = grad_check(g, sink, leaf, step=1e-5)
-        assert res.max_rel_error < 1e-4, res
+    values = [rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (5, 1)),
+              rng.uniform(-1, 1, (3, 5)), rng.uniform(-1, 1, (3, 1)),
+              rng.uniform(-1, 1, (4, 6))]
+
+    def build(*values):
+        g = Graph()
+        w1, b1, w2, b2, x = leaves = [g.leaf(v) for v in values]
+        h = g.relu(g.add_bias(g.matmul(w1, x), b1))
+        out = g.add_bias(g.matmul(w2, h), b2)
+        return g, g.sum_all(g.mul(out, out)), leaves
+
+    assert fd_error(build, values) < 1e-4
 
 
 def test_grad_check_quadratic_is_tight():
-    g = Graph()
-    x = g.leaf([[1.5, -0.5], [2.0, 0.25]])
-    sink = g.sum_all(g.mul(x, x))
-    res = grad_check(g, sink, x, step=1e-5)
-    assert res.max_rel_error < 1e-6
-    assert res.excluded == 0
+    def build(x):
+        g = Graph()
+        leaf = g.leaf(x)
+        return g, g.sum_all(g.mul(leaf, leaf)), [leaf]
 
-
-def test_grad_check_reports_kink_exclusions():
-    g = Graph()
-    x = g.leaf([[0.0, 1.0]])
-    sink = g.sum_all(g.relu(x))
-    res = grad_check(g, sink, x, step=1e-5)
-    assert res.excluded == 1
-    assert res.checked == 1
-    assert res.max_rel_error < 1e-8
+    assert fd_error(build, [np.array([[1.5, -0.5], [2.0, 0.25]])]) < 1e-6
 
 
 @pytest.mark.parametrize("op", [
@@ -86,49 +101,43 @@ def test_grad_check_reports_kink_exclusions():
     "logsumexp_cols", "col_max", "scale", "add_scalar",
 ])
 def test_every_primitive_matches_finite_differences(op):
-    rng = np.random.default_rng(hash(op) % 2 ** 32)
-    g = Graph()
-    a = g.leaf(rng.uniform(-2, 2, (3, 4)))
+    # str hash() is salted per process; crc32 gives every run the same inputs
+    rng = np.random.default_rng(zlib.crc32(op.encode()))
+    a = rng.uniform(-2, 2, (3, 4))
     if op in ("add", "sub", "mul"):
-        b = g.leaf(rng.uniform(-2, 2, (3, 4)))
-        out = getattr(g, op)(a, b)
-        leaves = [a, b]
+        b = rng.uniform(-2, 2, (3, 4))
     elif op == "matmul":
-        b = g.leaf(rng.uniform(-2, 2, (4, 5)))
-        out = g.matmul(a, b)
-        leaves = [a, b]
+        b = rng.uniform(-2, 2, (4, 5))
     elif op == "add_bias":
-        b = g.leaf(rng.uniform(-2, 2, (3, 1)))
-        out = g.add_bias(a, b)
-        leaves = [a, b]
+        b = rng.uniform(-2, 2, (3, 1))
     elif op == "sub_row":
-        b = g.leaf(rng.uniform(-2, 2, (1, 4)))
-        out = g.sub_row(a, b)
-        leaves = [a, b]
+        b = rng.uniform(-2, 2, (1, 4))
     elif op == "pairwise_sqdist":
-        b = g.leaf(rng.uniform(-2, 2, (3, 5)))
-        out = g.pairwise_sqdist(a, b)
-        leaves = [a, b]
-    elif op in ("exp", "relu", "row_sum", "col_sum", "sum_all",
-                "logsumexp_cols", "col_max"):
-        out = getattr(g, op)(a)
-        leaves = [a]
-    elif op in ("log", "sqrt"):
-        a = g.leaf(rng.uniform(0.5, 2, (3, 4)))
-        out = getattr(g, op)(a)
-        leaves = [a]
-    elif op == "scale":
-        out = g.scale(a, -1.7)
-        leaves = [a]
+        b = rng.uniform(-2, 2, (3, 5))
     else:
-        out = g.add_scalar(a, 0.3)
-        leaves = [a]
+        b = None
+        if op in ("log", "sqrt"):
+            a = rng.uniform(0.5, 2, (3, 4))
+    values = [a] if b is None else [a, b]
+
+    def apply(g, leaves):
+        if op == "scale":
+            return g.scale(leaves[0], -1.7)
+        if op == "add_scalar":
+            return g.add_scalar(leaves[0], 0.3)
+        return getattr(g, op)(*leaves)
+
+    g = Graph()
+    shape = apply(g, [g.leaf(v) for v in values]).shape
     # reduce to a scalar through a fixed random weighting
-    w = g.leaf(rng.uniform(-1, 1, out.shape))
-    sink = g.sum_all(g.mul(out, w))
-    for leaf in leaves:
-        res = grad_check(g, sink, leaf, step=1e-5)
-        assert res.max_rel_error < 1e-4, (op, res)
+    weighting = rng.uniform(-1, 1, shape)
+
+    def build(*values):
+        g = Graph()
+        leaves = [g.leaf(v) for v in values]
+        return g, g.sum_all(g.mul(apply(g, leaves), g.leaf(weighting))), leaves
+
+    assert fd_error(build, values) < 1e-4, op
 
 
 def test_backward_is_linear_in_the_sink():
@@ -175,27 +184,13 @@ def test_backward_requires_scalar_sink():
         g.backward(g.relu(x))
 
 
-def test_backward_after_rebind_requires_forward():
-    g = Graph()
-    x = g.leaf([[1.0]])
-    sink = g.mul(x, x)
-    x.set_values([[2.0]])
-    with pytest.raises(RuntimeError, match="forward"):
-        g.backward(sink)
-    g.forward()
-    g.backward(sink)
-    np.testing.assert_allclose(x.grad, [[4.0]])
-
-
-def test_backward_accumulates_until_reset():
+def test_backward_accumulates():
     g = Graph()
     x = g.leaf([[3.0]])
     sink = g.mul(x, x)
     g.backward(sink)
     g.backward(sink)
     np.testing.assert_allclose(x.grad, [[12.0]])
-    g.reset_grads()
-    assert x.grad[0, 0] == 0.0
 
 
 def test_pairwise_sqdist_matches_loop_oracle():

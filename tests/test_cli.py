@@ -392,11 +392,33 @@ def _sweep(**section):
     ("test", _test_section((None, "train_classes", 8)),
      "held-out pool (2 classes) is smaller than test.n_way=3: "
      "the world's 10 classes minus train_classes=8"),
+    ("bench", _set(("rectify", "lambda", -0.5)), "rectify.lambda must be >= 0, got -0.5"),
+    ("bench", _set(("rectify", "iterations", -1)), "rectify.iterations must be >= 0, got -1"),
+    ("bench", _set(("rectify", "k", 0)), "rectify.k must be >= 1, got 0"),
+    ("bench", _set(("bench", "p", 1.5)), "bench.p must be in [0, 1], got 1.5"),
+    ("bench", _set(("bench", "r", [1, -1])), "bench.r must be >= 0, got -1"),
+    ("bench", _set(("train", "lr0", 0)), "train.lr0 must be > 0, got 0"),
+    ("bench", _set(("world", "sigma", 0)), "world.sigma must be > 0, got 0"),
+    ("bench", _set(("network", "hidden_dims", [6, 0])),
+     "network.hidden_dims must be positive, got [6, 0]"),
+    ("sweep", _set(("bench", "p", -0.5), ("sweep", "axis", "lambda"), ("sweep", "values", [0.5])),
+     "bench.p must be in [0, 1], got -0.5"),
+    ("train", _set(("corruption", "p", 1.5)), "corruption.p must be in [0, 1], got 1.5"),
+    ("train", _set(("train", "max_epoch", -1)), "train.max_epoch must be >= 0, got -1"),
+    ("gen-world", _set(("world", "classes", 1)), "world.classes must be >= 2, got 1"),
+    ("gen-world", _set(("world", "mean_scale", float("nan"))),
+     "world.mean_scale must be finite, got nan"),
+    ("test", _test_section(("corruption", "p", -0.1)), "corruption.p must be in [0, 1], got -0.1"),
+    ("test", _test_section(("corruption", "r", -1)), "corruption.r must be >= 0, got -1"),
 ], ids=["bench-n_way-empty", "bench-k_shot-empty", "bench-r-empty", "bench-n_way-0",
         "bench-k_shot-0", "bench-k_shot-negative", "bench-k",
         "sweep-values-empty", "sweep-axis", "sweep-lambda-negative", "sweep-k",
         "train-classes-0", "train-classes-11", "train-k",
-        "bench-classes-11", "bench-held-out", "test-classes-11", "test-held-out"])
+        "bench-classes-11", "bench-held-out", "test-classes-11", "test-held-out",
+        "bench-lambda", "bench-iterations", "bench-rectify-k-0", "bench-p", "bench-r-negative",
+        "bench-lr0", "bench-sigma", "bench-hidden-dims", "sweep-p", "train-corruption-p",
+        "train-max-epoch", "gen-world-classes", "gen-world-mean-scale", "test-corruption-p",
+        "test-corruption-r"])
 def test_config_errors_fail_before_any_output(tmp_path, capsys, monkeypatch, command, edit,
                                               message):
     def no_training(*args):
@@ -473,7 +495,8 @@ def test_distance_takes_only_the_listed_spellings(tmp_path, capsys):
     doc["rectify"]["distance"] = "squared-euclidean"
     cfg = write_config(tmp_path, doc)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == ("error: distance must be one of ('euclidean', 'squared'), "
+    assert capsys.readouterr().err == ("error: rectify.distance must be one of "
+                                       "('euclidean', 'squared'), "
                                        "got 'squared-euclidean'\n")
     assert not os.path.exists(tmp_path / "o")
 

@@ -10,7 +10,7 @@ from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
 from fspll.pll_core import (RectifyConfig, classify_proba, compute_prototypes,
                             distance_nodes, knn_indices, loss_nodes,
                             pairwise_distance, posterior_nodes, predict,
-                            prototype_nodes, query_loss, rectify,
+                            prototype_nodes, rectify,
                             smooth_confidence, update_confidence)
 
 # ---------------------------------------------------------------------------
@@ -611,28 +611,6 @@ def test_classify_matches_scalar_softmax_oracle():
     np.testing.assert_allclose(probs.sum(axis=0), 1.0, rtol=0, atol=1e-9)
 
 
-def test_query_loss_uniform():
-    probs = np.full((5, 3), 0.2)
-    np.testing.assert_allclose(query_loss(probs), np.log(5.0), rtol=1e-12)
-
-
-def test_query_loss_confident_column_contributes_zero():
-    probs = np.array([[1.0], [0.0]])
-    assert query_loss(probs) == 0.0
-
-
-def test_query_loss_two_columns():
-    probs = np.array([[0.5, 0.8], [0.5, 0.2]])
-    want = (-np.log(0.5) - np.log(0.8)) / 2.0
-    np.testing.assert_allclose(query_loss(probs), want, rtol=1e-12)
-    assert abs(query_loss(probs) - 0.4581) < 5e-5
-
-
-def test_query_loss_rejects_non_finite():
-    with pytest.raises(ValueError, match="finite"):
-        query_loss(np.array([[np.nan], [1.0]]))
-
-
 def test_predict_argmax_and_tie_break():
     probs = np.array([[0.1, 0.5], [0.7, 0.5], [0.2, 0.0]])
     np.testing.assert_array_equal(predict(probs), [1, 0])
@@ -670,8 +648,8 @@ def test_graph_builders_match_numpy_path():
     np.testing.assert_allclose(probs_node.values, classify_proba(Zq, P), rtol=0, atol=1e-12)
 
     loss_node = loss_nodes(g, probs_node)
-    np.testing.assert_allclose(loss_node.values[0, 0], query_loss(probs_node.values),
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(loss_node.values[0, 0],
+                               -np.log(probs_node.values.max(axis=0)).mean(), rtol=0, atol=1e-12)
 
 
 def test_posterior_nodes_shift_invariance():

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import fspll.trainer
-from fspll.autodiff import grad_check, lse_cols
+from fspll.autodiff import lse_cols
 from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
 from fspll.episodes import CorruptionSpec, Episode, corrupt, make_world, sample_episode
 from fspll.pll_core import RectifyConfig, rectify
 from fspll.trainer import (TrainConfig, _sample_tasks, episode_loss_graph, episode_loss_grad,
-                           lr_at, meta_test, meta_train)
+                           grad_check, lr_at, meta_test, meta_train)
 
 
 def tiny_config(**overrides):
@@ -105,17 +105,62 @@ def test_step_per_task_differs_from_epoch_step():
     assert any(not np.array_equal(a, b) for a, b in zip(pa.weights, pb.weights))
 
 
-def test_loss_gradient_matches_finite_differences_on_frozen_episode():
+def frozen_task(distance, hidden=(6,)):
     world = tiny_world()
-    params = init_network(NetworkSpec(4, (6,), 5), seed=3)
+    params = init_network(NetworkSpec(4, hidden, 5), seed=3)
     episode = corrupt(sample_episode(world, [0, 1, 2], 3, 4, seed=4),
                       CorruptionSpec(1.0, 1), seed=5)
-    cfg = RectifyConfig(iterations=5, lam=0.5, k=2)
+    cfg = RectifyConfig(iterations=5, lam=0.5, k=2, distance=distance)
     _, Q = rectify(embed(params, episode.support), episode.candidates, cfg)
-    graph, sink, layers = episode_loss_graph(params, episode, Q, "euclidean")
-    for w_node, b_node in layers:
-        assert grad_check(graph, sink, w_node, step=1e-5).max_rel_error < 1e-4
-        assert grad_check(graph, sink, b_node, step=1e-5).max_rel_error < 1e-4
+    return params, episode, Q
+
+
+def test_loss_gradient_matches_finite_differences_on_frozen_episode():
+    params, episode, Q = frozen_task("euclidean")
+    res = grad_check(params, episode, Q, "euclidean", step=1e-5)
+    assert res.max_rel_error < 1e-4
+    assert res.checked == params.n_params()
+
+
+@pytest.mark.parametrize("supervised", [False, True])
+@pytest.mark.parametrize("distance", ["euclidean", "squared"])
+def test_grad_check_is_tight_on_every_loss(distance, supervised):
+    params, episode, Q = frozen_task(distance, hidden=(6, 5))
+    res = grad_check(params, episode, Q, distance, supervised)
+    assert res.max_rel_error < 1e-7
+    assert (res.checked, res.excluded) == (params.n_params(), 0)
+
+
+def test_grad_check_sees_one_wrong_gradient_entry(monkeypatch):
+    params, episode, Q = frozen_task("euclidean")
+    loss_grad = fspll.trainer.episode_loss_grad
+
+    def off_by_a_permille(*args):
+        loss, grad_w, grad_b = loss_grad(*args)
+        grad_w[0][0, 0] *= 1 + 1e-3
+        return loss, grad_w, grad_b
+
+    monkeypatch.setattr(fspll.trainer, "episode_loss_grad", off_by_a_permille)
+    res = grad_check(params, episode, Q, "euclidean")
+    assert res.max_rel_error > 1e-5
+
+
+def test_grad_check_excludes_a_relu_kink():
+    params, episode, Q = frozen_task("euclidean")
+    # hidden unit 0's pre-activation is exactly 0 on every sample, so a step
+    # of its weights or bias switches the unit on for one side only
+    params.weights[0][0] = 0.0
+    params.biases[0][0] = 0.0
+    res = grad_check(params, episode, Q, "euclidean")
+    assert res.excluded >= 1
+    assert res.checked + res.excluded == params.n_params()
+    assert res.max_rel_error < 1e-7
+
+
+def test_grad_check_rejects_a_non_positive_step():
+    params, episode, Q = frozen_task("euclidean")
+    with pytest.raises(ValueError, match="step must be positive"):
+        grad_check(params, episode, Q, "euclidean", step=0.0)
 
 
 def graph_gradient(params, episode, Q, distance, supervised):
