@@ -271,8 +271,7 @@ def grad_check(params: NetworkParams, episode: Episode, Q: np.ndarray, distance:
                 continue
             numeric = (f_plus - f_minus) / (2.0 * step)
             max_err = max(max_err, abs(analytic[idx] - numeric) / max(1.0, abs(analytic[idx])))
-    total = sum(x.size for x in arrays)
-    return GradCheckResult(float(max_err), total - excluded, excluded)
+    return GradCheckResult(float(max_err), params.n_params() - excluded, excluded)
 
 
 def _mlp_backward(params: NetworkParams, layers: list[np.ndarray],
