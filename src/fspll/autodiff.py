@@ -1,16 +1,23 @@
-"""Minimal reverse-mode automatic differentiation over dense 2-D float64 arrays.
+"""Minimal reverse-mode automatic differentiation over dense 2-D float64
+arrays, and the builders of the reference loss graph.
 
 A :class:`Graph` owns an ordered list of nodes: a tape. Nodes are created
 through the graph's op methods and evaluated eagerly, so construction order is
 already a topological order; ``backward`` walks it in reverse. A graph is
 built for one set of leaf values; other values need a new graph.
+
+The graph has only the ops that the builders at the bottom call. Together
+they make up trainer.episode_loss_graph, the test reference for the fused
+training gradient; training itself steps with trainer.episode_loss_grad and
+imports nothing from here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-SQRT_EPS = 1e-12  # arguments below this get sqrt(x + SQRT_EPS); keeps gradients finite
+from .embedding import NetworkParams
+from .pll_core import DISTANCE_KINDS, lse_cols, sqdist, sqrt_eps
 
 
 class Tensor:
@@ -39,17 +46,6 @@ class Tensor:
         return f"Tensor(id={self.node_id}, op={self.op!r}, shape={self.shape})"
 
 
-def _as_matrix(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    elif arr.ndim != 2:
-        raise ValueError(f"only 2-D tensors are supported, got ndim={arr.ndim}")
-    return arr.copy()
-
-
 class Graph:
     """Computation graph. Single-writer: backward must not run concurrently."""
 
@@ -64,35 +60,22 @@ class Graph:
         return node
 
     def leaf(self, values) -> Tensor:
-        """Create an input node holding the given values."""
-        return self._new(None, (), _as_matrix(values))
+        """Create an input node holding a C-contiguous copy of the given 2-D values."""
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValueError(f"only 2-D tensors are supported, got ndim={arr.ndim}")
+        return self._new(None, (), arr.copy())
 
     def _parent_values(self, node: Tensor) -> list[np.ndarray]:
         return [self.nodes[i].values for i in node.parents]
 
-    def _check_same_shape(self, op, a: Tensor, b: Tensor):
-        if a.shape != b.shape:
-            raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
-        self._check_same_shape("add", a, b)
-        return self._new("add", (a, b), a.values + b.values)
-
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        self._check_same_shape("sub", a, b)
-        return self._new("sub", (a, b), a.values - b.values)
-
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        self._check_same_shape("mul", a, b)
+        if a.shape != b.shape:
+            raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
         return self._new("mul", (a, b), a.values * b.values)
 
     def scale(self, x: Tensor, c: float) -> Tensor:
         node = self._new("scale", (x,), float(c) * x.values)
-        node.cache["c"] = float(c)
-        return node
-
-    def add_scalar(self, x: Tensor, c: float) -> Tensor:
-        node = self._new("add_scalar", (x,), x.values + float(c))
         node.cache["c"] = float(c)
         return node
 
@@ -131,9 +114,6 @@ class Graph:
         if a.shape[0] != b.shape[0]:
             raise ValueError(f"pairwise_sqdist: shape mismatch {a.shape} vs {b.shape}")
         return self._new("pairwise_sqdist", (a, b), sqdist(a.values, b.values))
-
-    def row_sum(self, x: Tensor) -> Tensor:
-        return self._new("row_sum", (x,), x.values.sum(axis=1, keepdims=True))
 
     def col_sum(self, x: Tensor) -> Tensor:
         return self._new("col_sum", (x,), x.values.sum(axis=0, keepdims=True))
@@ -180,16 +160,10 @@ class Graph:
     def _vjp(self, node: Tensor, g: np.ndarray) -> list[np.ndarray]:
         op = node.op
         pv = self._parent_values(node)
-        if op == "add":
-            return [g, g]
-        if op == "sub":
-            return [g, -g]
         if op == "mul":
             return [g * pv[1], g * pv[0]]
         if op == "scale":
             return [node.cache["c"] * g]
-        if op == "add_scalar":
-            return [g]
         if op == "matmul":
             return [g @ pv[1].T, pv[0].T @ g]
         if op == "add_bias":
@@ -209,8 +183,6 @@ class Graph:
             ga = 2.0 * (a * g.sum(axis=1)[None, :] - b @ g.T)
             gb = 2.0 * (b * g.sum(axis=0)[None, :] - a @ g)
             return [ga, gb]
-        if op == "row_sum":
-            return [np.broadcast_to(g, pv[0].shape).copy()]
         if op == "col_sum":
             return [np.broadcast_to(g, pv[0].shape).copy()]
         if op == "sum_all":
@@ -224,25 +196,63 @@ class Graph:
         raise ValueError(f"unknown op {op!r}")
 
 
-def sqrt_eps(x: np.ndarray) -> np.ndarray:
-    if x.size and x.min() >= SQRT_EPS:  # no entry to shift; NaN takes the where form
-        return np.sqrt(x)
-    return np.sqrt(np.where(x < SQRT_EPS, x + SQRT_EPS, x))
+# -- builders of the reference loss graph ---------------------------------------
+
+def param_leaves(graph: Graph, params: NetworkParams) -> list[tuple[Tensor, Tensor]]:
+    """Bind the network parameters as graph leaves, one (W, b) pair per layer."""
+    return [(graph.leaf(w), graph.leaf(b))
+            for w, b in zip(params.weights, params.biases)]
 
 
-def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between the columns of a (..., m, p) and b (..., m, q).
+def embed_nodes(graph: Graph, layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
+    """Differentiable counterpart of embed(), built from graph leaves."""
+    h = x
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        h = graph.add_bias(graph.matmul(w, h), b)
+        if i < last:
+            h = graph.relu(h)
+    return h
 
-    One einsum over the (..., m, p, q) difference tensor, for every rank, so a
-    stacked call builds that m-fold temporary for the whole stack: at most
-    min(m, l) times pll_core.STACK_BYTES for a stack that stack_size sized.
-    The squares and their sum overflow silently; the subtraction may warn.
-    """
-    diff = a[..., :, :, None] - b[..., :, None, :]
-    return np.einsum("...mpq,...mpq->...pq", diff, diff)
+
+def prototype_nodes(graph: Graph, z: Tensor, Q: np.ndarray) -> Tensor:
+    """Prototypes as graph nodes, columns = classes (m x l). Q is a constant:
+    gradients flow into the support embeddings only."""
+    Q = np.asarray(Q, dtype=np.float64)
+    row_sums = Q.sum(axis=1)
+    if (row_sums <= 0).any():
+        raise ValueError("prototype_nodes: a class has no confident support")
+    weights = (Q / row_sums[:, None]).T
+    return graph.matmul(z, graph.leaf(weights))
 
 
-def lse_cols(x: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each column of x (..., rows, cols), max-shifted."""
-    m = x.max(axis=-2, keepdims=True)
-    return np.log(np.exp(x - m).sum(axis=-2, keepdims=True)) + m
+def distance_nodes(graph: Graph, a: Tensor, b: Tensor, kind: str = "euclidean") -> Tensor:
+    if kind not in DISTANCE_KINDS:
+        raise ValueError(f"distance must be one of {DISTANCE_KINDS}, got {kind!r}")
+    d2 = graph.pairwise_sqdist(a, b)
+    return graph.sqrt(d2) if kind == "euclidean" else d2
+
+
+def posterior_nodes(graph: Graph, distances: Tensor) -> Tensor:
+    """Column-wise softmax of negative distances, via exp(x - logsumexp(x))."""
+    neg = graph.scale(distances, -1.0)
+    return graph.exp(graph.sub_row(neg, graph.logsumexp_cols(neg)))
+
+
+def loss_nodes(graph: Graph, probs: Tensor) -> Tensor:
+    """Mean negative log of per-column maxima, as a 1x1 node."""
+    n_q = probs.shape[1]
+    return graph.scale(graph.sum_all(graph.log(graph.col_max(probs))), -1.0 / n_q)
+
+
+def supervised_loss_nodes(graph: Graph, probs: Tensor, truth: np.ndarray) -> Tensor:
+    """Cross-entropy against known query labels (ablation-only training loss):
+    mean negative log of each column's true-label entry."""
+    truth = np.asarray(truth, dtype=int)
+    l, n_q = probs.shape
+    if truth.shape != (n_q,):
+        raise ValueError(f"truth must have one label per query, got {truth.shape}")
+    mask = np.zeros((l, n_q))
+    mask[truth, np.arange(n_q)] = 1.0
+    picked = graph.col_sum(graph.mul(probs, graph.leaf(mask)))
+    return graph.scale(graph.sum_all(graph.log(picked)), -1.0 / n_q)

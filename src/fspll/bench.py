@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -290,10 +291,10 @@ def sweep(spec: BenchSpec, axis: str, values: list[float],
     base_cells = [Cell(n, k, r, spec.p)
                   for n in spec.n_way for k in spec.k_shot for r in spec.r]
     for v in values:
-        if axis == "lambda" and v < 0:
-            raise ValueError(f"sweep.values: lambda must be >= 0, got {v}")
+        if axis == "lambda" and not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"sweep.values: lambda must be a finite number >= 0, got {v}")
         if axis == "k":
-            if int(v) != v or v < 1:
+            if not math.isfinite(v) or int(v) != v or v < 1:
                 raise ValueError(f"sweep.values: k must be a positive integer, got {v}")
             for cell in base_cells:
                 n_s = cell.n_way * cell.k_shot

@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Graph, Tensor
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -80,23 +78,6 @@ def embed(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     """Map a d x n feature matrix (or a stack of them) through the network;
     returns m x n embeddings."""
     return embed_layers(params, X)[-1]
-
-
-def param_leaves(graph: Graph, params: NetworkParams) -> list[tuple[Tensor, Tensor]]:
-    """Bind the network parameters as graph leaves, one (W, b) pair per layer."""
-    return [(graph.leaf(w), graph.leaf(b))
-            for w, b in zip(params.weights, params.biases)]
-
-
-def embed_nodes(graph: Graph, layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
-    """Differentiable counterpart of embed(), built from graph leaves."""
-    h = x
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        h = graph.add_bias(graph.matmul(w, h), b)
-        if i < last:
-            h = graph.relu(h)
-    return h
 
 
 def save_checkpoint(params: NetworkParams, path) -> None:

@@ -107,6 +107,8 @@ def make_world(seed: int, classes: int, dim: int, sigma: float,
     _check_world(classes, dim, sigma)
     if not np.isfinite(mean_scale):
         raise ValueError(f"world.mean_scale must be finite, got {mean_scale}")
+    if mean_scale <= 0:  # 0 collides every mean; uniform is undefined for high < low
+        raise ValueError(f"world.mean_scale must be > 0, got {mean_scale}")
     rng = np.random.default_rng(seed)
     means = rng.uniform(-mean_scale, mean_scale, size=(classes, dim))
     # equal rows sit side by side once sorted; == keeps float equality

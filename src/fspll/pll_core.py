@@ -23,9 +23,8 @@ case. Each episode of a stack gets the same bits as on its own. stack_size
 picks how many episodes share a call, from the network's widest layer and
 the episode shape.
 
-The *_nodes builders at the bottom are the autodiff-graph counterparts that
-make up trainer.episode_loss_graph, the test reference for the fused training
-gradient; meta-training itself steps with trainer.episode_loss_grad.
+The distance and log-sum-exp kernels (sqdist, sqrt_eps, lse_cols) are shared
+with the fused training loss in trainer.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Graph, Tensor, sqdist, sqrt_eps
 from .embedding import NetworkSpec
 
 DISTANCE_KINDS = ("euclidean", "squared")
+SQRT_EPS = 1e-12  # arguments below this get sqrt(x + SQRT_EPS); keeps gradients finite
 
 # Byte budget for the largest per-episode array of a stacked call: it sets
 # how many episodes share one call, and so bounds the memory stacking adds.
@@ -46,6 +45,30 @@ DISTANCE_KINDS = ("euclidean", "squared")
 # distance plane. sqdist's m x l x n difference tensor is the exception: it
 # is at most min(m, l) times the budget per stack, since width >= max(m, l).
 STACK_BYTES = 256 * 1024
+
+
+def sqrt_eps(x: np.ndarray) -> np.ndarray:
+    if x.size and x.min() >= SQRT_EPS:  # no entry to shift; NaN takes the where form
+        return np.sqrt(x)
+    return np.sqrt(np.where(x < SQRT_EPS, x + SQRT_EPS, x))
+
+
+def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the columns of a (..., m, p) and b (..., m, q).
+
+    One einsum over the (..., m, p, q) difference tensor, for every rank, so a
+    stacked call builds that m-fold temporary for the whole stack: at most
+    min(m, l) times STACK_BYTES for a stack that stack_size sized.
+    The squares and their sum overflow silently; the subtraction may warn.
+    """
+    diff = a[..., :, :, None] - b[..., :, None, :]
+    return np.einsum("...mpq,...mpq->...pq", diff, diff)
+
+
+def lse_cols(x: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each column of x (..., rows, cols), max-shifted."""
+    m = x.max(axis=-2, keepdims=True)
+    return np.log(np.exp(x - m).sum(axis=-2, keepdims=True)) + m
 
 
 def stack_size(spec: NetworkSpec, n_way: int, k_support: int, k_query: int) -> int:
@@ -73,8 +96,8 @@ class RectifyConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError(f"rectify.iterations must be >= 0, got {self.iterations}")
-        if self.lam < 0:
-            raise ValueError(f"rectify.lambda must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):  # NaN would skip smoothing silently
+            raise ValueError(f"rectify.lambda must be a finite number >= 0, got {self.lam}")
         if self.k is not None and self.k < 1:
             raise ValueError(f"rectify.k must be >= 1, got {self.k}")
         if self.distance not in DISTANCE_KINDS:
@@ -135,8 +158,9 @@ def _prototypes(ZT: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def pairwise_distance(A: np.ndarray, B: np.ndarray, kind: str = "euclidean") -> np.ndarray:
     """Distances between columns of A (m x a) and B (m x b), an a x b matrix.
 
-    Euclidean distances follow the same epsilon-shifted square root as the
-    autodiff sqrt primitive, so both code paths agree to the last bit.
+    Euclidean distances take sqrt_eps, the epsilon-shifted square root that
+    the training loss and the reference graph's sqrt take too, so all three
+    agree to the last bit.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -171,13 +195,18 @@ def update_confidence(D: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _confidence(D: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """update_confidence's kernel; cand is Y > 0, with a candidate in every
-    column. Non-candidates are set to +inf before the shift, so exp gives an
-    exact 0 there and cannot overflow."""
+    column. Each column of D is shifted by its least candidate distance, so
+    candidates get exponents <= 0. A non-candidate's exponent is clamped at
+    0, so exp cannot overflow where it is far closer, and multiplying by cand
+    then zeroes it as +0.0. Shifting D, not a copy holding -inf at the
+    non-candidates, keeps exp off NumPy's slow special-value path."""
     if not np.isfinite(D).all():
         raise ValueError("update_confidence: distances must be finite")
     x = np.where(cand, D, np.inf)
-    np.subtract(x.min(axis=-2, keepdims=True), x, out=x)
+    np.subtract(x.min(axis=-2, keepdims=True), D, out=x)
+    np.minimum(x, 0.0, out=x)
     np.exp(x, out=x)
+    x *= cand
     x /= x.sum(axis=-2, keepdims=True)
     return x
 
@@ -326,48 +355,3 @@ def classify_proba(Z_q: np.ndarray, P: np.ndarray, kind: str = "euclidean") -> n
 def predict(probs: np.ndarray) -> np.ndarray:
     """Label index of each column's largest posterior; ties go to the lowest index."""
     return np.asarray(probs).argmax(axis=-2)
-
-
-# -- graph builders (reference loss graph for gradient tests) -----------------
-
-def prototype_nodes(graph: Graph, z: Tensor, Q: np.ndarray) -> Tensor:
-    """Prototypes as graph nodes, columns = classes (m x l). Q is a constant:
-    gradients flow into the support embeddings only."""
-    Q = np.asarray(Q, dtype=np.float64)
-    row_sums = Q.sum(axis=1)
-    if (row_sums <= 0).any():
-        raise ValueError("prototype_nodes: a class has no confident support")
-    weights = (Q / row_sums[:, None]).T
-    return graph.matmul(z, graph.leaf(weights))
-
-
-def distance_nodes(graph: Graph, a: Tensor, b: Tensor, kind: str = "euclidean") -> Tensor:
-    if kind not in DISTANCE_KINDS:
-        raise ValueError(f"distance must be one of {DISTANCE_KINDS}, got {kind!r}")
-    d2 = graph.pairwise_sqdist(a, b)
-    return graph.sqrt(d2) if kind == "euclidean" else d2
-
-
-def posterior_nodes(graph: Graph, distances: Tensor) -> Tensor:
-    """Column-wise softmax of negative distances, via exp(x - logsumexp(x))."""
-    neg = graph.scale(distances, -1.0)
-    return graph.exp(graph.sub_row(neg, graph.logsumexp_cols(neg)))
-
-
-def loss_nodes(graph: Graph, probs: Tensor) -> Tensor:
-    """Mean negative log of per-column maxima, as a 1x1 node."""
-    n_q = probs.shape[1]
-    return graph.scale(graph.sum_all(graph.log(graph.col_max(probs))), -1.0 / n_q)
-
-
-def supervised_loss_nodes(graph: Graph, probs: Tensor, truth: np.ndarray) -> Tensor:
-    """Cross-entropy against known query labels (ablation-only training loss):
-    mean negative log of each column's true-label entry."""
-    truth = np.asarray(truth, dtype=int)
-    l, n_q = probs.shape
-    if truth.shape != (n_q,):
-        raise ValueError(f"truth must have one label per query, got {truth.shape}")
-    mask = np.zeros((l, n_q))
-    mask[truth, np.arange(n_q)] = 1.0
-    picked = graph.col_sum(graph.mul(probs, graph.leaf(mask)))
-    return graph.scale(graph.sum_all(graph.log(picked)), -1.0 / n_q)

@@ -35,13 +35,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import SQRT_EPS, Graph, Tensor, lse_cols, sqdist, sqrt_eps
-from .embedding import (NetworkParams, NetworkSpec, embed, embed_layers, embed_nodes,
-                        init_network, param_leaves)
+from .autodiff import (Graph, Tensor, distance_nodes, embed_nodes, loss_nodes, param_leaves,
+                       posterior_nodes, prototype_nodes, supervised_loss_nodes)
+from .embedding import NetworkParams, NetworkSpec, embed, embed_layers, init_network
 from .episodes import CorruptionSpec, Episode, World, corrupt, sample_episode
-from .pll_core import (RectifyConfig, classify_proba, distance_nodes, loss_nodes,
-                       posterior_nodes, predict, prototype_nodes, rectify, stack_size,
-                       supervised_loss_nodes)
+from .pll_core import (SQRT_EPS, RectifyConfig, classify_proba, lse_cols, predict, rectify,
+                       sqdist, sqrt_eps, stack_size)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,16 @@
+import ast
+import os
 import zlib
 
 import numpy as np
 import pytest
 
-from fspll.autodiff import SQRT_EPS, Graph, sqrt_eps
+import fspll
+from fspll.autodiff import Graph
+from fspll.embedding import NetworkSpec, init_network
+from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
+from fspll.pll_core import SQRT_EPS, sqrt_eps
+from fspll.trainer import episode_loss_graph
 
 
 def fd_error(build, values, step=1e-5):
@@ -96,15 +103,14 @@ def test_grad_check_quadratic_is_tight():
 
 
 @pytest.mark.parametrize("op", [
-    "add", "sub", "mul", "matmul", "add_bias", "sub_row", "relu", "exp",
-    "log", "sqrt", "pairwise_sqdist", "row_sum", "col_sum", "sum_all",
-    "logsumexp_cols", "col_max", "scale", "add_scalar",
+    "mul", "matmul", "add_bias", "sub_row", "relu", "exp", "log", "sqrt",
+    "pairwise_sqdist", "col_sum", "sum_all", "logsumexp_cols", "col_max", "scale",
 ])
 def test_every_primitive_matches_finite_differences(op):
     # str hash() is salted per process; crc32 gives every run the same inputs
     rng = np.random.default_rng(zlib.crc32(op.encode()))
     a = rng.uniform(-2, 2, (3, 4))
-    if op in ("add", "sub", "mul"):
+    if op == "mul":
         b = rng.uniform(-2, 2, (3, 4))
     elif op == "matmul":
         b = rng.uniform(-2, 2, (4, 5))
@@ -123,8 +129,6 @@ def test_every_primitive_matches_finite_differences(op):
     def apply(g, leaves):
         if op == "scale":
             return g.scale(leaves[0], -1.7)
-        if op == "add_scalar":
-            return g.add_scalar(leaves[0], 0.3)
         return getattr(g, op)(*leaves)
 
     g = Graph()
@@ -154,7 +158,8 @@ def test_backward_is_linear_in_the_sink():
 
     gf = grads(lambda g, f, h: f)
     gh = grads(lambda g, f, h: h)
-    combined = grads(lambda g, f, h: g.add(g.scale(f, a_coef), g.scale(h, b_coef)))
+    # a f + b h as a f - (-b h), from ops the loss graph uses
+    combined = grads(lambda g, f, h: g.sub_row(g.scale(f, a_coef), g.scale(h, -b_coef)))
     np.testing.assert_allclose(combined, a_coef * gf + b_coef * gh, rtol=0, atol=1e-10)
 
 
@@ -227,3 +232,29 @@ def test_sqrt_eps_matches_its_shifted_form(x):
     x = np.asarray(x, dtype=np.float64)
     np.testing.assert_array_equal(sqrt_eps(x),
                                   np.sqrt(np.where(x < SQRT_EPS, x + SQRT_EPS, x)))
+
+
+@pytest.mark.parametrize("module", ["episodes", "embedding", "pll_core", "bench"])
+def test_the_pipeline_imports_nothing_from_autodiff(module):
+    # the graph is only the fused gradient's test reference: training,
+    # rectification and evaluation must run without it
+    path = os.path.join(os.path.dirname(fspll.__file__), f"{module}.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            assert not any("autodiff" in name.split(".") for name in names), \
+                f"{module}.py line {node.lineno} imports from autodiff"
+
+
+def test_every_op_builds_the_reference_loss():
+    rng = np.random.default_rng(5)
+    world = make_world(3, classes=6, dim=5, sigma=0.6)
+    episode = corrupt(sample_episode(world, [0, 1, 2], 3, 4, rng), CorruptionSpec(1.0, 1), rng)
+    params = init_network(NetworkSpec(5, (6,), 4), 9)
+    Q = episode.candidates / episode.candidates.sum(axis=0)
+    built = {node.op for supervised in (False, True)
+             for node in episode_loss_graph(params, episode, Q, "euclidean", supervised)[0].nodes}
+    ops = {name for name in vars(Graph) if not name.startswith("_")} - {"backward"}
+    assert built - {None} == ops - {"leaf"}

@@ -373,9 +373,18 @@ def _sweep(**section):
      "3 x 3 = 9"),
     ("sweep", _sweep(values=[]), "sweep.values must list at least one value"),
     ("sweep", _sweep(axis="mu"), "sweep.axis must be one of ('lambda', 'k'), got 'mu'"),
-    ("sweep", _sweep(values=[-1.0]), "sweep.values: lambda must be >= 0, got -1.0"),
+    ("sweep", _sweep(values=[-1.0]),
+     "sweep.values: lambda must be a finite number >= 0, got -1.0"),
+    ("sweep", _sweep(values=[0.5, float("nan")]),
+     "sweep.values: lambda must be a finite number >= 0, got nan"),
+    ("sweep", _sweep(values=[0.5, float("inf")]),
+     "sweep.values: lambda must be a finite number >= 0, got inf"),
     ("sweep", _sweep(axis="k", values=[9]),
      "sweep.values: k=9 must be < n_s=9 for cell N3-K3-r1-p1"),
+    ("sweep", _sweep(axis="k", values=[2, float("nan")]),
+     "sweep.values: k must be a positive integer, got nan"),
+    ("sweep", _sweep(axis="k", values=[2, float("inf")]),
+     "sweep.values: k must be a positive integer, got inf"),
     ("train", _set((None, "train_classes", 0)),
      "train_classes=0 must be between train.n_way=3 and the world's 10 classes"),
     ("train", _set((None, "train_classes", 11)),
@@ -392,7 +401,12 @@ def _sweep(**section):
     ("test", _test_section((None, "train_classes", 8)),
      "held-out pool (2 classes) is smaller than test.n_way=3: "
      "the world's 10 classes minus train_classes=8"),
-    ("bench", _set(("rectify", "lambda", -0.5)), "rectify.lambda must be >= 0, got -0.5"),
+    ("bench", _set(("rectify", "lambda", -0.5)),
+     "rectify.lambda must be a finite number >= 0, got -0.5"),
+    ("bench", _set(("rectify", "lambda", float("nan"))),
+     "rectify.lambda must be a finite number >= 0, got nan"),
+    ("bench", _set(("rectify", "lambda", float("inf"))),
+     "rectify.lambda must be a finite number >= 0, got inf"),
     ("bench", _set(("rectify", "iterations", -1)), "rectify.iterations must be >= 0, got -1"),
     ("bench", _set(("rectify", "k", 0)), "rectify.k must be >= 1, got 0"),
     ("bench", _set(("bench", "p", 1.5)), "bench.p must be in [0, 1], got 1.5"),
@@ -408,16 +422,19 @@ def _sweep(**section):
     ("gen-world", _set(("world", "classes", 1)), "world.classes must be >= 2, got 1"),
     ("gen-world", _set(("world", "mean_scale", float("nan"))),
      "world.mean_scale must be finite, got nan"),
+    ("gen-world", _set(("world", "mean_scale", 0)), "world.mean_scale must be > 0, got 0"),
     ("test", _test_section(("corruption", "p", -0.1)), "corruption.p must be in [0, 1], got -0.1"),
     ("test", _test_section(("corruption", "r", -1)), "corruption.r must be >= 0, got -1"),
 ], ids=["bench-n_way-empty", "bench-k_shot-empty", "bench-r-empty", "bench-n_way-0",
         "bench-k_shot-0", "bench-k_shot-negative", "bench-k",
-        "sweep-values-empty", "sweep-axis", "sweep-lambda-negative", "sweep-k",
+        "sweep-values-empty", "sweep-axis", "sweep-lambda-negative", "sweep-lambda-nan",
+        "sweep-lambda-inf", "sweep-k", "sweep-k-nan", "sweep-k-inf",
         "train-classes-0", "train-classes-11", "train-k",
         "bench-classes-11", "bench-held-out", "test-classes-11", "test-held-out",
-        "bench-lambda", "bench-iterations", "bench-rectify-k-0", "bench-p", "bench-r-negative",
+        "bench-lambda", "bench-lambda-nan", "bench-lambda-inf", "bench-iterations", "bench-rectify-k-0", "bench-p", "bench-r-negative",
         "bench-lr0", "bench-sigma", "bench-hidden-dims", "sweep-p", "train-corruption-p",
-        "train-max-epoch", "gen-world-classes", "gen-world-mean-scale", "test-corruption-p",
+        "train-max-epoch", "gen-world-classes", "gen-world-mean-scale",
+        "gen-world-mean-scale-0", "test-corruption-p",
         "test-corruption-r"])
 def test_config_errors_fail_before_any_output(tmp_path, capsys, monkeypatch, command, edit,
                                               message):

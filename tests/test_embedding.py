@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from fspll.autodiff import Graph
-from fspll.embedding import (NetworkSpec, embed, embed_nodes, init_network,
-                             load_checkpoint, param_leaves, save_checkpoint)
+from fspll.autodiff import Graph, embed_nodes, param_leaves
+from fspll.embedding import NetworkSpec, embed, init_network, load_checkpoint, save_checkpoint
 
 from test_autodiff import fd_error
 

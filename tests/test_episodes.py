@@ -27,12 +27,18 @@ def test_world_rejects_bad_params():
         make_world(1, classes=5, dim=0, sigma=0.5)
 
 
-# mean_scale 0 puts every class mean at the origin; the smallest subnormal
-# scale leaves 5 one-dimensional means 3 values to share
-@pytest.mark.parametrize("dim, mean_scale", [(3, 0.0), (1, 5e-324)], ids=["zero", "subnormal"])
+# the smallest subnormal scale leaves 5 one-dimensional means 3 values to share
+@pytest.mark.parametrize("dim, mean_scale", [(1, 5e-324)], ids=["subnormal"])
 def test_world_rejects_collided_means(dim, mean_scale):
     with pytest.raises(ValueError, match="class means collided"):
         make_world(1, classes=5, dim=dim, sigma=0.5, mean_scale=mean_scale)
+
+
+# 0 puts every class mean at the origin, whatever the seed
+@pytest.mark.parametrize("mean_scale", [0.0, -1.0], ids=["zero", "negative"])
+def test_world_rejects_a_non_positive_mean_scale(mean_scale):
+    with pytest.raises(ValueError, match=f"world.mean_scale must be > 0, got {mean_scale}"):
+        make_world(1, classes=5, dim=3, sigma=0.5, mean_scale=mean_scale)
 
 
 def test_world_manifest_round_trip():

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 import fspll.pll_core
-from fspll.autodiff import SQRT_EPS, Graph, sqdist
+from fspll.autodiff import Graph, distance_nodes, loss_nodes, posterior_nodes, prototype_nodes
 from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
-from fspll.pll_core import (RectifyConfig, classify_proba, compute_prototypes,
-                            distance_nodes, knn_indices, loss_nodes,
-                            pairwise_distance, posterior_nodes, predict,
-                            prototype_nodes, rectify,
-                            smooth_confidence, update_confidence)
+from fspll.pll_core import (SQRT_EPS, RectifyConfig, classify_proba, compute_prototypes,
+                            knn_indices, pairwise_distance, predict, rectify,
+                            smooth_confidence, sqdist, update_confidence)
 
 # ---------------------------------------------------------------------------
 # straight-line oracle: unvectorized reimplementation of the rectification

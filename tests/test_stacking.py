@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 import fspll.pll_core
-from fspll.autodiff import sqdist
 from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
 from fspll.episodes import CorruptionSpec, Episode, corrupt, make_world, sample_episode
 from fspll.pll_core import (DISTANCE_KINDS, RectifyConfig, classify_proba, compute_prototypes,
                             knn_indices, pairwise_distance, predict, rectify,
-                            smooth_confidence, stack_size, update_confidence,
+                            smooth_confidence, sqdist, stack_size, update_confidence,
                             validate_candidates)
 from fspll.trainer import TrainConfig, episode_loss_grad, lr_at, meta_test, meta_train
 

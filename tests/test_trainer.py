@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import fspll.trainer
-from fspll.autodiff import lse_cols
 from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
 from fspll.episodes import CorruptionSpec, Episode, corrupt, make_world, sample_episode
-from fspll.pll_core import RectifyConfig, rectify
+from fspll.pll_core import RectifyConfig, lse_cols, rectify
 from fspll.trainer import (TrainConfig, _sample_tasks, episode_loss_graph, episode_loss_grad,
                            grad_check, lr_at, meta_test, meta_train)
 
