@@ -2,15 +2,17 @@
 sensitivity sweeps, CSV/JSON report emission.
 
 All methods of a grid cell are scored on the identical per-round episode
-stream (one content hash per round is kept for auditing). Rounds are drawn
-and scored in stacks of equal-shape episodes; each round's episode comes from
-its own stream key, so stacking changes no result. Checkpoints are
+stream (one content hash per round is kept for auditing): score_rounds draws
+a cell's rounds in stacks of equal-shape episodes and scores every run on
+each stack, and `fspll test` scores its one checkpoint through it. Each
+round's episode comes from its own stream key, so stacking changes no
+result. Checkpoints are
 trained once per distinct training signature and shared; "plus" variants
 meta-train on clean labels, everything else meta-trains under the same
 corruption as the cell it is evaluated in. On clean labels (r = 0 or p = 0)
 rectification is the identity, so a clean-label signature keeps only the
 distance of its rectify config (and r = 0): every method of an r = 0 cell,
-and both "plus" variants, share one checkpoint. Likewise a stack of rounds is
+and both "plus" variants, share one checkpoint. Likewise a cell's rounds are
 scored once per (checkpoint, effective test config), and every method of an
 r = 0 cell shares one.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .embedding import NetworkParams
-from .episodes import CorruptionSpec, World, corrupt, episode_hash, sample_episode, world_to_manifest
+from .episodes import CorruptionSpec, World, draw_episodes, episode_hash, world_to_manifest
 from .pll_core import RectifyConfig, stack_size
 from .trainer import TrainConfig, meta_test, meta_train
 
@@ -197,26 +199,30 @@ def _train_for(spec: BenchSpec, variant: MethodVariant, r_cell: int,
     return cache[key]
 
 
-def _stream_rng(eval_seed: int, cell: Cell, round_no: int) -> np.random.Generator:
-    # The stream key deliberately excludes method and sweep axis so paired
-    # comparisons consume identical episodes.
-    return np.random.default_rng([eval_seed, cell.n_way, cell.k_shot, cell.r, round_no])
+def score_rounds(world: World, train_classes: int, k_query: int, eval_seed: int, cell: Cell,
+                 rounds: int, runs: list[tuple[NetworkParams, RectifyConfig]]
+                 ) -> tuple[list[str], list[list[float]]]:
+    """Draw the cell's rounds and score each (checkpoint, test rectify config)
+    run on them; return the per-round hashes and each run's per-round
+    accuracies.
 
-
-def _round_chunks(world: World, train_classes: int, k_query: int, eval_seed: int,
-                  cell: Cell, rounds: int, size: int):
-    """Yield the cell's rounds as episode stacks in round order, `size` rounds
-    at a time. Each round's episode is drawn on the held-out classes (every
-    world class from train_classes on) from its own stream and corrupted by
-    the cell's (p, r)."""
+    Round i is drawn on the held-out classes (every world class from
+    train_classes on) from its own stream and corrupted by the cell's (p, r);
+    the rounds are drawn and scored in stacks, in round order. The stream key
+    leaves out method and sweep axis, so every run sees the same episodes."""
     held_out = np.arange(train_classes, world.classes)
     corruption = CorruptionSpec(cell.p, cell.r)
+    size = stack_size(runs[0][0].spec, cell.n_way, cell.k_shot, k_query)
+    hashes, accuracies = [], [[] for _ in runs]
     for start in range(0, rounds, size):
-        rngs = [_stream_rng(eval_seed, cell, r) for r in range(start, min(start + size, rounds))]
-        class_ids = np.stack([rng.choice(held_out, size=cell.n_way, replace=False)
-                              for rng in rngs])
-        episodes = sample_episode(world, class_ids, cell.k_shot, k_query, rngs)
-        yield corrupt(episodes, corruption, rngs)
+        rngs = [np.random.default_rng([eval_seed, cell.n_way, cell.k_shot, cell.r, i])
+                for i in range(start, min(start + size, rounds))]
+        episodes = draw_episodes(world, held_out, cell.n_way, cell.k_shot, k_query,
+                                 corruption, rngs)
+        hashes.extend(episode_hash(episodes))
+        for (params, test), accs in zip(runs, accuracies):
+            accs.extend(r.accuracy for r in meta_test(params, episodes, test))
+    return hashes, accuracies
 
 
 def _run_cells(spec: BenchSpec, cells: list[Cell],
@@ -234,25 +240,19 @@ def _run_cells(spec: BenchSpec, cells: list[Cell],
     cache: dict = {}
     for cell in cells:
         label = cell.label()
-        cell_variants = variants[label]
-        corruption = CorruptionSpec(cell.p, cell.r)
-        hashes[label] = []
-        for variant in cell_variants:
-            accuracies[(label, variant.name)] = []
-        size = stack_size(spec.train.network, cell.n_way, cell.k_shot, spec.k_query)
-        for episodes in _round_chunks(spec.world, spec.train.train_classes, spec.k_query,
-                                      spec.eval_seed, cell, spec.rounds, size):
-            hashes[label].extend(episode_hash(episodes))
-            # (checkpoint, effective test config) -> accuracies; the cache
-            # keeps every checkpoint alive, so its id names it
-            scored: dict = {}
-            for variant in cell_variants:
-                params = _train_for(spec, variant, cell.r, cache)
-                test = _effective(variant.test_rectify, corruption)
-                key = (id(params), test)
-                if key not in scored:
-                    scored[key] = [r.accuracy for r in meta_test(params, episodes, test)]
-                accuracies[(label, variant.name)].extend(scored[key])
+        # (checkpoint, effective test config) -> run; the cache keeps every
+        # checkpoint alive, so its id names it
+        runs, keys = {}, {}
+        for variant in variants[label]:
+            params = _train_for(spec, variant, cell.r, cache)
+            test = _effective(variant.test_rectify, CorruptionSpec(cell.p, cell.r))
+            keys[variant.name] = (id(params), test)
+            runs[keys[variant.name]] = (params, test)
+        hashes[label], accs = score_rounds(spec.world, spec.train.train_classes, spec.k_query,
+                                           spec.eval_seed, cell, spec.rounds, list(runs.values()))
+        scored = dict(zip(runs, accs))
+        for name, key in keys.items():
+            accuracies[(label, name)] = list(scored[key])
     meta = {
         "config_hash": config_hash(spec.signature()),
         "seeds": {"world": spec.world.seed, "init": spec.train.init_seed,

@@ -18,14 +18,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import (METHODS, SWEEP_AXES, BenchSpec, Cell, _round_chunks, check_held_out,
-                    run_benchmark, sweep, write_report)
+from .bench import (METHODS, SWEEP_AXES, BenchSpec, Cell, check_held_out, run_benchmark,
+                    score_rounds, sweep, write_report)
 from .embedding import NetworkSpec, embed_layers, init_network, load_checkpoint, save_checkpoint
-from .episodes import (CorruptionSpec, corrupt, episode_hash, make_world, sample_episode,
-                       world_from_manifest, world_to_manifest)
-from .pll_core import DISTANCE_KINDS, RectifyConfig, rectify, stack_size
-from .trainer import (TrainConfig, episode_loss_graph, episode_loss_grad, grad_check, meta_test,
-                      meta_train)
+from .episodes import (CorruptionSpec, corrupt, make_world, sample_episode, world_from_manifest,
+                       world_to_manifest)
+from .pll_core import DISTANCE_KINDS, RectifyConfig, rectify
+from .trainer import TrainConfig, episode_loss_graph, episode_loss_grad, grad_check, meta_train
 
 # Every config key with its default, laid out like the JSON file. Parsing, the
 # --help epilog and train's config.json all derive from this table, and a key
@@ -253,12 +252,8 @@ def cmd_test(args) -> int:
     params = load_checkpoint(_resolve(section["checkpoint"], base_dir))
 
     rounds = section["rounds"]
-    accs, hashes = [], []
-    size = stack_size(params.spec, cell.n_way, cell.k_shot, section["k_query"])
-    for episodes in _round_chunks(world, cfg["train_classes"], section["k_query"],
-                                  section["eval_seed"], cell, rounds, size):
-        hashes.extend(episode_hash(episodes))
-        accs.extend(r.accuracy for r in meta_test(params, episodes, rect))
+    hashes, [accs] = score_rounds(world, cfg["train_classes"], section["k_query"],
+                                  section["eval_seed"], cell, rounds, [(params, rect)])
 
     mean, std = float(np.mean(accs)), float(np.std(accs))
     print(f"accuracy over {rounds} rounds: {mean:.6f} +/- {std:.6f}")

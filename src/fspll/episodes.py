@@ -10,10 +10,11 @@ Everything is a pure function of explicit seeds. Sampling and corruption also
 take a stack of T equal-shape episodes, each with its own generator: every
 array of the Episode then has a leading axis of length T, and a 2-D episode
 is the unstacked case. Each generator makes the same calls in the same order
-as for its episode on its own (the class choice, made by the caller; the
-support normals, then the query normals; the hit draw; the irrelevant-label
-words), so a stack holds, bit for bit, the episodes drawn one at a time.
-Everything but those calls runs once over the whole stack.
+as for its episode on its own (the class choice; the support normals, then
+the query normals; the hit draw; the irrelevant-label words), so a stack
+holds, bit for bit, the episodes drawn one at a time. Everything but those
+calls runs once over the whole stack. draw_episodes makes the calls in that
+order; training tasks and benchmark rounds are both drawn by it.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ def _check_world(classes: int, dim: int, sigma: float) -> None:
         raise ValueError(f"world.dim must be >= 1, got {dim}")
     if not sigma > 0:
         raise ValueError(f"world.sigma must be > 0, got {sigma}")
+    if sigma == np.inf:
+        raise ValueError(f"world.sigma must be finite, got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,9 @@ def make_world(seed: int, classes: int, dim: int, sigma: float,
         raise ValueError(f"world.mean_scale must be finite, got {mean_scale}")
     if mean_scale <= 0:  # 0 collides every mean; uniform is undefined for high < low
         raise ValueError(f"world.mean_scale must be > 0, got {mean_scale}")
+    if mean_scale > np.finfo(float).max / 2:  # uniform needs a finite high - low
+        raise ValueError(f"world.mean_scale must be <= {np.finfo(float).max / 2}, "
+                         f"got {mean_scale}")
     rng = np.random.default_rng(seed)
     means = rng.uniform(-mean_scale, mean_scale, size=(classes, dim))
     # equal rows sit side by side once sorted; == keeps float equality
@@ -245,6 +251,14 @@ def corrupt(episode: Episode, spec: CorruptionSpec, seed) -> Episode:
         extra += extra >= np.take_along_axis(truth, hit, axis=1)[..., None]
         stack[np.arange(len(stack))[:, None, None], extra, hit[..., None]] = 1
     return replace(episode, candidates=Y)
+
+
+def draw_episodes(world: World, pool: np.ndarray, n_way: int, k_support: int, k_query: int,
+                  corruption: CorruptionSpec, rngs) -> Episode:
+    """A stack of corrupted episodes, one per generator of `rngs`: each picks
+    its n_way classes from `pool`, then draws its samples, then corrupts them."""
+    class_ids = np.stack([rng.choice(pool, size=n_way, replace=False) for rng in rngs])
+    return corrupt(sample_episode(world, class_ids, k_support, k_query, rngs), corruption, rngs)
 
 
 def episode_hash(episode: Episode) -> str | list[str]:

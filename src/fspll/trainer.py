@@ -8,14 +8,14 @@ run the rectification loop on it to get label confidences (held constant for
 gradients), then evaluate the loss and its gradient in one fused
 closed-form pass (episode_loss_grad) -- support embeddings feed the
 prototypes, query embeddings feed the posterior, the loss is the mean
-negative log of the top posterior per query. One plain SGD step per epoch on
-the task-averaged gradient (per-task stepping available by flag); the
-learning rate halves on a fixed epoch period. Per-task stepping slices the
-epoch's stack task by task, since the parameters change after every task.
-Under the per-epoch step they are fixed within an epoch, so its tasks are
-embedded, rectified and differentiated in stacks of pll_core.stack_size
-tasks (a whole epoch when the network is narrow); the per-task gradients
-then sum task by task, in task order.
+negative log of the top posterior per query. One loop runs over an epoch's
+tasks in stacks: each stack is embedded, rectified and differentiated at
+once, and its per-task gradients sum task by task, in task order. By default
+the parameters are fixed within an epoch, a stack holds pll_core.stack_size
+tasks (a whole epoch when the network is narrow), and one plain SGD step at
+lr / tasks_per_epoch follows the epoch. step_per_task makes each stack one
+task and steps at lr after it. The learning rate halves on a fixed epoch
+period.
 
 episode_loss_graph builds the same loss on the autodiff graph. Training does
 not use it: it is the reference the fused gradient is tested against.
@@ -38,7 +38,7 @@ import numpy as np
 from .autodiff import (Graph, Tensor, distance_nodes, embed_nodes, loss_nodes, param_leaves,
                        posterior_nodes, prototype_nodes, supervised_loss_nodes)
 from .embedding import NetworkParams, NetworkSpec, embed, embed_layers, init_network
-from .episodes import CorruptionSpec, Episode, World, corrupt, sample_episode
+from .episodes import CorruptionSpec, Episode, World, draw_episodes
 from .pll_core import (SQRT_EPS, RectifyConfig, classify_proba, lse_cols, predict, rectify,
                        sqdist, sqrt_eps, stack_size)
 
@@ -73,6 +73,8 @@ class TrainConfig:
                 raise ValueError(f"train.{name} must be >= 1, got {getattr(self, name)}")
         if not self.lr0 > 0:
             raise ValueError(f"train.lr0 must be > 0, got {self.lr0}")
+        if self.lr0 == np.inf:
+            raise ValueError(f"train.lr0 must be finite, got {self.lr0}")
         if self.corruption.r > self.n_way - 1:
             raise ValueError(f"corruption.r={self.corruption.r} needs r + 1 classes per "
                              f"training task, but train.n_way is {self.n_way}")
@@ -293,19 +295,8 @@ def _sample_tasks(config: TrainConfig, world: World, pool: np.ndarray,
     """The epoch's tasks as one stack; task t draws from its own stream."""
     rngs = [np.random.default_rng([config.task_seed, epoch, task])
             for task in range(config.tasks_per_epoch)]
-    class_ids = np.stack([rng.choice(pool, size=config.n_way, replace=False) for rng in rngs])
-    episodes = sample_episode(world, class_ids, config.k_support, config.k_query, rngs)
-    return corrupt(episodes, config.corruption, rngs)
-
-
-def _task_loss_grad(params: NetworkParams, episode: Episode, rect: RectifyConfig,
-                    supervised: bool
-                    ) -> tuple[float | np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """episode_loss_grad of a task, or of a stack of tasks, after embedding
-    and rectifying its support set."""
-    layers = embed_layers(params, episode.support)
-    _, Q = rectify(layers[-1], episode.candidates, rect)
-    return episode_loss_grad(params, layers, episode, Q, rect.distance, supervised)
+    return draw_episodes(world, pool, config.n_way, config.k_support, config.k_query,
+                         config.corruption, rngs)
 
 
 def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainLog]:
@@ -319,51 +310,39 @@ def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainL
                          f"{config.n_way} and the world's {world.classes} classes")
     pool = np.arange(n_pool)
     rect = config.resolved_rectify()
-    chunk = stack_size(config.network, config.n_way, config.k_support, config.k_query)
+    step = 1 if config.step_per_task else config.tasks_per_epoch  # tasks per SGD step
+    chunk = min(step, stack_size(config.network, config.n_way, config.k_support,
+                                 config.k_query))
 
     params = init_network(config.network, config.init_seed)
     log = TrainLog()
+    n = len(params.weights)
     fixed = _sample_tasks(config, world, pool, 0) if config.fixed_tasks else None
     for epoch in range(config.max_epoch):
         t0 = time.perf_counter()
         lr = lr_at(epoch, config.lr0, config.lr_half_period)
         tasks = fixed if config.fixed_tasks else _sample_tasks(config, world, pool, epoch)
-        loss_sum = 0.0
-        if config.step_per_task:
-            # the parameters change after every task: no stacking
-            for task in range(config.tasks_per_epoch):
-                loss, task_w, task_b = _task_loss_grad(params, tasks[task], rect,
-                                                       config.supervised_loss)
-                _check_loss(loss, epoch, task)
+        loss_sum, grads = 0.0, None  # grads: weights' then biases' sum since the last step
+        for start in range(0, config.tasks_per_epoch, chunk):
+            stack = tasks[start:start + chunk]
+            layers = embed_layers(params, stack.support)
+            _, Q = rectify(layers[-1], stack.candidates, rect)
+            stack_loss, stack_w, stack_b = episode_loss_grad(
+                params, layers, stack, Q, rect.distance, config.supervised_loss)
+            for t, loss in enumerate(stack_loss.tolist()):
+                if not np.isfinite(loss):
+                    raise RuntimeError(f"non-finite loss at epoch {epoch}, task {start + t}")
                 loss_sum += loss
-                for i in range(len(params.weights)):
-                    params.weights[i] = params.weights[i] - lr * task_w[i]
-                    params.biases[i] = params.biases[i] - lr * task_b[i]
-        else:
-            grad_w = [np.zeros_like(w) for w in params.weights]
-            grad_b = [np.zeros_like(b) for b in params.biases]
-            for start in range(0, config.tasks_per_epoch, chunk):
-                stack_loss, stack_w, stack_b = _task_loss_grad(
-                    params, tasks[start:start + chunk], rect, config.supervised_loss)
-                for t, loss in enumerate(stack_loss.tolist()):
-                    _check_loss(loss, epoch, start + t)
-                    loss_sum += loss
-                    for i in range(len(params.weights)):
-                        grad_w[i] += stack_w[i][t]
-                        grad_b[i] += stack_b[i][t]
-            scale = lr / config.tasks_per_epoch
-            for i in range(len(params.weights)):
-                params.weights[i] = params.weights[i] - scale * grad_w[i]
-                params.biases[i] = params.biases[i] - scale * grad_b[i]
-        del tasks  # free a per-epoch stack before the next one is drawn
+                task = [g[t] for g in stack_w + stack_b]
+                grads = task if grads is None else [a + b for a, b in zip(grads, task)]
+            if min(start + chunk, config.tasks_per_epoch) % step == 0:
+                params.weights[:] = [w - lr / step * g for w, g in zip(params.weights, grads[:n])]
+                params.biases[:] = [b - lr / step * g for b, g in zip(params.biases, grads[n:])]
+                grads = None
+        del tasks, stack, layers  # free a per-epoch stack before the next one is drawn
         log.entries.append(EpochStats(epoch, loss_sum / config.tasks_per_epoch, lr,
                                       time.perf_counter() - t0))
     return params, log
-
-
-def _check_loss(loss: float, epoch: int, task: int) -> None:
-    if not np.isfinite(loss):
-        raise RuntimeError(f"non-finite loss at epoch {epoch}, task {task}")
 
 
 def meta_test(params: NetworkParams, episodes: Episode,

@@ -423,6 +423,10 @@ def _sweep(**section):
     ("gen-world", _set(("world", "mean_scale", float("nan"))),
      "world.mean_scale must be finite, got nan"),
     ("gen-world", _set(("world", "mean_scale", 0)), "world.mean_scale must be > 0, got 0"),
+    ("gen-world", _set(("world", "mean_scale", 1e308)),
+     "world.mean_scale must be <= 8.988465674311579e+307, got 1e+308"),
+    ("train", _set(("train", "lr0", float("inf"))), "train.lr0 must be finite, got inf"),
+    ("train", _set(("world", "sigma", float("inf"))), "world.sigma must be finite, got inf"),
     ("test", _test_section(("corruption", "p", -0.1)), "corruption.p must be in [0, 1], got -0.1"),
     ("test", _test_section(("corruption", "r", -1)), "corruption.r must be >= 0, got -1"),
 ], ids=["bench-n_way-empty", "bench-k_shot-empty", "bench-r-empty", "bench-n_way-0",
@@ -434,7 +438,8 @@ def _sweep(**section):
         "bench-lambda", "bench-lambda-nan", "bench-lambda-inf", "bench-iterations", "bench-rectify-k-0", "bench-p", "bench-r-negative",
         "bench-lr0", "bench-sigma", "bench-hidden-dims", "sweep-p", "train-corruption-p",
         "train-max-epoch", "gen-world-classes", "gen-world-mean-scale",
-        "gen-world-mean-scale-0", "test-corruption-p",
+        "gen-world-mean-scale-0", "gen-world-mean-scale-overflow", "train-lr0-inf",
+        "train-sigma-inf", "test-corruption-p",
         "test-corruption-r"])
 def test_config_errors_fail_before_any_output(tmp_path, capsys, monkeypatch, command, edit,
                                               message):

@@ -223,8 +223,9 @@ def test_stacked_validation_names_the_episode():
 
 
 def reference_meta_train(config, world):
-    """Batch-mean SGD one task at a time, drawn one at a time, with 2-D calls
-    only."""
+    """SGD one task at a time, drawn one at a time, with 2-D calls only: one
+    step on the task mean per epoch, or under step_per_task one step after
+    each task."""
     pool = np.arange(config.train_classes)
     rect = config.resolved_rectify()
     params = init_network(config.network, config.init_seed)
@@ -244,12 +245,17 @@ def reference_meta_train(config, world):
             loss, task_w, task_b = episode_loss_grad(params, layers, episode, Q, rect.distance)
             loss_sum += loss
             for i in range(len(params.weights)):
-                grad_w[i] += task_w[i]
-                grad_b[i] += task_b[i]
-        scale = lr / config.tasks_per_epoch
-        for i in range(len(params.weights)):
-            params.weights[i] = params.weights[i] - scale * grad_w[i]
-            params.biases[i] = params.biases[i] - scale * grad_b[i]
+                if config.step_per_task:
+                    params.weights[i] = params.weights[i] - lr * task_w[i]
+                    params.biases[i] = params.biases[i] - lr * task_b[i]
+                else:
+                    grad_w[i] += task_w[i]
+                    grad_b[i] += task_b[i]
+        if not config.step_per_task:
+            scale = lr / config.tasks_per_epoch
+            for i in range(len(params.weights)):
+                params.weights[i] = params.weights[i] - scale * grad_w[i]
+                params.biases[i] = params.biases[i] - scale * grad_b[i]
         losses.append(loss_sum / config.tasks_per_epoch)
     return params, losses
 
@@ -257,16 +263,22 @@ def reference_meta_train(config, world):
 # One episode's largest array is 8 * width * n = 8 * 30 * 50 bytes, with width
 # the hidden layer's 30 (wider than n_way = 5) and n the larger of 5 x 10
 # support and 5 x 4 query samples: the default budget stacks all 7 tasks of an
-# epoch; 36000 bytes gives stacks of 3, 3 and 1.
-@pytest.mark.parametrize("stack_bytes", [fspll.pll_core.STACK_BYTES, 36000])
-def test_batch_mean_meta_train_matches_per_task_reference(monkeypatch, stack_bytes):
+# epoch; 36000 bytes gives stacks of 3, 3 and 1. Under step_per_task every
+# stack is one task, whatever the budget.
+@pytest.mark.parametrize("stack_bytes, step_per_task", [
+    (fspll.pll_core.STACK_BYTES, False), (36000, False),
+    (fspll.pll_core.STACK_BYTES, True), (36000, True),
+], ids=[str(fspll.pll_core.STACK_BYTES), "36000", f"{fspll.pll_core.STACK_BYTES}-step_per_task",
+        "36000-step_per_task"])
+def test_batch_mean_meta_train_matches_per_task_reference(monkeypatch, stack_bytes,
+                                                          step_per_task):
     monkeypatch.setattr(fspll.pll_core, "STACK_BYTES", stack_bytes)
     world = make_world(34, classes=12, dim=4, sigma=0.7)
     config = TrainConfig(network=NetworkSpec(4, (30,), 6), max_epoch=3, tasks_per_epoch=7,
                          n_way=5, k_support=10, k_query=4, train_classes=8,
                          rectify=RectifyConfig(iterations=10, lam=0.5),
                          corruption=CorruptionSpec(1.0, 2), lr0=0.05, init_seed=35,
-                         task_seed=36)
+                         task_seed=36, step_per_task=step_per_task)
     params, log = meta_train(config, world)
     want, losses = reference_meta_train(config, world)
     assert log.losses() == losses

@@ -3,7 +3,8 @@ import pytest
 
 import fspll.trainer
 from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
-from fspll.episodes import CorruptionSpec, Episode, corrupt, make_world, sample_episode
+from fspll.episodes import (CorruptionSpec, Episode, corrupt, draw_episodes, make_world,
+                            sample_episode)
 from fspll.pll_core import RectifyConfig, lse_cols, rectify
 from fspll.trainer import (TrainConfig, _sample_tasks, episode_loss_graph, episode_loss_grad,
                            grad_check, lr_at, meta_test, meta_train)
@@ -77,11 +78,11 @@ def test_meta_train_logs_every_epoch_with_schedule():
 def test_fixed_tasks_are_drawn_once(monkeypatch, fixed_tasks, draws, step_per_task):
     calls = []
 
-    def counting_sample_episode(*args):
+    def counting_draw_episodes(*args):
         calls.append(args)
-        return sample_episode(*args)
+        return draw_episodes(*args)
 
-    monkeypatch.setattr(fspll.trainer, "sample_episode", counting_sample_episode)
+    monkeypatch.setattr(fspll.trainer, "draw_episodes", counting_draw_episodes)
     meta_train(tiny_config(fixed_tasks=fixed_tasks, step_per_task=step_per_task),
                tiny_world())
     assert len(calls) == draws  # one stack per draw, over 3 epochs
