@@ -1,20 +1,15 @@
-"""Paired benchmark harness: ablation variants, multi-round evaluation,
-sensitivity sweeps, CSV/JSON report emission.
+"""Paired benchmark harness: ablation variants, sweeps, CSV/JSON reports.
 
-All methods of a grid cell are scored on the identical per-round episode
-stream (one content hash per round is kept for auditing): score_rounds draws
-a cell's rounds in stacks of equal-shape episodes and scores every run on
-each stack, and `fspll test` scores its one checkpoint through it. Each
-round's episode comes from its own stream key, so stacking changes no
-result. Checkpoints are
-trained once per distinct training signature and shared; "plus" variants
-meta-train on clean labels, everything else meta-trains under the same
-corruption as the cell it is evaluated in. On clean labels (r = 0 or p = 0)
-rectification is the identity, so a clean-label signature keeps only the
-distance of its rectify config (and r = 0): every method of an r = 0 cell,
-and both "plus" variants, share one checkpoint. Likewise a cell's rounds are
-scored once per (checkpoint, effective test config), and every method of an
-r = 0 cell shares one.
+One run plan drives training and scoring: before anything is trained, each
+(cell, method) pair is derived once as (training config, effective test
+config) and checked. "Plus" variants meta-train on clean labels, the others
+under their cell's corruption. On clean labels (r = 0 or p = 0) rectification
+is the identity, so a config there keeps only its rectify distance (and r = 0).
+A checkpoint is trained once per distinct training config: every method of an
+r = 0 cell, and both "plus" variants, share one. score_rounds draws a base
+cell's rounds once, in stacks, keeping one content hash per round for
+auditing, and scores each distinct run on every stack: every method, and every
+value of a sweep, sees the same episodes. `fspll test` scores through it too.
 """
 
 from __future__ import annotations
@@ -33,7 +28,17 @@ from .episodes import CorruptionSpec, World, draw_episodes, episode_hash, world_
 from .pll_core import RectifyConfig, stack_size
 from .trainer import TrainConfig, meta_test, meta_train
 
-METHODS = ("fspll", "fspll-nm", "pn", "fspll-plus", "pn-plus")
+# method -> (the rectify fields it changes, whether it meta-trains on clean
+# labels). fspll: the full pipeline; fspll-nm: smoothing disabled (lam=0); pn:
+# no rectification (0 iterations, prototypes from uniform candidate
+# confidence); *-plus: the same pipelines, meta-trained on clean labels.
+METHODS = {
+    "fspll": ({}, False),
+    "fspll-nm": ({"lam": 0.0}, False),
+    "pn": ({"iterations": 0}, False),
+    "fspll-plus": ({}, True),
+    "pn-plus": ({"iterations": 0}, True),
+}
 
 SWEEP_AXES = ("lambda", "k")
 
@@ -50,24 +55,12 @@ class MethodVariant:
 
 
 def method_variant(name: str, base: RectifyConfig | None = None) -> MethodVariant:
-    """fspll: the full pipeline; fspll-nm: smoothing disabled (lam=0);
-    pn: no rectification (0 iterations, prototypes from uniform candidate
-    confidence); *-plus: same pipelines but meta-trained on clean labels."""
-    base = base if base is not None else RectifyConfig()
-    if name == "fspll":
-        return MethodVariant(name, base, base, False)
-    if name == "fspll-nm":
-        cfg = replace(base, lam=0.0)
-        return MethodVariant(name, cfg, cfg, False)
-    if name == "pn":
-        cfg = replace(base, iterations=0)
-        return MethodVariant(name, cfg, cfg, False)
-    if name == "fspll-plus":
-        return MethodVariant(name, base, base, True)
-    if name == "pn-plus":
-        cfg = replace(base, iterations=0)
-        return MethodVariant(name, cfg, cfg, True)
-    raise ValueError(f"unknown method {name!r}; valid methods: {', '.join(METHODS)}")
+    """The METHODS entry `name` applied to `base` (default RectifyConfig())."""
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}; valid methods: {', '.join(METHODS)}")
+    changes, clean = METHODS[name]
+    cfg = replace(base if base is not None else RectifyConfig(), **changes)
+    return MethodVariant(name, cfg, cfg, clean)
 
 
 @dataclass(frozen=True)
@@ -111,6 +104,7 @@ class BenchSpec:
         for key in ("n_way", "k_shot", "r", "methods"):
             if not getattr(self, key):
                 raise ValueError(f"bench.{key} must list at least one value")
+            _check_distinct(f"bench.{key}", getattr(self, key))
         for key in ("n_way", "k_shot"):
             if min(getattr(self, key)) < 1:
                 raise ValueError(f"bench.{key} must be >= 1, got {min(getattr(self, key))}")
@@ -138,6 +132,13 @@ class BenchSpec:
         doc = dataclasses.asdict(self)
         doc["world"] = world_to_manifest(self.world)
         return doc
+
+
+def _check_distinct(key: str, values: list) -> None:
+    """Reject a value listed twice under `key`: its rows would be written twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{key} lists {value!r} twice")
 
 
 def check_held_out(world: World, train_classes: int, n_way: int, key: str) -> None:
@@ -189,16 +190,6 @@ def _train_config(spec: BenchSpec, variant: MethodVariant, r_cell: int) -> Train
     return replace(spec.train, rectify=rect, corruption=corruption)
 
 
-def _train_for(spec: BenchSpec, variant: MethodVariant, r_cell: int,
-               cache: dict) -> NetworkParams:
-    cfg = _train_config(spec, variant, r_cell)
-    key = (cfg.rectify, cfg.corruption)
-    if key not in cache:
-        params, _ = meta_train(cfg, spec.world)
-        cache[key] = params
-    return cache[key]
-
-
 def score_rounds(world: World, train_classes: int, k_query: int, eval_seed: int, cell: Cell,
                  rounds: int, runs: list[tuple[NetworkParams, RectifyConfig]]
                  ) -> tuple[list[str], list[list[float]]]:
@@ -225,67 +216,67 @@ def score_rounds(world: World, train_classes: int, k_query: int, eval_seed: int,
     return hashes, accuracies
 
 
-def _run_cells(spec: BenchSpec, cells: list[Cell],
-               variants: dict[str, list[MethodVariant]]) -> BenchResult:
-    """Evaluate every cell. `variants` maps each cell label to the method
-    pipelines to score on that cell's shared episode stream. Methods that
-    share a checkpoint and an effective test config (every method of an
-    exact-label cell does) are scored once."""
-    for cell in cells:  # fail before any checkpoint is trained
-        for variant in variants[cell.label()]:
+def _run_cells(spec: BenchSpec, variants: dict[Cell, list[MethodVariant]]) -> BenchResult:
+    """Score each cell's method pipelines on the episode stream of its base
+    cell (the cell without its sweep tag). The run plan maps each base cell to
+    (cell label, method) -> (training config, effective test config) and is
+    checked in full before any checkpoint is trained."""
+    plan: dict[Cell, dict[tuple[str, str], tuple[TrainConfig, RectifyConfig]]] = {}
+    for cell, cell_variants in variants.items():
+        runs = plan.setdefault(replace(cell, axis=None, axis_value=None), {})
+        for variant in cell_variants:
             variant.test_rectify.resolve_k(cell.n_way, cell.k_shot, f"cell {cell.label()}: k_shot")
-            _train_config(spec, variant, cell.r).resolved_rectify()
+            train = _train_config(spec, variant, cell.r)
+            train.resolved_rectify()
+            test = _effective(variant.test_rectify, CorruptionSpec(cell.p, cell.r))
+            runs[(cell.label(), variant.name)] = (train, test)
+    checkpoints: dict[TrainConfig, NetworkParams] = {}
     accuracies: dict[tuple[str, str], list[float]] = {}
     hashes: dict[str, list[str]] = {}
-    cache: dict = {}
-    for cell in cells:
-        label = cell.label()
-        # (checkpoint, effective test config) -> run; the cache keeps every
-        # checkpoint alive, so its id names it
-        runs, keys = {}, {}
-        for variant in variants[label]:
-            params = _train_for(spec, variant, cell.r, cache)
-            test = _effective(variant.test_rectify, CorruptionSpec(cell.p, cell.r))
-            keys[variant.name] = (id(params), test)
-            runs[keys[variant.name]] = (params, test)
-        hashes[label], accs = score_rounds(spec.world, spec.train.train_classes, spec.k_query,
-                                           spec.eval_seed, cell, spec.rounds, list(runs.values()))
-        scored = dict(zip(runs, accs))
-        for name, key in keys.items():
-            accuracies[(label, name)] = list(scored[key])
+    for base, runs in plan.items():
+        distinct = list(dict.fromkeys(runs.values()))
+        for train, _ in distinct:
+            if train not in checkpoints:
+                checkpoints[train] = meta_train(train, spec.world)[0]
+        drawn, accs = score_rounds(spec.world, spec.train.train_classes, spec.k_query,
+                                   spec.eval_seed, base, spec.rounds,
+                                   [(checkpoints[train], test) for train, test in distinct])
+        scored = dict(zip(distinct, accs))
+        for (label, name), run in runs.items():
+            hashes[label] = list(drawn)
+            accuracies[(label, name)] = list(scored[run])
     meta = {
         "config_hash": config_hash(spec.signature()),
         "seeds": {"world": spec.world.seed, "init": spec.train.init_seed,
                   "task": spec.train.task_seed, "eval": spec.eval_seed},
         "std": "population",
         "methods": list(spec.methods),
-        "cells": [c.label() for c in cells],
+        "cells": [c.label() for c in variants],
         "episode_hashes": hashes,
     }
-    return BenchResult(cells, meta["methods"], accuracies, hashes, meta)
+    return BenchResult(list(variants), meta["methods"], accuracies, hashes, meta)
 
 
 def run_benchmark(spec: BenchSpec) -> BenchResult:
     """Train the required checkpoints and score every (cell, method) pair over
     paired episode rounds."""
-    cells = [Cell(n, k, r, spec.p)
-             for n in spec.n_way for k in spec.k_shot for r in spec.r]
-    variants = {c.label(): [method_variant(m, spec.train.rectify) for m in spec.methods]
-                for c in cells}
-    return _run_cells(spec, cells, variants)
+    variants = [method_variant(m, spec.train.rectify) for m in spec.methods]
+    return _run_cells(spec, {Cell(n, k, r, spec.p): variants
+                             for n in spec.n_way for k in spec.k_shot for r in spec.r})
 
 
 def sweep(spec: BenchSpec, axis: str, values: list[float],
           retrain: bool = False) -> BenchResult:
-    """One paired benchmark per axis value, sharing episode streams.
+    """One paired benchmark per axis value, scored on its base cell's episodes.
 
     axis "lambda" varies the smoothing trade-off, axis "k" the neighbor count,
-    both at meta-test time; with retrain=True a lambda sweep also retrains the
-    checkpoint at each value (a k sweep never does: the training-side k is
-    pinned to the training shot count minus one).
+    both at meta-test time; retrain=True also retrains each lambda's checkpoint.
+    A k sweep cannot retrain: k is checked against the cells' support sets.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep.axis must be one of {SWEEP_AXES}, got {axis!r}")
+    if retrain and axis == "k":
+        raise ValueError("sweep.retrain must be false when sweep.axis is 'k'")
     if not values:
         raise ValueError("sweep.values must list at least one value")
     base_cells = [Cell(n, k, r, spec.p)
@@ -301,26 +292,18 @@ def sweep(spec: BenchSpec, axis: str, values: list[float],
                 if v >= n_s:
                     raise ValueError(f"sweep.values: k={int(v)} must be < n_s={n_s} "
                                      f"for cell {cell.label()}")
+    _check_distinct("sweep.values", values)
 
-    cells: list[Cell] = []
-    variants: dict[str, list[MethodVariant]] = {}
+    variants: dict[Cell, list[MethodVariant]] = {}
     for base_cell in base_cells:
         for v in values:
-            cell = replace(base_cell, axis=axis, axis_value=float(v))
-            cell_variants = []
-            for m in spec.methods:
-                var = method_variant(m, spec.train.rectify)
-                if axis == "lambda":
-                    test = replace(var.test_rectify, lam=float(v))
-                    train = replace(var.train_rectify, lam=float(v)) if retrain \
-                        else var.train_rectify
-                else:
-                    test = replace(var.test_rectify, k=int(v))
-                    train = var.train_rectify
-                cell_variants.append(replace(var, train_rectify=train, test_rectify=test))
-            cells.append(cell)
-            variants[cell.label()] = cell_variants
-    return _run_cells(spec, cells, variants)
+            change = {"lam": float(v)} if axis == "lambda" else {"k": int(v)}
+            variants[replace(base_cell, axis=axis, axis_value=float(v))] = [
+                replace(var, test_rectify=replace(var.test_rectify, **change),
+                        train_rectify=replace(var.train_rectify, **change) if retrain
+                        else var.train_rectify)
+                for var in (method_variant(m, spec.train.rectify) for m in spec.methods)]
+    return _run_cells(spec, variants)
 
 
 def write_report(result: BenchResult, out_dir) -> dict[str, str]:
@@ -330,21 +313,17 @@ def write_report(result: BenchResult, out_dir) -> dict[str, str]:
     paths = {name: os.path.join(out_dir, name)
              for name in ("rounds.csv", "summary.csv", "meta.json")}
 
-    with open(paths["rounds.csv"], "w", encoding="utf-8") as fh:
-        fh.write("cell,method,round,accuracy\n")
+    with open(paths["rounds.csv"], "w", encoding="utf-8") as rounds, \
+            open(paths["summary.csv"], "w", encoding="utf-8") as summary:
+        rounds.write("cell,method,round,accuracy\n")
+        summary.write("cell,method,mean,std\n")
         for cell in result.cells:
             label = cell.label()
             for method in result.methods:
                 for i, acc in enumerate(result.accuracies[(label, method)]):
-                    fh.write(f"{label},{method},{i},{acc:.6f}\n")
-
-    with open(paths["summary.csv"], "w", encoding="utf-8") as fh:
-        fh.write("cell,method,mean,std\n")
-        for cell in result.cells:
-            label = cell.label()
-            for method in result.methods:
-                fh.write(f"{label},{method},"
-                         f"{result.mean(label, method):.6f},{result.std(label, method):.6f}\n")
+                    rounds.write(f"{label},{method},{i},{acc:.6f}\n")
+                summary.write(f"{label},{method},"
+                              f"{result.mean(label, method):.6f},{result.std(label, method):.6f}\n")
 
     with open(paths["meta.json"], "w", encoding="utf-8") as fh:
         json.dump(result.meta, fh, indent=1, sort_keys=True)

@@ -10,7 +10,7 @@ import fspll.bench
 from fspll.bench import (METHODS, BenchSpec, Cell, method_variant, run_benchmark,
                          sweep, write_report)
 from fspll.embedding import NetworkSpec
-from fspll.episodes import CorruptionSpec, make_world
+from fspll.episodes import CorruptionSpec, draw_episodes, make_world
 from fspll.pll_core import DISTANCE_KINDS, RectifyConfig
 from fspll.trainer import TrainConfig, meta_test, meta_train
 
@@ -159,12 +159,21 @@ def test_sweep_lambda_with_retrain_reproduces_ablation():
         bench.accuracies[(base_label, "fspll")]
 
 
-def test_sweep_values_share_episode_streams():
+def test_sweep_values_share_episode_streams(monkeypatch):
+    # the 3 rounds of the one base cell fit one stack: one draw serves both values
+    draws = []
+
+    def counting_draw_episodes(*args):
+        draws.append(args)
+        return draw_episodes(*args)
+
+    monkeypatch.setattr(fspll.bench, "draw_episodes", counting_draw_episodes)
     spec = tiny_spec(methods=["fspll"])
     swept = sweep(spec, "lambda", [0.0, 1.0])
     h0 = swept.episode_hashes[swept.cells[0].label()]
     h1 = swept.episode_hashes[swept.cells[1].label()]
     assert h0 == h1
+    assert len(draws) == 1
 
 
 def test_sweep_k_axis_validates_range():
@@ -207,15 +216,11 @@ def test_clean_label_training_ignores_rectification(distance, step_per_task, cor
             np.testing.assert_array_equal(got, want)
 
 
-def train_per_variant(spec, variant, r_cell, cache):
-    """Reference checkpoint cache: one checkpoint per rectify variant, with no
+def train_config_per_variant(spec, variant, r_cell):
+    """Reference training config: one checkpoint per rectify variant, with no
     sharing on clean labels."""
     corruption = CorruptionSpec(spec.p, 0 if variant.clean_meta_train else r_cell)
-    key = (variant.train_rectify, corruption)
-    if key not in cache:
-        cfg = replace(spec.train, rectify=variant.train_rectify, corruption=corruption)
-        cache[key] = fspll.bench.meta_train(cfg, spec.world)[0]
-    return cache[key]
+    return replace(spec.train, rectify=variant.train_rectify, corruption=corruption)
 
 
 # p = 1: r = 0 puts every method on one clean checkpoint; r = 1 adds fspll,
@@ -234,7 +239,7 @@ def test_clean_label_checkpoints_are_shared_without_changing_reports(tmp_path, m
     spec = tiny_spec(r=[0, 1], p=p, methods=list(METHODS), rounds=3)
     write_report(run_benchmark(spec), tmp_path / "shared")
     assert len(calls) == shared
-    monkeypatch.setattr(fspll.bench, "_train_for", train_per_variant)
+    monkeypatch.setattr(fspll.bench, "_train_config", train_config_per_variant)
     write_report(run_benchmark(spec), tmp_path / "per_variant")
     assert len(calls) == shared + 6
     for name in ("rounds.csv", "summary.csv", "meta.json"):
@@ -261,7 +266,7 @@ def test_exact_label_cells_score_each_checkpoint_once(tmp_path, monkeypatch):
     exact = result.cells[0].label()
     assert result.accuracies[(exact, "fspll")] == result.accuracies[(exact, "fspll-nm")] \
         == result.accuracies[(exact, "pn")]
-    monkeypatch.setattr(fspll.bench, "_train_for", train_per_variant)
+    monkeypatch.setattr(fspll.bench, "_train_config", train_config_per_variant)
     write_report(run_benchmark(spec), tmp_path / "per_variant")
     assert len(calls) == 4 + 3 + 3
     for name in ("rounds.csv", "summary.csv", "meta.json"):

@@ -385,6 +385,13 @@ def _sweep(**section):
      "sweep.values: k must be a positive integer, got nan"),
     ("sweep", _sweep(axis="k", values=[2, float("inf")]),
      "sweep.values: k must be a positive integer, got inf"),
+    ("bench", _set(("bench", "methods", ["pn", "fspll", "pn"])), "bench.methods lists 'pn' twice"),
+    ("bench", _set(("bench", "n_way", [3, 3])), "bench.n_way lists 3 twice"),
+    ("bench", _set(("bench", "k_shot", [3, 3])), "bench.k_shot lists 3 twice"),
+    ("bench", _set(("bench", "r", [1, 1])), "bench.r lists 1 twice"),
+    ("sweep", _sweep(values=[0.5, 0.5]), "sweep.values lists 0.5 twice"),
+    ("sweep", _sweep(axis="k", values=[2], retrain=True),
+     "sweep.retrain must be false when sweep.axis is 'k'"),
     ("train", _set((None, "train_classes", 0)),
      "train_classes=0 must be between train.n_way=3 and the world's 10 classes"),
     ("train", _set((None, "train_classes", 11)),
@@ -433,6 +440,8 @@ def _sweep(**section):
         "bench-k_shot-0", "bench-k_shot-negative", "bench-k",
         "sweep-values-empty", "sweep-axis", "sweep-lambda-negative", "sweep-lambda-nan",
         "sweep-lambda-inf", "sweep-k", "sweep-k-nan", "sweep-k-inf",
+        "bench-methods-twice", "bench-n_way-twice", "bench-k_shot-twice", "bench-r-twice",
+        "sweep-values-twice", "sweep-k-retrain",
         "train-classes-0", "train-classes-11", "train-k",
         "bench-classes-11", "bench-held-out", "test-classes-11", "test-held-out",
         "bench-lambda", "bench-lambda-nan", "bench-lambda-inf", "bench-iterations", "bench-rectify-k-0", "bench-p", "bench-r-negative",
