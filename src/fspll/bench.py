@@ -17,12 +17,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import DEFAULTS, KEYS, check, check_value
 from .embedding import NetworkParams
 from .episodes import CorruptionSpec, World, draw_episodes, episode_hash, world_to_manifest
 from .pll_core import RectifyConfig, stack_size
@@ -39,8 +39,6 @@ METHODS = {
     "fspll-plus": ({}, True),
     "pn-plus": ({"iterations": 0}, True),
 }
-
-SWEEP_AXES = ("lambda", "k")
 
 
 @dataclass(frozen=True)
@@ -98,20 +96,7 @@ class BenchSpec:
     eval_seed: int = 1
 
     def __post_init__(self):
-        for key in ("rounds", "k_query"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"bench.{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("n_way", "k_shot", "r", "methods"):
-            if not getattr(self, key):
-                raise ValueError(f"bench.{key} must list at least one value")
-            _check_distinct(f"bench.{key}", getattr(self, key))
-        for key in ("n_way", "k_shot"):
-            if min(getattr(self, key)) < 1:
-                raise ValueError(f"bench.{key} must be >= 1, got {min(getattr(self, key))}")
-        if min(self.r) < 0:
-            raise ValueError(f"bench.r must be >= 0, got {min(self.r)}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"bench.p must be in [0, 1], got {self.p}")
+        check({f"bench.{key}": getattr(self, key) for key in DEFAULTS["bench"]})
         r_max = max(self.r)
         if r_max > min(self.n_way) - 1:
             raise ValueError(f"bench.r={r_max} needs r + 1 classes per episode, "
@@ -132,13 +117,6 @@ class BenchSpec:
         doc = dataclasses.asdict(self)
         doc["world"] = world_to_manifest(self.world)
         return doc
-
-
-def _check_distinct(key: str, values: list) -> None:
-    """Reject a value listed twice under `key`: its rows would be written twice."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ValueError(f"{key} lists {value!r} twice")
 
 
 def check_held_out(world: World, train_classes: int, n_way: int, key: str) -> None:
@@ -270,29 +248,25 @@ def sweep(spec: BenchSpec, axis: str, values: list[float],
     """One paired benchmark per axis value, scored on its base cell's episodes.
 
     axis "lambda" varies the smoothing trade-off, axis "k" the neighbor count,
-    both at meta-test time; retrain=True also retrains each lambda's checkpoint.
-    A k sweep cannot retrain: k is checked against the cells' support sets.
+    both at meta-test time, and each value must lie in that rectify key's range.
+    retrain=True also retrains each lambda's checkpoint. A k sweep cannot
+    retrain: k is checked against the cells' support sets.
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"sweep.axis must be one of {SWEEP_AXES}, got {axis!r}")
+    check({"sweep.axis": axis, "sweep.values": values})
     if retrain and axis == "k":
         raise ValueError("sweep.retrain must be false when sweep.axis is 'k'")
-    if not values:
-        raise ValueError("sweep.values must list at least one value")
     base_cells = [Cell(n, k, r, spec.p)
                   for n in spec.n_way for k in spec.k_shot for r in spec.r]
-    for v in values:
-        if axis == "lambda" and not (math.isfinite(v) and v >= 0):
-            raise ValueError(f"sweep.values: lambda must be a finite number >= 0, got {v}")
+    for i, v in enumerate(values):
+        check_value(f"sweep.values[{i}]", v, KEYS[f"rectify.{axis}"].domain)
         if axis == "k":
-            if not math.isfinite(v) or int(v) != v or v < 1:
-                raise ValueError(f"sweep.values: k must be a positive integer, got {v}")
+            if int(v) != v:
+                raise ValueError(f"sweep.values[{i}] must be an integer for axis k, got {v}")
             for cell in base_cells:
                 n_s = cell.n_way * cell.k_shot
                 if v >= n_s:
                     raise ValueError(f"sweep.values: k={int(v)} must be < n_s={n_s} "
                                      f"for cell {cell.label()}")
-    _check_distinct("sweep.values", values)
 
     variants: dict[Cell, list[MethodVariant]] = {}
     for base_cell in base_cells:

@@ -2,9 +2,11 @@
 benchmarking, sweeps, and a gradient self-check.
 
 All hyperparameters live in JSON config files; flags only override seeds and
-paths. Exit codes: 0 success, 1 domain error (message on stderr), 2 usage
-error. Every run is a pure function of (argv, config file, filesystem inputs);
-randomness flows from explicit seeds only.
+paths. Every key of the file, with --seed applied, is checked against the
+table of fspll.config (its type, then its range) before any work. Exit codes:
+0 success, 1 domain error (message on stderr), 2 usage error. Every run is a
+pure function of (argv, config file, filesystem inputs); randomness flows
+from explicit seeds only.
 """
 
 from __future__ import annotations
@@ -18,69 +20,24 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import (METHODS, SWEEP_AXES, BenchSpec, Cell, check_held_out, run_benchmark,
-                    score_rounds, sweep, write_report)
+from .bench import (BenchSpec, Cell, check_held_out, run_benchmark, score_rounds, sweep,
+                    write_report)
+from .config import DEFAULTS, check, config_keys
 from .embedding import NetworkSpec, embed_layers, init_network, load_checkpoint, save_checkpoint
 from .episodes import (CorruptionSpec, corrupt, make_world, sample_episode, world_from_manifest,
                        world_to_manifest)
-from .pll_core import DISTANCE_KINDS, RectifyConfig, rectify
+from .pll_core import RectifyConfig, rectify
 from .trainer import TrainConfig, episode_loss_graph, episode_loss_grad, grad_check, meta_train
-
-# Every config key with its default, laid out like the JSON file. Parsing, the
-# --help epilog and train's config.json all derive from this table, and a key
-# it does not hold is an error. The null defaults of test.checkpoint,
-# sweep.axis and sweep.values mean "required by that command".
-DEFAULTS = {
-    "world": {"seed": 1, "classes": 50, "dim": 16, "sigma": 1.0, "mean_scale": 1.0,
-              "path": None},
-    "train_classes": 30,
-    "network": {"hidden_dims": [64, 64], "output_dim": 64},
-    "train": {"max_epoch": 200, "tasks_per_epoch": 100, "n_way": 30, "k_support": 5,
-              "k_query": 15, "lr0": 0.001, "lr_half_period": 20, "init_seed": 0,
-              "task_seed": 0, "step_per_task": False, "fixed_tasks": False,
-              "supervised_loss": False},
-    "rectify": {"iterations": 10, "lambda": 0.5, "k": None, "distance": "euclidean"},
-    "corruption": {"p": 1.0, "r": 1},
-    "test": {"checkpoint": None, "n_way": 5, "k_shot": 5, "k_query": 15, "rounds": 50,
-             "eval_seed": 1},
-    "bench": {"n_way": [5, 10], "k_shot": [5, 10], "r": [0, 1, 2], "p": 1.0, "rounds": 50,
-              "methods": ["fspll", "fspll-nm", "pn"], "k_query": 15, "eval_seed": 1},
-    "sweep": {"axis": None, "values": None, "retrain": False},
-}
-
-# The type of each key whose default is null, as an example value; the key
-# also takes null.
-NULL_KEY_TYPES = {"world.path": "", "rectify.k": 1, "test.checkpoint": "", "sweep.axis": "",
-                  "sweep.values": [0.0]}
-
-# What the --help epilog says about a key beyond its default.
-KEY_NOTES = {
-    "world.path": "load this world manifest instead of the other world keys",
-    "train_classes": "meta-train on the first N world classes; the rest are held out",
-    "train.supervised_loss": "ablation: the query loss uses ground truth",
-    "rectify.k": "null: shots per class - 1",
-    "rectify.distance": " | ".join(DISTANCE_KINDS),
-    "test.checkpoint": "required by test",
-    "bench.methods": "any of " + ", ".join(METHODS),
-    "sweep.axis": "required by sweep: " + " | ".join(SWEEP_AXES),
-    "sweep.values": "required by sweep",
-}
-
-
-def config_keys(table: dict = DEFAULTS, prefix: str = ""):
-    """(dotted key, default) for every key of the table."""
-    for key, default in table.items():
-        if isinstance(default, dict):
-            yield from config_keys(default, f"{prefix}{key}.")
-        else:
-            yield prefix + key, default
 
 
 def _config_help() -> str:
-    lines = ["config keys (JSON; defaults in parentheses; any other key is an error):"]
-    for key, default in config_keys():
-        note = KEY_NOTES.get(key)
-        lines.append(f"  {key} ({json.dumps(default)})" + (f"  -- {note}" if note else ""))
+    lines = ["config keys (JSON; defaults in parentheses, then the values a key (or each item "
+             "of a list) takes; any other key is an error):"]
+    for key, entry in config_keys():
+        domain = " | ".join(entry.domain) if isinstance(entry.domain, tuple) else entry.domain
+        words = ["distinct" * entry.distinct, domain and f"in {domain}",
+                 entry.note and f"-- {entry.note}"]
+        lines.append("  ".join([f"  {key} ({json.dumps(entry.default)})", *filter(None, words)]))
     return "\n".join(lines) + "\n"
 
 
@@ -96,31 +53,23 @@ def _resolve(path, base_dir):
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
 
-def _check_type(key: str, value, default) -> None:
-    """Raise unless `value` has the JSON type of `default`: a boolean for a
-    boolean, an integer (not a boolean) for an integer, any number for a
-    float, a string for a string, and a list of such items for a list."""
-    nullable = default is None
-    if nullable:
-        if value is None:
-            return
-        default = NULL_KEY_TYPES[key]
-    if isinstance(default, list):
-        ok, what = isinstance(value, list), "a list"
-    elif isinstance(default, bool):
-        ok, what = isinstance(value, bool), "a boolean"
-    elif isinstance(default, int):
-        ok, what = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif isinstance(default, float):
-        ok, what = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
-    else:
-        ok, what = isinstance(value, str), "a string"
-    if not ok:
-        raise ValueError(f"config key {key} must be {what}{' or null' if nullable else ''}, "
-                         f"got {json.dumps(value)}")
-    if isinstance(default, list):
+JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+              list: "a list"}
+
+
+def _check_type(key: str, value, default, null_type=None) -> None:
+    """Raise unless the parsed JSON `value` has the type of `default`, where an
+    integer is also a number and a list's items have the type of its first. A
+    null default takes null or a value of the type of `null_type`."""
+    example = null_type if default is None else default
+    if value is None and default is None:
+        return
+    if type(value) is not type(example) and (type(value), type(example)) != (int, float):
+        raise ValueError(f"config key {key} must be {JSON_TYPES[type(example)]}"
+                         f"{' or null' if default is None else ''}, got {json.dumps(value)}")
+    if isinstance(example, list):
         for i, item in enumerate(value):
-            _check_type(f"{key}[{i}]", item, default[0])
+            _check_type(f"{key}[{i}]", item, example[0])
 
 
 def _settings(doc, table: dict = DEFAULTS, prefix: str = "") -> dict:
@@ -132,21 +81,24 @@ def _settings(doc, table: dict = DEFAULTS, prefix: str = "") -> dict:
     for key, value in doc.items():
         if key not in table:
             raise ValueError(f"unknown config key {prefix}{key}")
-        if not isinstance(table[key], dict):
-            _check_type(prefix + key, value, table[key])
-    return {key: _settings(doc.get(key, {}), default, f"{prefix}{key}.")
-            if isinstance(default, dict) else copy.deepcopy(doc.get(key, default))
-            for key, default in table.items()}
+        entry = table[key]
+        if not isinstance(entry, dict):
+            _check_type(prefix + key, value, entry.default, entry.null_type)
+    return {key: _settings(doc.get(key, {}), entry, f"{prefix}{key}.")
+            if isinstance(entry, dict) else copy.deepcopy(doc.get(key, entry.default))
+            for key, entry in table.items()}
 
 
 def _load_config(args) -> tuple[dict, str]:
     """The settings of the --config file, with --seed applied to the
-    command's seed keys, and the directory its relative paths start from."""
+    command's seed keys and every key checked, and the directory its relative
+    paths start from."""
     cfg = _settings(_load_json(args.config))
     if args.seed is not None:
         for key in args.seed_keys:
             section, name = key.split(".")
             cfg[section][name] = args.seed
+    check(dict(config_keys(cfg)))
     return cfg, os.path.dirname(os.path.abspath(args.config))
 
 
@@ -238,9 +190,6 @@ def cmd_test(args) -> int:
     section = cfg["test"]
     if section["checkpoint"] is None:
         raise ValueError("config key test.checkpoint is required")
-    for key in ("n_way", "k_shot", "rounds", "k_query"):
-        if section[key] < 1:
-            raise ValueError(f"config key test.{key} must be >= 1, got {section[key]}")
     rect = _parse_rectify(cfg)
     corruption = CorruptionSpec(**cfg["corruption"])
     cell = Cell(section["n_way"], section["k_shot"], corruption.r, corruption.p)

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -19,12 +21,9 @@ class NetworkSpec:
     output_dim: int = 64
 
     def __post_init__(self):
-        if self.input_dim < 1:  # world.dim on the command line, which the world checks
-            raise ValueError(f"network input_dim must be positive, got {self.input_dim}")
-        if any(d < 1 for d in self.hidden_dims):
-            raise ValueError(f"network.hidden_dims must be positive, got {list(self.hidden_dims)}")
-        if self.output_dim < 1:
-            raise ValueError(f"network.output_dim must be positive, got {self.output_dim}")
+        # the input is the world's features, so input_dim takes world.dim's range
+        check({"world.dim": self.input_dim, "network.hidden_dims": self.hidden_dims,
+               "network.output_dim": self.output_dim})
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
 
     def layer_dims(self) -> list[tuple[int, int]]:

@@ -24,6 +24,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .config import check
+
 
 @dataclass(frozen=True)
 class World:
@@ -37,18 +39,7 @@ class World:
     means: np.ndarray  # classes x dim
 
     def __post_init__(self):
-        _check_world(self.classes, self.dim, self.sigma)
-
-
-def _check_world(classes: int, dim: int, sigma: float) -> None:
-    if classes < 2:
-        raise ValueError(f"world.classes must be >= 2, got {classes}")
-    if dim < 1:
-        raise ValueError(f"world.dim must be >= 1, got {dim}")
-    if not sigma > 0:
-        raise ValueError(f"world.sigma must be > 0, got {sigma}")
-    if sigma == np.inf:
-        raise ValueError(f"world.sigma must be finite, got {sigma}")
+        check({f"world.{f.name}": getattr(self, f.name) for f in fields(self) if f.name != "means"})
 
 
 @dataclass(frozen=True)
@@ -61,10 +52,7 @@ class CorruptionSpec:
     r: int
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"corruption.p must be in [0, 1], got {self.p}")
-        if self.r < 0:
-            raise ValueError(f"corruption.r must be >= 0, got {self.r}")
+        check({"corruption.p": self.p, "corruption.r": self.r})
 
     @property
     def exact(self) -> bool:
@@ -107,14 +95,8 @@ class Episode:
 def make_world(seed: int, classes: int, dim: int, sigma: float,
                mean_scale: float = 1.0) -> World:
     """Class means drawn uniformly from [-mean_scale, mean_scale]^dim."""
-    _check_world(classes, dim, sigma)
-    if not np.isfinite(mean_scale):
-        raise ValueError(f"world.mean_scale must be finite, got {mean_scale}")
-    if mean_scale <= 0:  # 0 collides every mean; uniform is undefined for high < low
-        raise ValueError(f"world.mean_scale must be > 0, got {mean_scale}")
-    if mean_scale > np.finfo(float).max / 2:  # uniform needs a finite high - low
-        raise ValueError(f"world.mean_scale must be <= {np.finfo(float).max / 2}, "
-                         f"got {mean_scale}")
+    check({"world.seed": seed, "world.classes": classes, "world.dim": dim, "world.sigma": sigma,
+           "world.mean_scale": mean_scale})
     rng = np.random.default_rng(seed)
     means = rng.uniform(-mean_scale, mean_scale, size=(classes, dim))
     # equal rows sit side by side once sorted; == keeps float equality

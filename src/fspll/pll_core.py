@@ -34,9 +34,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import DISTANCE_KINDS, check
 from .embedding import NetworkSpec
 
-DISTANCE_KINDS = ("euclidean", "squared")
 SQRT_EPS = 1e-12  # arguments below this get sqrt(x + SQRT_EPS); keeps gradients finite
 
 # Byte budget for the largest per-episode array of a stacked call: it sets
@@ -94,15 +94,8 @@ class RectifyConfig:
     distance: str = "euclidean"
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError(f"rectify.iterations must be >= 0, got {self.iterations}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):  # NaN would skip smoothing silently
-            raise ValueError(f"rectify.lambda must be a finite number >= 0, got {self.lam}")
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"rectify.k must be >= 1, got {self.k}")
-        if self.distance not in DISTANCE_KINDS:
-            raise ValueError(f"rectify.distance must be one of {DISTANCE_KINDS}, "
-                             f"got {self.distance!r}")
+        check({"rectify.iterations": self.iterations, "rectify.lambda": self.lam,
+               "rectify.k": self.k, "rectify.distance": self.distance})
 
     def resolve_k(self, n_way: int, shots: int, source: str) -> RectifyConfig:
         """Resolve an unset k to shots - 1 when smoothing runs, and check that a

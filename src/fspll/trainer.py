@@ -37,6 +37,7 @@ import numpy as np
 
 from .autodiff import (Graph, Tensor, distance_nodes, embed_nodes, loss_nodes, param_leaves,
                        posterior_nodes, prototype_nodes, supervised_loss_nodes)
+from .config import DEFAULTS, check
 from .embedding import NetworkParams, NetworkSpec, embed, embed_layers, init_network
 from .episodes import CorruptionSpec, Episode, World, draw_episodes
 from .pll_core import (SQRT_EPS, RectifyConfig, classify_proba, lse_cols, predict, rectify,
@@ -66,15 +67,7 @@ class TrainConfig:
     supervised_loss: bool = False  # ablation only: query loss uses ground truth
 
     def __post_init__(self):
-        if self.max_epoch < 0:
-            raise ValueError(f"train.max_epoch must be >= 0, got {self.max_epoch}")
-        for name in ("tasks_per_epoch", "n_way", "k_support", "k_query", "lr_half_period"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"train.{name} must be >= 1, got {getattr(self, name)}")
-        if not self.lr0 > 0:
-            raise ValueError(f"train.lr0 must be > 0, got {self.lr0}")
-        if self.lr0 == np.inf:
-            raise ValueError(f"train.lr0 must be finite, got {self.lr0}")
+        check({f"train.{key}": getattr(self, key) for key in DEFAULTS["train"]})
         if self.corruption.r > self.n_way - 1:
             raise ValueError(f"corruption.r={self.corruption.r} needs r + 1 classes per "
                              f"training task, but train.n_way is {self.n_way}")

@@ -234,18 +234,36 @@ def test_sqrt_eps_matches_its_shifted_form(x):
                                   np.sqrt(np.where(x < SQRT_EPS, x + SQRT_EPS, x)))
 
 
-@pytest.mark.parametrize("module", ["episodes", "embedding", "pll_core", "bench"])
-def test_the_pipeline_imports_nothing_from_autodiff(module):
-    # the graph is only the fused gradient's test reference: training,
-    # rectification and evaluation must run without it
+def _imports(module):
+    """(line, imported names) of each import statement in fspll/<module>.py;
+    a relative import's names include "fspll"."""
     path = os.path.join(os.path.dirname(fspll.__file__), f"{module}.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
-            assert not any("autodiff" in name.split(".") for name in names), \
-                f"{module}.py line {node.lineno} imports from autodiff"
+        if isinstance(node, ast.ImportFrom):
+            parts = ["fspll"] * bool(node.level) + (node.module or "").split(".")
+        elif isinstance(node, ast.Import):
+            parts = []
+        else:
+            continue
+        yield node.lineno, parts + [part for a in node.names for part in a.name.split(".")]
+
+
+@pytest.mark.parametrize("module", ["episodes", "embedding", "pll_core", "bench"])
+def test_the_pipeline_imports_nothing_from_autodiff(module):
+    # the graph is only the fused gradient's test reference: training,
+    # rectification and evaluation must run without it
+    for line, names in _imports(module):
+        assert "autodiff" not in names, f"{module}.py line {line} imports from autodiff"
+
+
+def test_the_config_table_imports_nothing_from_fspll():
+    # every module checks its config keys against the table, so it must be a leaf
+    imports = list(_imports("config"))
+    assert imports
+    for line, names in imports:
+        assert "fspll" not in names, f"config.py line {line} imports from fspll"
 
 
 def test_every_op_builds_the_reference_loss():

@@ -116,11 +116,13 @@ def test_spec_validation():
         tiny_spec(methods=["nope"])
     with pytest.raises(ValueError, match="rounds"):
         tiny_spec(rounds=0)
+    with pytest.raises(ValueError, match=re.escape("bench.eval_seed must be in [0, inf), got -1")):
+        tiny_spec(eval_seed=-1)
 
 
 # n_way [3, 2] puts the N3 cell, which r = 2 fits, before the N2 cell it does not
 @pytest.mark.parametrize("overrides, message", [
-    (dict(k_query=0), "bench.k_query must be >= 1, got 0"),
+    (dict(k_query=0), "bench.k_query must be in [1, inf), got 0"),
     (dict(n_way=[3, 2], r=[2]),
      "bench.r=2 needs r + 1 classes per episode, but the smallest bench.n_way is 2"),
 ], ids=["k_query", "r"])

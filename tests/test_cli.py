@@ -1,6 +1,9 @@
+import argparse
 import dataclasses
+import glob
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +11,10 @@ import sys
 import pytest
 
 import fspll.bench
-from fspll.bench import BenchSpec, sweep
-from fspll.cli import DEFAULTS, config_keys, main
+import fspll.cli
+from fspll.bench import METHODS, BenchSpec, sweep
+from fspll.cli import _load_config, main
+from fspll.config import DEFAULTS, KEYS, config_keys
 from fspll.embedding import NetworkSpec
 from fspll.pll_core import RectifyConfig
 from fspll.trainer import TrainConfig
@@ -224,8 +229,12 @@ def test_help_lists_config_keys(capsys):
     for argv in (["--help"], ["sweep", "--help"]):
         assert main(argv) == 0
         out = capsys.readouterr().out
-        for key, default in config_keys():
-            assert f"  {key} ({json.dumps(default)})" in out
+        lines = {line.split()[0]: line for line in out.splitlines() if line.startswith("  ")}
+        for key, entry in config_keys():
+            assert lines[key].startswith(f"  {key} ({json.dumps(entry.default)})")
+            if isinstance(entry.domain, str):
+                assert f"  in {entry.domain}" in lines[key]
+        assert "any of " + ", ".join(METHODS) in lines["bench.methods"]
 
 
 def _library_defaults(cls):
@@ -252,12 +261,12 @@ def test_config_defaults_match_library_defaults():
         assert shared, section
         for key in shared:
             # through JSON, so that tuple defaults compare equal to lists
-            assert DEFAULTS[section][key] == json.loads(json.dumps(library[key])), \
+            assert DEFAULTS[section][key].default == json.loads(json.dumps(library[key])), \
                 f"{section}.{key}"
     assert train["rectify"] == RectifyConfig()
     # The one deliberate difference: the CLI holds out classes by default,
     # while the library's None trains on every world class.
-    assert DEFAULTS["train_classes"] == 30 and train["train_classes"] is None
+    assert DEFAULTS["train_classes"].default == 30 and train["train_classes"] is None
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -364,27 +373,27 @@ def _sweep(**section):
     ("bench", _set(("bench", "n_way", [])), "bench.n_way must list at least one value"),
     ("bench", _set(("bench", "k_shot", [])), "bench.k_shot must list at least one value"),
     ("bench", _set(("bench", "r", [])), "bench.r must list at least one value"),
-    ("bench", _set(("bench", "n_way", [3, 0])), "bench.n_way must be >= 1, got 0"),
+    ("bench", _set(("bench", "n_way", [3, 0])), "bench.n_way[1] must be in [1, inf), got 0"),
     ("bench", _set(("bench", "k_shot", [0]), ("rectify", "lambda", 0)),
-     "bench.k_shot must be >= 1, got 0"),
-    ("bench", _set(("bench", "k_shot", [-1])), "bench.k_shot must be >= 1, got -1"),
+     "bench.k_shot[0] must be in [1, inf), got 0"),
+    ("bench", _set(("bench", "k_shot", [-1])), "bench.k_shot[0] must be in [1, inf), got -1"),
     ("bench", _set(("rectify", "k", 9)),
      "rectify.k=9 needs k + 1 support samples, but cell N3-K3-r1-p1: k_shot=3 gives "
      "3 x 3 = 9"),
     ("sweep", _sweep(values=[]), "sweep.values must list at least one value"),
     ("sweep", _sweep(axis="mu"), "sweep.axis must be one of ('lambda', 'k'), got 'mu'"),
     ("sweep", _sweep(values=[-1.0]),
-     "sweep.values: lambda must be a finite number >= 0, got -1.0"),
+     "sweep.values[0] must be in [0, inf), got -1.0"),
     ("sweep", _sweep(values=[0.5, float("nan")]),
-     "sweep.values: lambda must be a finite number >= 0, got nan"),
+     "sweep.values[1] must be in [0, inf), got nan"),
     ("sweep", _sweep(values=[0.5, float("inf")]),
-     "sweep.values: lambda must be a finite number >= 0, got inf"),
+     "sweep.values[1] must be in [0, inf), got inf"),
     ("sweep", _sweep(axis="k", values=[9]),
      "sweep.values: k=9 must be < n_s=9 for cell N3-K3-r1-p1"),
     ("sweep", _sweep(axis="k", values=[2, float("nan")]),
-     "sweep.values: k must be a positive integer, got nan"),
+     "sweep.values[1] must be in [0, inf), got nan"),
     ("sweep", _sweep(axis="k", values=[2, float("inf")]),
-     "sweep.values: k must be a positive integer, got inf"),
+     "sweep.values[1] must be in [0, inf), got inf"),
     ("bench", _set(("bench", "methods", ["pn", "fspll", "pn"])), "bench.methods lists 'pn' twice"),
     ("bench", _set(("bench", "n_way", [3, 3])), "bench.n_way lists 3 twice"),
     ("bench", _set(("bench", "k_shot", [3, 3])), "bench.k_shot lists 3 twice"),
@@ -409,33 +418,45 @@ def _sweep(**section):
      "held-out pool (2 classes) is smaller than test.n_way=3: "
      "the world's 10 classes minus train_classes=8"),
     ("bench", _set(("rectify", "lambda", -0.5)),
-     "rectify.lambda must be a finite number >= 0, got -0.5"),
+     "rectify.lambda must be in [0, inf), got -0.5"),
     ("bench", _set(("rectify", "lambda", float("nan"))),
-     "rectify.lambda must be a finite number >= 0, got nan"),
+     "rectify.lambda must be in [0, inf), got nan"),
     ("bench", _set(("rectify", "lambda", float("inf"))),
-     "rectify.lambda must be a finite number >= 0, got inf"),
-    ("bench", _set(("rectify", "iterations", -1)), "rectify.iterations must be >= 0, got -1"),
-    ("bench", _set(("rectify", "k", 0)), "rectify.k must be >= 1, got 0"),
+     "rectify.lambda must be in [0, inf), got inf"),
+    ("bench", _set(("rectify", "iterations", -1)),
+     "rectify.iterations must be in [0, inf), got -1"),
+    ("bench", _set(("rectify", "k", 0)), "rectify.k must be in [1, inf), got 0"),
     ("bench", _set(("bench", "p", 1.5)), "bench.p must be in [0, 1], got 1.5"),
-    ("bench", _set(("bench", "r", [1, -1])), "bench.r must be >= 0, got -1"),
-    ("bench", _set(("train", "lr0", 0)), "train.lr0 must be > 0, got 0"),
-    ("bench", _set(("world", "sigma", 0)), "world.sigma must be > 0, got 0"),
+    ("bench", _set(("bench", "r", [1, -1])), "bench.r[1] must be in [0, inf), got -1"),
+    ("bench", _set(("train", "lr0", 0)), "train.lr0 must be in (0, inf), got 0"),
+    ("bench", _set(("world", "sigma", 0)), "world.sigma must be in (0, inf), got 0"),
     ("bench", _set(("network", "hidden_dims", [6, 0])),
-     "network.hidden_dims must be positive, got [6, 0]"),
+     "network.hidden_dims[1] must be in [1, inf), got 0"),
     ("sweep", _set(("bench", "p", -0.5), ("sweep", "axis", "lambda"), ("sweep", "values", [0.5])),
      "bench.p must be in [0, 1], got -0.5"),
     ("train", _set(("corruption", "p", 1.5)), "corruption.p must be in [0, 1], got 1.5"),
-    ("train", _set(("train", "max_epoch", -1)), "train.max_epoch must be >= 0, got -1"),
-    ("gen-world", _set(("world", "classes", 1)), "world.classes must be >= 2, got 1"),
+    ("train", _set(("train", "max_epoch", -1)), "train.max_epoch must be in [0, inf), got -1"),
+    ("gen-world", _set(("world", "classes", 1)), "world.classes must be in [2, inf), got 1"),
     ("gen-world", _set(("world", "mean_scale", float("nan"))),
-     "world.mean_scale must be finite, got nan"),
-    ("gen-world", _set(("world", "mean_scale", 0)), "world.mean_scale must be > 0, got 0"),
+     "world.mean_scale must be in (0, 8.988465674311579e+307], got nan"),
+    ("gen-world", _set(("world", "mean_scale", 0)),
+     "world.mean_scale must be in (0, 8.988465674311579e+307], got 0"),
     ("gen-world", _set(("world", "mean_scale", 1e308)),
-     "world.mean_scale must be <= 8.988465674311579e+307, got 1e+308"),
-    ("train", _set(("train", "lr0", float("inf"))), "train.lr0 must be finite, got inf"),
-    ("train", _set(("world", "sigma", float("inf"))), "world.sigma must be finite, got inf"),
+     "world.mean_scale must be in (0, 8.988465674311579e+307], got 1e+308"),
+    ("train", _set(("train", "lr0", float("inf"))), "train.lr0 must be in (0, inf), got inf"),
+    ("train", _set(("world", "sigma", float("inf"))), "world.sigma must be in (0, inf), got inf"),
     ("test", _test_section(("corruption", "p", -0.1)), "corruption.p must be in [0, 1], got -0.1"),
-    ("test", _test_section(("corruption", "r", -1)), "corruption.r must be >= 0, got -1"),
+    ("test", _test_section(("corruption", "r", -1)), "corruption.r must be in [0, inf), got -1"),
+    ("gen-world", _set(("world", "seed", -1)), "world.seed must be in [0, inf), got -1"),
+    ("bench", _set(("train", "init_seed", -1)), "train.init_seed must be in [0, inf), got -1"),
+    ("bench", _set(("train", "task_seed", -1)), "train.task_seed must be in [0, inf), got -1"),
+    ("test", _test_section(("test", "eval_seed", -1)),
+     "test.eval_seed must be in [0, inf), got -1"),
+    ("bench", _set(("bench", "eval_seed", -1)), "bench.eval_seed must be in [0, inf), got -1"),
+    ("bench --seed -3", _set(), "bench.eval_seed must be in [0, inf), got -3"),
+    ("sweep", _sweep(axis="k", values=[2, 0]), "sweep.values[1] must be in [1, inf), got 0"),
+    ("sweep", _sweep(axis="k", values=[2.5]),
+     "sweep.values[0] must be an integer for axis k, got 2.5"),
 ], ids=["bench-n_way-empty", "bench-k_shot-empty", "bench-r-empty", "bench-n_way-0",
         "bench-k_shot-0", "bench-k_shot-negative", "bench-k",
         "sweep-values-empty", "sweep-axis", "sweep-lambda-negative", "sweep-lambda-nan",
@@ -449,7 +470,8 @@ def _sweep(**section):
         "train-max-epoch", "gen-world-classes", "gen-world-mean-scale",
         "gen-world-mean-scale-0", "gen-world-mean-scale-overflow", "train-lr0-inf",
         "train-sigma-inf", "test-corruption-p",
-        "test-corruption-r"])
+        "test-corruption-r", "gen-world-seed", "bench-init-seed", "bench-task-seed",
+        "test-eval-seed", "bench-eval-seed", "bench-seed-flag", "sweep-k-0", "sweep-k-fraction"])
 def test_config_errors_fail_before_any_output(tmp_path, capsys, monkeypatch, command, edit,
                                               message):
     def no_training(*args):
@@ -461,9 +483,78 @@ def test_config_errors_fail_before_any_output(tmp_path, capsys, monkeypatch, com
     doc = tiny_bench_doc()
     edit(doc)
     cfg = write_config(tmp_path, doc)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main([*command.split(), "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.path.exists(tmp_path / "o")
+
+
+def _kind(entry):
+    """The type of the key's value, or of its items for a list key, and
+    whether it is a list key."""
+    example = entry.null_type if entry.default is None else entry.default
+    listed = isinstance(example, list)
+    return type(example[0] if listed else example), listed
+
+
+NUMERIC_KEYS = [key for key, entry in config_keys() if _kind(entry)[0] in (int, float)]
+
+
+def _out_of_range(domain, integer):
+    """NaN, both infinities, and the value just past each finite end of the
+    interval `domain`: the end itself where it is open."""
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    values = [math.nan, math.inf, -math.inf]
+    for end, closed, step in ((lo, domain[0] == "[", -1), (hi, domain[-1] == "]", 1)):
+        if math.isfinite(end) and not closed:
+            values.append(end)
+        elif math.isfinite(end):
+            values.append(int(end) + step if integer else math.nextafter(end, step * math.inf))
+    return values
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_every_numeric_key_rejects_each_value_outside_its_range(tmp_path, capsys, monkeypatch,
+                                                                 key):
+    # a numeric key added to the table without a range fails here
+    entry = KEYS[key]
+    assert isinstance(entry.domain, str), f"{key} declares no range"
+
+    def no_training(*args):
+        raise AssertionError("meta_train must not run")
+
+    monkeypatch.setattr(fspll.bench, "meta_train", no_training)
+    monkeypatch.setattr(fspll.cli, "meta_train", no_training)
+    kind, listed = _kind(entry)
+    integer = kind is int
+    name = f"{key}[0]" if listed else key
+    *path, last = key.split(".")
+    for value in _out_of_range(entry.domain, integer):
+        doc = tiny_bench_doc()
+        section = doc
+        for part in path:
+            section = section.setdefault(part, {})
+        section[last] = [value] if listed else value
+        cfg = write_config(tmp_path, doc)
+        if integer and not math.isfinite(value):  # JSON's NaN and Infinity are no integers
+            message = (f"config key {name} must be an integer"
+                       f"{' or null' if entry.default is None else ''}, got {json.dumps(value)}")
+        else:
+            message = f"{name} must be in {entry.domain}, got {value}"
+        for command in ("gen-world", "train", "test", "bench", "sweep"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, \
+                (command, value)
+            assert capsys.readouterr().err == f"error: {message}\n", (command, value)
+            assert not os.path.exists(tmp_path / "o")
+
+
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(CONFIGS, "*.json"))) + [
+    os.path.join(ROOT, "perfbench", "large_episode.json")]
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
+def test_shipped_configs_pass_the_table(path):
+    # the table checks every section of a file, not only the command's own
+    _load_config(argparse.Namespace(config=path, seed=None, seed_keys=[]))
 
 
 def test_bench_checks_training_rectify_before_any_training(tmp_path, capsys, monkeypatch):
@@ -506,7 +597,7 @@ def test_test_rejects_a_count_below_one(tmp_path, capsys, key):
     doc["test"] = {"checkpoint": "never-read.json", "n_way": 3, "k_shot": 3, key: 0}
     cfg = write_config(tmp_path, doc)
     assert main(["test", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == f"error: config key test.{key} must be >= 1, got 0\n"
+    assert capsys.readouterr().err == f"error: test.{key} must be in [1, inf), got 0\n"
     assert not os.path.exists(tmp_path / "o")
 
 

@@ -37,7 +37,7 @@ def test_he_initialization_statistics():
 
 
 def test_zero_dimension_layer_rejected():
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match=r"network.hidden_dims\[0\] must be in \[1, inf\), got 0"):
         NetworkSpec(4, (0,), 2)
 
 

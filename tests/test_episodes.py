@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -25,6 +26,9 @@ def test_world_rejects_bad_params():
         make_world(1, classes=1, dim=16, sigma=0.5)
     with pytest.raises(ValueError):
         make_world(1, classes=5, dim=0, sigma=0.5)
+    # a negative seed fails by key before NumPy sees it
+    with pytest.raises(ValueError, match=re.escape("world.seed must be in [0, inf), got -1")):
+        make_world(-1, classes=5, dim=16, sigma=0.5)
 
 
 # the smallest subnormal scale leaves 5 one-dimensional means 3 values to share
@@ -37,7 +41,8 @@ def test_world_rejects_collided_means(dim, mean_scale):
 # 0 puts every class mean at the origin, whatever the seed
 @pytest.mark.parametrize("mean_scale", [0.0, -1.0], ids=["zero", "negative"])
 def test_world_rejects_a_non_positive_mean_scale(mean_scale):
-    with pytest.raises(ValueError, match=f"world.mean_scale must be > 0, got {mean_scale}"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"world.mean_scale must be in (0, 8.988465674311579e+307], got {mean_scale}")):
         make_world(1, classes=5, dim=3, sigma=0.5, mean_scale=mean_scale)
 
 
@@ -270,3 +275,5 @@ def test_corruption_spec_validation():
         CorruptionSpec(1.5, 1)
     with pytest.raises(ValueError):
         CorruptionSpec(0.5, -1)
+    with pytest.raises(ValueError, match=re.escape("corruption.p must be in [0, 1], got nan")):
+        CorruptionSpec(p=float("nan"), r=1)

@@ -671,6 +671,9 @@ def test_rectify_config_validation():
         RectifyConfig(k=0)
     with pytest.raises(ValueError):
         RectifyConfig(distance="cosine")
+    # NaN would skip smoothing silently
+    with pytest.raises(ValueError, match=re.escape("rectify.lambda must be in [0, inf), got nan")):
+        RectifyConfig(lam=float("nan"))
 
 
 def test_resolve_k_checks_a_set_k_against_the_support_size():

@@ -330,6 +330,8 @@ def test_train_config_validation():
         tiny_config(tasks_per_epoch=0)
     with pytest.raises(ValueError, match="max_epoch"):
         tiny_config(max_epoch=-1)
+    with pytest.raises(ValueError, match=r"train.init_seed must be in \[0, inf\), got -1"):
+        tiny_config(init_seed=-1)
     with pytest.raises(ValueError, match="corruption.r=3 needs r [+] 1 classes per training "
                                          "task, but train.n_way is 3"):
         tiny_config(corruption=CorruptionSpec(1.0, 3))
