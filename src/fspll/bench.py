@@ -190,7 +190,7 @@ def score_rounds(world: World, train_classes: int, k_query: int, eval_seed: int,
                                  corruption, rngs)
         hashes.extend(episode_hash(episodes))
         for (params, test), accs in zip(runs, accuracies):
-            accs.extend(r.accuracy for r in meta_test(params, episodes, test))
+            accs.extend(meta_test(params, episodes, test)[1].tolist())
     return hashes, accuracies
 
 

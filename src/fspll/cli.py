@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .bench import (BenchSpec, Cell, check_held_out, run_benchmark, score_rounds, sweep,
                     write_report)
-from .config import DEFAULTS, check, config_keys
+from .config import DEFAULTS, KEYS, check, check_value, config_keys
 from .embedding import NetworkSpec, embed_layers, init_network, load_checkpoint, save_checkpoint
 from .episodes import (CorruptionSpec, corrupt, make_world, sample_episode, world_from_manifest,
                        world_to_manifest)
@@ -199,6 +199,9 @@ def cmd_test(args) -> int:
     rect.resolve_k(cell.n_way, cell.k_shot, "test.k_shot")
     check_held_out(world, cfg["train_classes"], cell.n_way, "test.n_way")
     params = load_checkpoint(_resolve(section["checkpoint"], base_dir))
+    if params.spec.input_dim != world.dim:
+        raise ValueError(f"test.checkpoint takes inputs of width {params.spec.input_dim}, "
+                         f"but world.dim is {world.dim}")
 
     rounds = section["rounds"]
     hashes, [accs] = score_rounds(world, cfg["train_classes"], section["k_query"],
@@ -253,6 +256,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_grad_check(args) -> int:
     seed = args.seed if args.seed is not None else 0
+    check_value("--seed", seed, KEYS["world.seed"].domain)  # every seed key's range
     rng = np.random.default_rng(seed)
     worst = 0.0
     fused_dev = 0.0

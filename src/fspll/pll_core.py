@@ -300,11 +300,6 @@ def rectify(Z: np.ndarray, Y: np.ndarray, cfg: RectifyConfig) -> tuple[np.ndarra
     The inputs are checked once, here; the loop runs on the steps' kernels
     and gives the bits of the public steps called in turn. Z's leading axes
     must broadcast to Y's, as the candidate softmax keeps Y's shape.
-
-    When every sample of every episode has exactly one candidate, the loop is
-    skipped: each step maps that Q to itself to the last bit (the softmax over
-    one candidate is exp(0) / 1 = 1.0, smoothing gives x / x = 1.0, and
-    non-candidates stay +0.0), so the result is the same.
     """
     Z = np.asarray(Z, dtype=np.float64)
     Y = np.asarray(Y)
@@ -312,14 +307,11 @@ def rectify(Z: np.ndarray, Y: np.ndarray, cfg: RectifyConfig) -> tuple[np.ndarra
     if (Z.shape[-1] != Y.shape[-1]
             or np.broadcast_shapes(Z.shape[:-2], Y.shape[:-2]) != Y.shape[:-2]):
         raise ValueError(f"rectify: Z {Z.shape} does not match Y {Y.shape}")
-    counts = Y.sum(axis=-2, keepdims=True)
-    Q = Y / counts
+    Q = Y / Y.sum(axis=-2, keepdims=True)
     smooth = cfg.iterations > 0 and cfg.lam > 0
     if smooth and cfg.k is None:
         raise ValueError("rectify: cfg.k must be resolved before smoothing runs")
     ZT = Z.swapaxes(-1, -2)
-    if (counts == 1).all():
-        return _prototypes(ZT, Q), Q
     cand = Y > 0
     cols = None
     if smooth:

@@ -94,14 +94,6 @@ class TrainLog:
         return [e.loss for e in self.entries]
 
 
-@dataclass
-class TestResult:
-    predictions: np.ndarray
-    accuracy: float
-    prototypes: np.ndarray
-    confidence: np.ndarray
-
-
 def lr_at(epoch: int, lr0: float, period: int) -> float:
     """Learning rate at a (0-based) epoch: lr0 halved once per `period` epochs."""
     if epoch < 0:
@@ -339,13 +331,14 @@ def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainL
 
 
 def meta_test(params: NetworkParams, episodes: Episode,
-              rectify_cfg: RectifyConfig) -> list[TestResult]:
+              rectify_cfg: RectifyConfig) -> tuple[np.ndarray, np.ndarray]:
     """Adapt to each episode of a stack with the network frozen and score its
     queries.
 
     The (T, ...) stack `episodes` (as sample_episode draws it; `episode[None]`
     makes one episode a stack of one) is embedded, rectified and classified in
-    one pass and gives one TestResult per episode, the same as one at a time.
+    one pass. Returns (predictions, accuracies): the T x n_q predicted labels
+    and the T query accuracies, each episode's the same as on its own.
     rectify_cfg.k left unset resolves to the per-class shot count minus one.
     """
     if episodes.support.shape[-2] != params.spec.input_dim:
@@ -354,8 +347,6 @@ def meta_test(params: NetworkParams, episodes: Episode,
             f"network input {params.spec.input_dim}")
     cfg = rectify_cfg.resolve_k(episodes.n_classes, episodes.n_support // episodes.n_classes,
                                 "shots per class")
-    protos, confidence = rectify(embed(params, episodes.support), episodes.candidates, cfg)
+    protos, _ = rectify(embed(params, episodes.support), episodes.candidates, cfg)
     preds = predict(classify_proba(embed(params, episodes.queries), protos, cfg.distance))
-    accuracies = (preds == episodes.query_truth).mean(axis=-1)
-    return [TestResult(p, float(acc), protos[t], confidence[t])
-            for t, (p, acc) in enumerate(zip(preds, accuracies))]
+    return preds, (preds == episodes.query_truth).mean(axis=-1)

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import glob
+import hashlib
 import inspect
 import json
 import math
@@ -15,7 +16,7 @@ import fspll.cli
 from fspll.bench import METHODS, BenchSpec, sweep
 from fspll.cli import _load_config, main
 from fspll.config import DEFAULTS, KEYS, config_keys
-from fspll.embedding import NetworkSpec
+from fspll.embedding import NetworkSpec, init_network, save_checkpoint
 from fspll.pll_core import RectifyConfig
 from fspll.trainer import TrainConfig
 
@@ -143,6 +144,41 @@ def test_test_command_evaluates_checkpoint(tmp_path, capsys):
     assert len(rows) == 4
 
 
+def test_test_rejects_a_checkpoint_of_another_input_width(tmp_path, capsys, monkeypatch):
+    def no_rounds(*args):
+        raise AssertionError("score_rounds must not run")
+
+    monkeypatch.setattr(fspll.cli, "score_rounds", no_rounds)
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(init_network(NetworkSpec(5, (6,), 4), 0), str(ckpt))
+    doc = tiny_train_doc()  # world.dim 4
+    doc["test"] = {"checkpoint": str(ckpt), "n_way": 3, "k_shot": 3, "k_query": 4}
+    cfg = write_config(tmp_path, doc)
+    assert main(["test", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error: test.checkpoint takes inputs of width 5, "
+                                       "but world.dim is 4\n")
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_exact_label_training_is_the_same_without_rectification(tmp_path):
+    # with r = 0 every support sample has one candidate, so the rectification
+    # loop maps each task's confidences to themselves: 10 iterations train the
+    # bits of 0
+    digests = []
+    for iterations in (10, 0):
+        with open(os.path.join(CONFIGS, "train_tiny.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["corruption"]["r"] = 0
+        doc["rectify"]["iterations"] = iterations
+        out = tmp_path / str(iterations)
+        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("checkpoint.json", "log.csv")})
+    assert digests[0] == digests[1] == {
+        "checkpoint.json": "2747c65578b8b13a2039a3e8aa2b0bb3d2e1e69c5aba9970892e249ba0a137ae",
+        "log.csv": "e4dc1d18684588c25abe520a1c9f80715fc1dfb9387289c67e46e5aff3bff0cd"}
+
+
 def test_bench_writes_reports_and_is_reproducible(tmp_path):
     cfg = write_config(tmp_path, tiny_bench_doc())
     main(["bench", "--config", cfg, "--out", str(tmp_path / "a")])
@@ -168,6 +204,15 @@ def test_grad_check_command(capsys):
     out = capsys.readouterr().out
     assert "max relative gradient error" in out
     assert "fused training gradient vs graph" in out
+
+
+def test_grad_check_rejects_a_negative_seed_before_any_work(capsys, monkeypatch):
+    def no_world(*args, **kwargs):
+        raise AssertionError("make_world must not run")
+
+    monkeypatch.setattr(fspll.cli, "make_world", no_world)
+    assert main(["grad-check", "--seed", "-3"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be in [0, inf), got -3\n"
 
 
 def test_grad_check_takes_no_out_and_no_config_epilog(tmp_path, capsys):

@@ -284,8 +284,8 @@ def test_meta_test_perfect_on_separable_world():
     world = tiny_world(sigma=1e-9)
     params = init_network(NetworkSpec(4, (), 4), seed=6)
     episode = sample_episode(world, [6, 7, 8], 3, 5, seed=7)
-    [result] = meta_test(params, episode[None], RectifyConfig())
-    assert result.accuracy == 1.0
+    _, [accuracy] = meta_test(params, episode[None], RectifyConfig())
+    assert accuracy == 1.0
 
 
 def test_meta_test_does_not_mutate_params():
@@ -308,12 +308,12 @@ def test_meta_test_zero_iterations_equals_pn_rule():
     params = init_network(NetworkSpec(4, (5,), 4), seed=11)
     episode = corrupt(sample_episode(world, [1, 3, 5], 3, 6, seed=12),
                       CorruptionSpec(1.0, 1), seed=13)
-    [result] = meta_test(params, episode[None], RectifyConfig(iterations=0))
+    [predictions], _ = meta_test(params, episode[None], RectifyConfig(iterations=0))
     z = embed(params, episode.support)
     q = episode.candidates / episode.candidates.sum(axis=0)
     protos = compute_prototypes(z, q)
     want = predict(classify_proba(embed(params, episode.queries), protos))
-    np.testing.assert_array_equal(result.predictions, want)
+    np.testing.assert_array_equal(predictions, want)
 
 
 def test_meta_test_dimension_mismatch():
