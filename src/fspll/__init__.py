@@ -2,7 +2,7 @@
 prototype rectification, plus a synthetic paired benchmark harness."""
 
 from .autodiff import Graph, Tensor
-from .bench import BenchResult, BenchSpec, method_variant, run_benchmark, sweep, write_report
+from .bench import BenchResult, BenchSpec, run_benchmark, sweep, write_report
 from .embedding import (NetworkParams, NetworkSpec, embed, init_network,
                         load_checkpoint, save_checkpoint)
 from .episodes import (CorruptionSpec, Episode, World, corrupt, episode_hash, make_world,
@@ -21,7 +21,7 @@ __all__ = [
     "TrainConfig", "TrainLog", "World", "classify_proba", "compute_prototypes",
     "corrupt", "embed", "episode_hash", "grad_check", "init_network",
     "knn_indices", "load_checkpoint", "lr_at", "make_world", "meta_test",
-    "meta_train", "method_variant", "pairwise_distance", "predict", "rectify",
+    "meta_train", "pairwise_distance", "predict", "rectify",
     "run_benchmark", "sample_episode", "save_checkpoint", "smooth_confidence", "sweep",
     "update_confidence", "write_report",
 ]

@@ -1,12 +1,14 @@
-"""Paired benchmark harness: ablation variants, sweeps, CSV/JSON reports.
+"""Paired benchmark harness: the methods of fspll.config.METHODS, sweeps,
+CSV/JSON reports.
 
 One run plan drives training and scoring: before anything is trained, each
-(cell, method) pair is derived once as (training config, effective test
-config) and checked. "Plus" variants meta-train on clean labels, the others
-under their cell's corruption. On clean labels (r = 0 or p = 0) rectification
-is the identity, so a config there keeps only its rectify distance (and r = 0).
-A checkpoint is trained once per distinct training config: every method of an
-r = 0 cell, and both "plus" variants, share one. score_rounds draws a base
+(cell, method) pair is derived once from the METHODS table as (training
+config, effective test config) and checked. "Plus" methods meta-train on
+clean labels, the others under their cell's corruption. On clean labels (r =
+0 or p = 0) rectification is the identity, so a config there keeps only its
+rectify distance (and r = 0). A checkpoint is trained once per distinct
+training config: every method of an r = 0 cell, and both "plus" methods,
+share one. score_rounds draws a base
 cell's rounds once, in stacks, keeping one content hash per round for
 auditing, and scores each distinct run on every stack: every method, and every
 value of a sweep, sees the same episodes. `fspll test` scores through it too.
@@ -22,43 +24,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULTS, KEYS, check, check_value
+from .config import DEFAULTS, KEYS, METHODS, check, check_value
 from .embedding import NetworkParams
 from .episodes import CorruptionSpec, World, draw_episodes, episode_hash, world_to_manifest
 from .pll_core import RectifyConfig, stack_size
 from .trainer import TrainConfig, meta_test, meta_train
-
-# method -> (the rectify fields it changes, whether it meta-trains on clean
-# labels). fspll: the full pipeline; fspll-nm: smoothing disabled (lam=0); pn:
-# no rectification (0 iterations, prototypes from uniform candidate
-# confidence); *-plus: the same pipelines, meta-trained on clean labels.
-METHODS = {
-    "fspll": ({}, False),
-    "fspll-nm": ({"lam": 0.0}, False),
-    "pn": ({"iterations": 0}, False),
-    "fspll-plus": ({}, True),
-    "pn-plus": ({"iterations": 0}, True),
-}
-
-
-@dataclass(frozen=True)
-class MethodVariant:
-    """One configured pipeline: how to rectify during training and testing,
-    and whether meta-training sees clean labels."""
-
-    name: str
-    train_rectify: RectifyConfig
-    test_rectify: RectifyConfig
-    clean_meta_train: bool
-
-
-def method_variant(name: str, base: RectifyConfig | None = None) -> MethodVariant:
-    """The METHODS entry `name` applied to `base` (default RectifyConfig())."""
-    if name not in METHODS:
-        raise ValueError(f"unknown method {name!r}; valid methods: {', '.join(METHODS)}")
-    changes, clean = METHODS[name]
-    cfg = replace(base if base is not None else RectifyConfig(), **changes)
-    return MethodVariant(name, cfg, cfg, clean)
 
 
 @dataclass(frozen=True)
@@ -101,16 +71,19 @@ class BenchSpec:
         if r_max > min(self.n_way) - 1:
             raise ValueError(f"bench.r={r_max} needs r + 1 classes per episode, "
                              f"but the smallest bench.n_way is {min(self.n_way)}")
-        variants = [method_variant(m, self.train.rectify) for m in self.methods]
-        # the r values a checkpoint trains under; "plus" variants train clean
+        # the r values a checkpoint trains under; "plus" methods train clean
         trained = [r for r in self.r if not CorruptionSpec(self.p, r).exact] \
-            if any(not v.clean_meta_train for v in variants) else []
+            if any(not METHODS[m][1] for m in self.methods) else []
         if max(trained, default=0) > self.train.n_way - 1:
             raise ValueError(f"bench.r={max(trained)} needs r + 1 classes per training task, "
                              f"but train.n_way is {self.train.n_way}")
         n_train = self.train.train_classes  # None: every class, so none held out
         check_held_out(self.world, self.world.classes if n_train is None else n_train,
                        max(self.n_way), "bench.n_way")
+
+    def cells(self) -> list[Cell]:
+        """The grid's cells: n_way outermost, then k_shot, then r."""
+        return [Cell(n, k, r, self.p) for n in self.n_way for k in self.k_shot for r in self.r]
 
     def signature(self) -> dict:
         """Canonical JSON-ready description; hashing it identifies the run."""
@@ -159,10 +132,12 @@ def _effective(rect: RectifyConfig, corruption: CorruptionSpec) -> RectifyConfig
     return RectifyConfig(iterations=0, distance=rect.distance) if corruption.exact else rect
 
 
-def _train_config(spec: BenchSpec, variant: MethodVariant, r_cell: int) -> TrainConfig:
-    """The config that trains a variant's checkpoint for a cell with r_cell."""
-    corruption = CorruptionSpec(spec.p, 0 if variant.clean_meta_train else r_cell)
-    rect = _effective(variant.train_rectify, corruption)
+def _train_config(spec: BenchSpec, rect: RectifyConfig, clean: bool, r_cell: int
+                  ) -> TrainConfig:
+    """The config that trains a checkpoint rectifying by rect for a cell with
+    r_cell, on clean labels if `clean`."""
+    corruption = CorruptionSpec(spec.p, 0 if clean else r_cell)
+    rect = _effective(rect, corruption)
     if corruption.exact:  # no label is ambiguous, and r draws nothing
         corruption = replace(corruption, r=0)
     return replace(spec.train, rectify=rect, corruption=corruption)
@@ -194,20 +169,27 @@ def score_rounds(world: World, train_classes: int, k_query: int, eval_seed: int,
     return hashes, accuracies
 
 
-def _run_cells(spec: BenchSpec, variants: dict[Cell, list[MethodVariant]]) -> BenchResult:
-    """Score each cell's method pipelines on the episode stream of its base
-    cell (the cell without its sweep tag). The run plan maps each base cell to
-    (cell label, method) -> (training config, effective test config) and is
-    checked in full before any checkpoint is trained."""
+def _run_cells(spec: BenchSpec, cells: list[Cell], retrain: bool) -> BenchResult:
+    """Score each method of spec.methods on each cell, on the episode stream
+    of its base cell (the cell without its sweep tag). A method's rectify
+    config is the train config's with its METHODS changes; a sweep-tagged cell
+    then sets its axis's rectify field at test time, and in training too if
+    `retrain`. The run plan maps each base cell to (cell label, method) ->
+    (training config, effective test config) and is checked in full before
+    any checkpoint is trained."""
     plan: dict[Cell, dict[tuple[str, str], tuple[TrainConfig, RectifyConfig]]] = {}
-    for cell, cell_variants in variants.items():
+    for cell in cells:
         runs = plan.setdefault(replace(cell, axis=None, axis_value=None), {})
-        for variant in cell_variants:
-            variant.test_rectify.resolve_k(cell.n_way, cell.k_shot, f"cell {cell.label()}: k_shot")
-            train = _train_config(spec, variant, cell.r)
+        swept = {} if cell.axis is None else \
+            {"lam": cell.axis_value} if cell.axis == "lambda" else {"k": int(cell.axis_value)}
+        for name in spec.methods:
+            changes, clean = METHODS[name]
+            rect = replace(spec.train.rectify, **changes)
+            test = replace(rect, **swept)
+            test.resolve_k(cell.n_way, cell.k_shot, f"cell {cell.label()}: k_shot")
+            train = _train_config(spec, test if retrain else rect, clean, cell.r)
             train.resolved_rectify()
-            test = _effective(variant.test_rectify, CorruptionSpec(cell.p, cell.r))
-            runs[(cell.label(), variant.name)] = (train, test)
+            runs[(cell.label(), name)] = (train, _effective(test, CorruptionSpec(cell.p, cell.r)))
     checkpoints: dict[TrainConfig, NetworkParams] = {}
     accuracies: dict[tuple[str, str], list[float]] = {}
     hashes: dict[str, list[str]] = {}
@@ -229,34 +211,32 @@ def _run_cells(spec: BenchSpec, variants: dict[Cell, list[MethodVariant]]) -> Be
                   "task": spec.train.task_seed, "eval": spec.eval_seed},
         "std": "population",
         "methods": list(spec.methods),
-        "cells": [c.label() for c in variants],
+        "cells": [c.label() for c in cells],
         "episode_hashes": hashes,
     }
-    return BenchResult(list(variants), meta["methods"], accuracies, hashes, meta)
+    return BenchResult(list(cells), meta["methods"], accuracies, hashes, meta)
 
 
 def run_benchmark(spec: BenchSpec) -> BenchResult:
     """Train the required checkpoints and score every (cell, method) pair over
     paired episode rounds."""
-    variants = [method_variant(m, spec.train.rectify) for m in spec.methods]
-    return _run_cells(spec, {Cell(n, k, r, spec.p): variants
-                             for n in spec.n_way for k in spec.k_shot for r in spec.r})
+    return _run_cells(spec, spec.cells(), False)
 
 
 def sweep(spec: BenchSpec, axis: str, values: list[float],
           retrain: bool = False) -> BenchResult:
-    """One paired benchmark per axis value, scored on its base cell's episodes.
+    """One paired benchmark per axis value: each grid cell, tagged by each
+    value, scored on its base cell's episodes.
 
     axis "lambda" varies the smoothing trade-off, axis "k" the neighbor count,
     both at meta-test time, and each value must lie in that rectify key's range.
-    retrain=True also retrains each lambda's checkpoint. A k sweep cannot
-    retrain: k is checked against the cells' support sets.
+    retrain=True also trains each lambda value's checkpoint with it. A k sweep
+    cannot retrain: k is checked against the cells' support sets.
     """
     check({"sweep.axis": axis, "sweep.values": values})
     if retrain and axis == "k":
         raise ValueError("sweep.retrain must be false when sweep.axis is 'k'")
-    base_cells = [Cell(n, k, r, spec.p)
-                  for n in spec.n_way for k in spec.k_shot for r in spec.r]
+    base_cells = spec.cells()
     for i, v in enumerate(values):
         check_value(f"sweep.values[{i}]", v, KEYS[f"rectify.{axis}"].domain)
         if axis == "k":
@@ -267,17 +247,8 @@ def sweep(spec: BenchSpec, axis: str, values: list[float],
                 if v >= n_s:
                     raise ValueError(f"sweep.values: k={int(v)} must be < n_s={n_s} "
                                      f"for cell {cell.label()}")
-
-    variants: dict[Cell, list[MethodVariant]] = {}
-    for base_cell in base_cells:
-        for v in values:
-            change = {"lam": float(v)} if axis == "lambda" else {"k": int(v)}
-            variants[replace(base_cell, axis=axis, axis_value=float(v))] = [
-                replace(var, test_rectify=replace(var.test_rectify, **change),
-                        train_rectify=replace(var.train_rectify, **change) if retrain
-                        else var.train_rectify)
-                for var in (method_variant(m, spec.train.rectify) for m in spec.methods)]
-    return _run_cells(spec, variants)
+    return _run_cells(spec, [replace(cell, axis=axis, axis_value=float(v))
+                             for cell in base_cells for v in values], retrain)
 
 
 def write_report(result: BenchResult, out_dir) -> dict[str, str]:

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .bench import (BenchSpec, Cell, check_held_out, run_benchmark, score_rounds, sweep,
                     write_report)
-from .config import DEFAULTS, KEYS, check, check_value, config_keys
+from .config import DEFAULTS, KEYS, check, check_type, check_value, config_keys
 from .embedding import NetworkSpec, embed_layers, init_network, load_checkpoint, save_checkpoint
 from .episodes import (CorruptionSpec, corrupt, make_world, sample_episode, world_from_manifest,
                        world_to_manifest)
@@ -53,25 +53,6 @@ def _resolve(path, base_dir):
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
 
-JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
-              list: "a list"}
-
-
-def _check_type(key: str, value, default, null_type=None) -> None:
-    """Raise unless the parsed JSON `value` has the type of `default`, where an
-    integer is also a number and a list's items have the type of its first. A
-    null default takes null or a value of the type of `null_type`."""
-    example = null_type if default is None else default
-    if value is None and default is None:
-        return
-    if type(value) is not type(example) and (type(value), type(example)) != (int, float):
-        raise ValueError(f"config key {key} must be {JSON_TYPES[type(example)]}"
-                         f"{' or null' if default is None else ''}, got {json.dumps(value)}")
-    if isinstance(example, list):
-        for i, item in enumerate(value):
-            _check_type(f"{key}[{i}]", item, example[0])
-
-
 def _settings(doc, table: dict = DEFAULTS, prefix: str = "") -> dict:
     """`doc` over the table's defaults; a key the table does not hold, or a
     value of another type than its default's, is an error."""
@@ -83,7 +64,7 @@ def _settings(doc, table: dict = DEFAULTS, prefix: str = "") -> dict:
             raise ValueError(f"unknown config key {prefix}{key}")
         entry = table[key]
         if not isinstance(entry, dict):
-            _check_type(prefix + key, value, entry.default, entry.null_type)
+            check_type(f"config key {prefix}{key}", value, entry.default, entry.null_type)
     return {key: _settings(doc.get(key, {}), entry, f"{prefix}{key}.")
             if isinstance(entry, dict) else copy.deepcopy(doc.get(key, entry.default))
             for key, entry in table.items()}
@@ -105,7 +86,12 @@ def _load_config(args) -> tuple[dict, str]:
 def _parse_world(cfg: dict, base_dir: str):
     section = cfg["world"]
     if section["path"] is not None:
-        return world_from_manifest(_load_json(_resolve(section["path"], base_dir)))
+        path = _resolve(section["path"], base_dir)
+        doc = _load_json(path)
+        try:
+            return world_from_manifest(doc)
+        except ValueError as exc:
+            raise ValueError(f"world manifest {path}: {exc}") from None
     return make_world(section["seed"], section["classes"], section["dim"],
                       section["sigma"], section["mean_scale"])
 
@@ -224,10 +210,9 @@ def cmd_test(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    spec = _parse_bench(*_load_config(args))
-    out = _require_out(args)
-    result = run_benchmark(spec)
+def _report(result, out: str) -> int:
+    """Write the bench report into out and print each (cell, method) pair's
+    mean +/- std."""
     paths = write_report(result, out)
     for cell in result.cells:
         for method in result.methods:
@@ -238,6 +223,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def cmd_bench(args) -> int:
+    spec = _parse_bench(*_load_config(args))
+    out = _require_out(args)
+    return _report(run_benchmark(spec), out)
+
+
 def cmd_sweep(args) -> int:
     cfg, base_dir = _load_config(args)
     spec = _parse_bench(cfg, base_dir)
@@ -245,13 +236,8 @@ def cmd_sweep(args) -> int:
     if section["axis"] is None or section["values"] is None:
         raise ValueError("config keys sweep.axis and sweep.values are required")
     out = _require_out(args)
-    result = sweep(spec, section["axis"], list(section["values"]), retrain=section["retrain"])
-    paths = write_report(result, out)
-    for cell in result.cells:
-        for method in result.methods:
-            print(f"{cell.label()} {method}: {result.mean(cell.label(), method):.4f}")
-    print(f"wrote {paths['rounds.csv']}, {paths['summary.csv']}, {paths['meta.json']}")
-    return 0
+    return _report(sweep(spec, section["axis"], list(section["values"]),
+                         retrain=section["retrain"]), out)
 
 
 def cmd_grad_check(args) -> int:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check
+from .config import check, check_fields, check_type
 
 
 @dataclass(frozen=True)
@@ -97,20 +97,42 @@ def save_checkpoint(params: NetworkParams, path) -> None:
         fh.write("\n")
 
 
+# checkpoint field -> the config key whose type and range it takes; layers
+# has none and is checked against the spec
+CHECKPOINT_FIELDS = {"input_dim": "world.dim", "hidden_dims": "network.hidden_dims",
+                     "output_dim": "network.output_dim", "seed": "train.init_seed",
+                     "layers": None}
+
+
 def load_checkpoint(path) -> NetworkParams:
+    """Read a save_checkpoint file. A malformed one raises a ValueError that
+    names the file and the field."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    spec = NetworkSpec(doc["input_dim"], tuple(doc["hidden_dims"]), doc["output_dim"])
-    params = NetworkParams(spec, int(doc["seed"]))
-    for (out_dim, in_dim), layer in zip(spec.layer_dims(), doc["layers"]):
-        w = np.asarray(layer["weights"], dtype=np.float64)
-        b = np.asarray(layer["bias"], dtype=np.float64).reshape(-1, 1)
-        if w.shape != (out_dim, in_dim) or b.shape != (out_dim, 1):
-            raise ValueError(
-                f"checkpoint layer shape {w.shape}/{b.shape} does not match "
-                f"spec layer ({out_dim}, {in_dim})")
-        params.weights.append(w)
-        params.biases.append(b)
-    if len(params.weights) != len(spec.layer_dims()):
-        raise ValueError("checkpoint layer count does not match spec")
+        text = fh.read()
+    try:
+        return _checkpoint_params(json.loads(text))
+    except ValueError as exc:  # invalid JSON is one too
+        raise ValueError(f"checkpoint {path}: {exc}") from None
+
+
+def _checkpoint_params(doc) -> NetworkParams:
+    check_fields(doc, CHECKPOINT_FIELDS)
+    spec = NetworkSpec(doc["input_dim"], doc["hidden_dims"], doc["output_dim"])
+    layers = doc["layers"]
+    check_type("field layers", layers, [{}])
+    if len(layers) != len(spec.layer_dims()):
+        raise ValueError(f"field layers lists {len(layers)} layers, "
+                         f"but the spec has {len(spec.layer_dims())}")
+    params = NetworkParams(spec, doc["seed"])
+    for i, ((out_dim, in_dim), layer) in enumerate(zip(spec.layer_dims(), layers)):
+        for part, example in (("weights", [[0.0]]), ("bias", [0.0])):
+            if part not in layer:
+                raise ValueError(f"field layers[{i}].{part} is missing")
+            check_type(f"field layers[{i}].{part}", layer[part], example)
+        if len(layer["weights"]) != out_dim or len(layer["bias"]) != out_dim \
+                or any(len(row) != in_dim for row in layer["weights"]):
+            raise ValueError(f"field layers[{i}] does not have the spec's shape: "
+                             f"{out_dim} weight rows of {in_dim} and {out_dim} biases")
+        params.weights.append(np.asarray(layer["weights"], dtype=np.float64))
+        params.biases.append(np.asarray(layer["bias"], dtype=np.float64).reshape(-1, 1))
     return params

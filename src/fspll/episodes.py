@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import check
+from .config import check, check_fields
 
 
 @dataclass(frozen=True)
@@ -257,17 +257,17 @@ def episode_hash(episode: Episode) -> str | list[str]:
 
 # -- world manifests -----------------------------------------------------------
 
+MANIFEST_KEYS = ("seed", "classes", "dim", "sigma", "mean_scale")  # world.* config keys
+
+
 def world_to_manifest(world: World) -> dict:
     """JSON-ready description; means are regenerated from the seed on load."""
-    return {
-        "seed": world.seed,
-        "classes": world.classes,
-        "dim": world.dim,
-        "sigma": world.sigma,
-        "mean_scale": world.mean_scale,
-    }
+    return {key: getattr(world, key) for key in MANIFEST_KEYS}
 
 
-def world_from_manifest(doc: dict) -> World:
-    return make_world(int(doc["seed"]), int(doc["classes"]), int(doc["dim"]),
-                      float(doc["sigma"]), float(doc["mean_scale"]))
+def world_from_manifest(doc) -> World:
+    """The world a parsed manifest describes. Each key must have the type and
+    range of its world config key; a malformed manifest raises a ValueError
+    naming the key."""
+    check_fields(doc, {key: f"world.{key}" for key in MANIFEST_KEYS})
+    return make_world(*(doc[key] for key in MANIFEST_KEYS))

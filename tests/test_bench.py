@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import fspll.bench
-from fspll.bench import (METHODS, BenchSpec, Cell, method_variant, run_benchmark,
-                         sweep, write_report)
+from fspll.bench import METHODS, BenchSpec, Cell, run_benchmark, sweep, write_report
 from fspll.embedding import NetworkSpec
 from fspll.episodes import CorruptionSpec, draw_episodes, make_world
 from fspll.pll_core import DISTANCE_KINDS, RectifyConfig
@@ -29,35 +28,32 @@ def tiny_spec(**overrides):
 
 # -- method variants --------------------------------------------------------------
 
+def method_rectify(name, base=RectifyConfig()):
+    """The rectify config the METHODS entry `name` trains and tests with."""
+    return replace(base, **METHODS[name][0])
+
+
 def test_variant_fspll_nm_only_differs_in_lambda():
     base = RectifyConfig(iterations=10, lam=0.5, k=4)
-    full = method_variant("fspll", base)
-    nm = method_variant("fspll-nm", base)
-    assert nm.train_rectify == replace(base, lam=0.0)
-    assert nm.test_rectify == replace(base, lam=0.0)
-    assert (nm.clean_meta_train, full.clean_meta_train) == (False, False)
-    assert full.train_rectify == base
+    assert method_rectify("fspll-nm", base) == replace(base, lam=0.0)
+    assert method_rectify("fspll", base) == base
+    assert (METHODS["fspll-nm"][1], METHODS["fspll"][1]) == (False, False)
 
 
 def test_variant_pn_disables_rectification():
-    pn = method_variant("pn")
-    assert pn.train_rectify.iterations == 0
-    assert pn.test_rectify.iterations == 0
+    assert method_rectify("pn").iterations == 0
 
 
 def test_variant_plus_only_differs_in_meta_train_corruption():
-    pn = method_variant("pn")
-    pn_plus = method_variant("pn-plus")
-    assert pn.train_rectify == pn_plus.train_rectify
-    assert pn.test_rectify == pn_plus.test_rectify
-    assert (pn.clean_meta_train, pn_plus.clean_meta_train) == (False, True)
+    for name in ("fspll", "pn"):
+        assert method_rectify(name) == method_rectify(f"{name}-plus")
+        assert (METHODS[name][1], METHODS[f"{name}-plus"][1]) == (False, True)
 
 
 def test_variant_unknown_name_lists_valid():
-    with pytest.raises(ValueError) as err:
-        method_variant("protonet")
-    for name in METHODS:
-        assert name in str(err.value)
+    with pytest.raises(ValueError, match=re.escape(
+            f"bench.methods[1] must be one of {tuple(METHODS)}, got 'protonet'")):
+        tiny_spec(methods=["fspll", "protonet"])
 
 
 # -- run_benchmark -----------------------------------------------------------------
@@ -112,7 +108,7 @@ def test_spec_validation():
         tiny_spec(train=train)
     with pytest.raises(ValueError, match="methods"):
         tiny_spec(methods=[])
-    with pytest.raises(ValueError, match="unknown method"):
+    with pytest.raises(ValueError, match=re.escape("bench.methods[0] must be one of")):
         tiny_spec(methods=["nope"])
     with pytest.raises(ValueError, match="rounds"):
         tiny_spec(rounds=0)
@@ -205,7 +201,7 @@ def test_clean_label_training_ignores_rectification(distance, step_per_task, cor
     world = make_world(5, classes=10, dim=4, sigma=0.6)
     base = RectifyConfig(distance=distance)
     trained = []
-    for rect in [method_variant(m, base).train_rectify for m in ("fspll", "fspll-nm", "pn")] \
+    for rect in [method_rectify(m, base) for m in ("fspll", "fspll-nm", "pn")] \
             + [RectifyConfig(iterations=0, distance=distance)]:
         config = TrainConfig(network=NetworkSpec(4, (6,), 4), max_epoch=2, tasks_per_epoch=3,
                              n_way=3, k_support=3, k_query=4, train_classes=6, rectify=rect,
@@ -218,11 +214,11 @@ def test_clean_label_training_ignores_rectification(distance, step_per_task, cor
             np.testing.assert_array_equal(got, want)
 
 
-def train_config_per_variant(spec, variant, r_cell):
+def train_config_per_variant(spec, rect, clean, r_cell):
     """Reference training config: one checkpoint per rectify variant, with no
     sharing on clean labels."""
-    corruption = CorruptionSpec(spec.p, 0 if variant.clean_meta_train else r_cell)
-    return replace(spec.train, rectify=variant.train_rectify, corruption=corruption)
+    corruption = CorruptionSpec(spec.p, 0 if clean else r_cell)
+    return replace(spec.train, rectify=rect, corruption=corruption)
 
 
 # p = 1: r = 0 puts every method on one clean checkpoint; r = 1 adds fspll,

@@ -160,6 +160,115 @@ def test_test_rejects_a_checkpoint_of_another_input_width(tmp_path, capsys, monk
     assert not os.path.exists(tmp_path / "o")
 
 
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+MANIFEST = {"seed": 3, "classes": 10, "dim": 4, "sigma": 0.5, "mean_scale": 1.0}
+
+
+@pytest.mark.parametrize("command", ["gen-world", "bench"])
+@pytest.mark.parametrize("manifest, message", [
+    (_without(MANIFEST, "sigma"), "field sigma is missing"),
+    (_without(MANIFEST, "seed"), "field seed is missing"),
+    ([1, 2], "must hold a JSON object, not a list"),
+    ({**MANIFEST, "seed": 3.7}, "field seed must be an integer, got 3.7"),
+    ({**MANIFEST, "classes": 10.9}, "field classes must be an integer, got 10.9"),
+    ({**MANIFEST, "dim": "4"}, 'field dim must be an integer, got "4"'),
+    ({**MANIFEST, "mean_scale": True}, "field mean_scale must be a number, got true"),
+    ({**MANIFEST, "classes": 1}, "field classes must be in [2, inf), got 1"),
+    ({**MANIFEST, "sigma": 0}, "field sigma must be in (0, inf), got 0"),
+    ({**MANIFEST, "seed": -1}, "field seed must be in [0, inf), got -1"),
+], ids=["no-sigma", "no-seed", "list", "seed-fraction", "classes-fraction", "dim-string",
+        "mean-scale-boolean", "classes-1", "sigma-0", "seed-negative"])
+def test_malformed_world_manifest_fails_by_key(tmp_path, capsys, monkeypatch, command,
+                                               manifest, message):
+    def no_training(*args):
+        raise AssertionError("meta_train must not run")
+
+    monkeypatch.setattr(fspll.bench, "meta_train", no_training)
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(manifest))
+    doc = tiny_bench_doc()
+    doc["world"] = {"path": "world.json"}  # relative to the config file
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: world manifest {path}: {message}\n"
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_world_manifest_keeps_its_values(tmp_path):
+    # a manifest is read as written: an integer sigma stays one, as it does
+    # in a config file's world section
+    (tmp_path / "world.json").write_text(json.dumps({**MANIFEST, "sigma": 1}))
+    cfg = write_config(tmp_path, {"world": {"path": "world.json"}})
+    assert main(["gen-world", "--config", cfg, "--out", str(tmp_path / "w")]) == 0
+    written = json.loads((tmp_path / "w" / "world.json").read_text())
+    assert written == {**MANIFEST, "sigma": 1} and type(written["sigma"]) is int
+
+
+def _checkpoint_edit(edit):
+    """A checkpoint of world width 4 (4 -> 6 -> 4), as parsed JSON, with
+    `edit` applied."""
+    def make(tmp_path):
+        path = tmp_path / "fresh.json"
+        save_checkpoint(init_network(NetworkSpec(4, (6,), 4), 0), str(path))
+        doc = json.loads(path.read_text())
+        return edit(doc)
+    return make
+
+
+def _drop(key):
+    return _checkpoint_edit(lambda doc: _without(doc, key))
+
+
+def _put(key, value):
+    return _checkpoint_edit(lambda doc: {**doc, key: value})
+
+
+def _layer(i, layer):
+    return _checkpoint_edit(lambda doc: {**doc, "layers": [
+        layer(old) if j == i else old for j, old in enumerate(doc["layers"])]})
+
+
+@pytest.mark.parametrize("checkpoint, message", [
+    (_drop("layers"), "field layers is missing"),
+    (_drop("seed"), "field seed is missing"),
+    (_put("input_dim", "8"), 'field input_dim must be an integer, got "8"'),
+    (_put("layers", 5), "field layers must be a list, got 5"),
+    (_checkpoint_edit(lambda doc: doc["layers"]), "must hold a JSON object, not a list"),
+    (_put("hidden_dims", [6, 0]), "field hidden_dims[1] must be in [1, inf), got 0"),
+    (_put("seed", 1.5), "field seed must be an integer, got 1.5"),
+    (_put("layers", []), "field layers lists 0 layers, but the spec has 2"),
+    (_layer(1, lambda layer: _without(layer, "bias")), "field layers[1].bias is missing"),
+    (_layer(0, lambda layer: {**layer, "bias": ["x"] * 6}),
+     'field layers[0].bias[0] must be a number, got "x"'),
+    (_layer(0, lambda layer: {**layer, "weights": layer["weights"][:5]}),
+     "field layers[0] does not have the spec's shape: 6 weight rows of 4 and 6 biases"),
+    (_layer(1, lambda layer: {**layer, "weights": [row[:5] for row in layer["weights"]]}),
+     "field layers[1] does not have the spec's shape: 4 weight rows of 6 and 4 biases"),
+], ids=["no-layers", "no-seed", "input-dim-string", "layers-number", "list", "hidden-dim-0",
+        "seed-fraction", "no-layer", "no-bias", "bias-string", "weight-rows", "weight-columns"])
+def test_malformed_checkpoint_fails_by_field(tmp_path, capsys, monkeypatch, checkpoint,
+                                             message):
+    def no_rounds(*args):
+        raise AssertionError("score_rounds must not run")
+
+    monkeypatch.setattr(fspll.cli, "score_rounds", no_rounds)
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(checkpoint(tmp_path)))
+    doc = tiny_train_doc()  # world.dim 4
+    doc["test"] = {"checkpoint": str(path), "n_way": 3, "k_shot": 3, "k_query": 4}
+    cfg = write_config(tmp_path, doc)
+    assert main(["test", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: checkpoint {path}: {message}\n"
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_exact_label_training_is_the_same_without_rectification(tmp_path):
     # with r = 0 every support sample has one candidate, so the rectification
     # loop maps each task's confidences to themselves: 10 iterations train the
@@ -252,14 +361,6 @@ def test_domain_error_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_unknown_method_in_config_exits_one(tmp_path, capsys):
-    doc = tiny_bench_doc()
-    doc["bench"]["methods"] = ["frob"]
-    cfg = write_config(tmp_path, doc)
-    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "unknown method" in capsys.readouterr().err
-
-
 def test_missing_out_is_domain_error(tmp_path, capsys):
     cfg = write_config(tmp_path, tiny_train_doc())
     assert main(["train", "--config", cfg]) == 1
@@ -279,7 +380,9 @@ def test_help_lists_config_keys(capsys):
             assert lines[key].startswith(f"  {key} ({json.dumps(entry.default)})")
             if isinstance(entry.domain, str):
                 assert f"  in {entry.domain}" in lines[key]
-        assert "any of " + ", ".join(METHODS) in lines["bench.methods"]
+            elif isinstance(entry.domain, tuple):  # the choices, from the table
+                assert "  in " + " | ".join(entry.domain) in lines[key]
+        assert lines["bench.methods"].endswith("  in " + " | ".join(METHODS))
 
 
 def _library_defaults(cls):
@@ -440,6 +543,11 @@ def _sweep(**section):
     ("sweep", _sweep(axis="k", values=[2, float("inf")]),
      "sweep.values[1] must be in [0, inf), got inf"),
     ("bench", _set(("bench", "methods", ["pn", "fspll", "pn"])), "bench.methods lists 'pn' twice"),
+    ("bench", _set(("bench", "methods", ["frob"])),
+     f"bench.methods[0] must be one of {tuple(METHODS)}, got 'frob'"),
+    ("sweep", _set(("bench", "methods", ["fspll", "protonet"]), ("sweep", "axis", "lambda"),
+                   ("sweep", "values", [0.5])),
+     f"bench.methods[1] must be one of {tuple(METHODS)}, got 'protonet'"),
     ("bench", _set(("bench", "n_way", [3, 3])), "bench.n_way lists 3 twice"),
     ("bench", _set(("bench", "k_shot", [3, 3])), "bench.k_shot lists 3 twice"),
     ("bench", _set(("bench", "r", [1, 1])), "bench.r lists 1 twice"),
@@ -506,7 +614,8 @@ def _sweep(**section):
         "bench-k_shot-0", "bench-k_shot-negative", "bench-k",
         "sweep-values-empty", "sweep-axis", "sweep-lambda-negative", "sweep-lambda-nan",
         "sweep-lambda-inf", "sweep-k", "sweep-k-nan", "sweep-k-inf",
-        "bench-methods-twice", "bench-n_way-twice", "bench-k_shot-twice", "bench-r-twice",
+        "bench-methods-twice", "bench-methods-unknown", "sweep-methods-unknown",
+        "bench-n_way-twice", "bench-k_shot-twice", "bench-r-twice",
         "sweep-values-twice", "sweep-k-retrain",
         "train-classes-0", "train-classes-11", "train-k",
         "bench-classes-11", "bench-held-out", "test-classes-11", "test-held-out",

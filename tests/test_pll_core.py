@@ -1,15 +1,18 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fspll.pll_core
 from fspll.autodiff import Graph, distance_nodes, loss_nodes, posterior_nodes, prototype_nodes
-from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
-from fspll.pll_core import (SQRT_EPS, RectifyConfig, classify_proba, compute_prototypes,
-                            knn_indices, pairwise_distance, predict, rectify,
-                            smooth_confidence, sqdist, update_confidence)
+from fspll.embedding import NetworkParams, NetworkSpec, embed_layers, init_network
+from fspll.episodes import CorruptionSpec, corrupt, draw_episodes, make_world, sample_episode
+from fspll.pll_core import (DISTANCE_KINDS, SQRT_EPS, RectifyConfig, classify_proba,
+                            compute_prototypes, knn_indices, pairwise_distance, predict,
+                            rectify, smooth_confidence, sqdist, update_confidence)
+from fspll.trainer import episode_loss_grad
 
 # ---------------------------------------------------------------------------
 # straight-line oracle: unvectorized reimplementation of the rectification
@@ -544,6 +547,100 @@ def test_rectify_translating_the_embeddings_leaves_q_unchanged(lead, distance, l
     _, Q = rectify(Z, Y, cfg)
     _, Q2 = rectify(Z + shift, Y, cfg)
     np.testing.assert_allclose(Q2, Q, rtol=METAMORPHIC_TOL, atol=METAMORPHIC_TOL)
+
+
+@METAMORPHIC
+def test_rectify_permuting_the_samples_permutes_q(lead, distance, lam):
+    # every sample's distances to the others are distinct, so its k nearest
+    # neighbors do not hang on a tie broken by sample index
+    Z, Y = ambiguous_instance(np.random.default_rng(49), lead)
+    assert (np.diff(np.sort(sqdist(Z, Z), axis=-1), axis=-1) > 0).all()
+    perm = np.random.default_rng(50).permutation(Y.shape[-1])
+    cfg = RectifyConfig(iterations=10, lam=lam, k=4, distance=distance)
+    P, Q = rectify(Z, Y, cfg)
+    P2, Q2 = rectify(Z[..., perm], Y[..., perm], cfg)
+    np.testing.assert_allclose(Q2, Q[..., perm], rtol=METAMORPHIC_TOL, atol=METAMORPHIC_TOL)
+    np.testing.assert_allclose(P2, P, rtol=METAMORPHIC_TOL, atol=METAMORPHIC_TOL)
+
+
+# classify_proba and the loss take one pass, not ten iterations. A shifted
+# coordinate carries an error of a few ulps of its magnitude (up to about 4
+# here), and a squared distance of up to about 64 sums four or five products
+# of such coordinates: a few hundred ulps at most. So results may differ by
+# 2**10 machine epsilons, relative or absolute (about 2.3e-13).
+ONE_PASS_TOL = 2 ** 10 * np.finfo(np.float64).eps
+ONE_PASS = pytest.mark.parametrize("lead, distance", [
+    pytest.param(lead, distance, id=f"{'T3' if lead else '2d'}-{distance}")
+    for lead in [(), (3,)] for distance in DISTANCE_KINDS])
+
+
+def classify_instance(lead):
+    """Query embeddings (4 x 9) and prototypes (6 x 4), stacked under lead."""
+    rng = np.random.default_rng(51)
+    return rng.uniform(-2, 2, lead + (4, 9)), rng.uniform(-2, 2, lead + (6, 4))
+
+
+@ONE_PASS
+def test_classify_proba_permuting_the_classes_permutes_its_rows(lead, distance):
+    Zq, P = classify_instance(lead)
+    perm = np.random.default_rng(52).permutation(P.shape[-2])
+    np.testing.assert_allclose(classify_proba(Zq, P[..., perm, :], distance),
+                               classify_proba(Zq, P, distance)[..., perm, :],
+                               rtol=ONE_PASS_TOL, atol=ONE_PASS_TOL)
+
+
+@ONE_PASS
+def test_classify_proba_translating_queries_and_prototypes_leaves_it_unchanged(lead, distance):
+    Zq, P = classify_instance(lead)
+    # a normal draw, unlike the uniform grid of classify_instance, rounds when added
+    shift = np.random.default_rng(53).normal(0, 2, (Zq.shape[-2], 1))
+    np.testing.assert_allclose(classify_proba(Zq + shift, P + shift.T, distance),
+                               classify_proba(Zq, P, distance),
+                               rtol=ONE_PASS_TOL, atol=ONE_PASS_TOL)
+
+
+def loss_instance(lead, distance):
+    """A corrupted 4-way episode (or a stack of 3), a 4 -> 6 -> 5 network, its
+    support activations and the rectified Q."""
+    world = make_world(54, classes=8, dim=4, sigma=0.8)
+    rngs = [np.random.default_rng([55, t]) for t in range(lead[0] if lead else 1)]
+    episode = draw_episodes(world, np.arange(8), 4, 3, 5, CorruptionSpec(1.0, 2), rngs)
+    episode = episode if lead else episode[0]
+    params = init_network(NetworkSpec(4, (6,), 5), seed=56)
+    layers = embed_layers(params, episode.support)
+    _, Q = rectify(layers[-1], episode.candidates,
+                   RectifyConfig(iterations=5, lam=0.5, k=2, distance=distance))
+    return params, layers, episode, Q
+
+
+@ONE_PASS
+@pytest.mark.parametrize("supervised", [False, True])
+def test_loss_is_invariant_under_class_permutation(lead, distance, supervised):
+    params, layers, episode, Q = loss_instance(lead, distance)
+    perm = np.random.default_rng(57).permutation(Q.shape[-2])
+    new_label = np.argsort(perm)  # old label -> its row after the permutation
+    relabeled = replace(episode, class_ids=episode.class_ids[..., perm],
+                        candidates=episode.candidates[..., perm, :],
+                        support_truth=new_label[episode.support_truth],
+                        query_truth=new_label[episode.query_truth])
+    loss = episode_loss_grad(params, layers, episode, Q, distance, supervised)[0]
+    loss2 = episode_loss_grad(params, layers, relabeled, Q[..., perm, :], distance,
+                              supervised)[0]
+    np.testing.assert_allclose(loss2, loss, rtol=ONE_PASS_TOL, atol=ONE_PASS_TOL)
+
+
+@ONE_PASS
+@pytest.mark.parametrize("supervised", [False, True])
+def test_loss_is_invariant_under_translation(lead, distance, supervised):
+    # adding a vector to the output bias translates every embedding by it
+    params, layers, episode, Q = loss_instance(lead, distance)
+    shift = np.random.default_rng(58).uniform(-2, 2, (params.spec.output_dim, 1))
+    moved = NetworkParams(params.spec, params.seed, params.weights,
+                          [*params.biases[:-1], params.biases[-1] + shift])
+    loss = episode_loss_grad(params, layers, episode, Q, distance, supervised)[0]
+    loss2 = episode_loss_grad(moved, embed_layers(moved, episode.support), episode, Q,
+                              distance, supervised)[0]
+    np.testing.assert_allclose(loss2, loss, rtol=ONE_PASS_TOL, atol=ONE_PASS_TOL)
 
 
 def test_rectify_ignores_a_much_closer_non_candidate():
