@@ -2,16 +2,17 @@
 CSV/JSON reports.
 
 One run plan drives training and scoring: before anything is trained, each
-(cell, method) pair is derived once from the METHODS table as (training
-config, effective test config) and checked. "Plus" methods meta-train on
-clean labels, the others under their cell's corruption. On clean labels (r =
-0 or p = 0) rectification is the identity, so a config there keeps only its
-rectify distance (and r = 0). A checkpoint is trained once per distinct
-training config: every method of an r = 0 cell, and both "plus" methods,
-share one. score_rounds draws a base
-cell's rounds once, in stacks, keeping one content hash per round for
-auditing, and scores each distinct run on every stack: every method, and every
-value of a sweep, sees the same episodes. `fspll test` scores through it too.
+(cell, method) pair is derived once from the METHODS table as (training config,
+effective test config). BenchSpec checks each key's range; the plan checks each
+rule that ties keys together or to the world. "Plus" methods meta-train on
+clean labels, the others under their cell's corruption (never the train
+config's own). On clean labels (r = 0 or p = 0) rectification is the identity,
+so a config there keeps only its rectify distance (and r = 0). A checkpoint is
+trained once per distinct training config: every method of an r = 0 cell, and
+both "plus" methods, share one. score_rounds draws a base cell's rounds once,
+in stacks, keeping one content hash per round for auditing, and scores each
+distinct run on every stack: every method, and every value of a sweep, sees the
+same episodes. `fspll test` scores through it too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .config import DEFAULTS, KEYS, METHODS, check, check_value
 from .embedding import NetworkParams
 from .episodes import CorruptionSpec, World, draw_episodes, episode_hash, world_to_manifest
 from .pll_core import RectifyConfig, stack_size
-from .trainer import TrainConfig, meta_test, meta_train
+from .trainer import TrainConfig, check_training, meta_test, meta_train
 
 
 @dataclass(frozen=True)
@@ -67,19 +68,6 @@ class BenchSpec:
 
     def __post_init__(self):
         check({f"bench.{key}": getattr(self, key) for key in DEFAULTS["bench"]})
-        r_max = max(self.r)
-        if r_max > min(self.n_way) - 1:
-            raise ValueError(f"bench.r={r_max} needs r + 1 classes per episode, "
-                             f"but the smallest bench.n_way is {min(self.n_way)}")
-        # the r values a checkpoint trains under; "plus" methods train clean
-        trained = [r for r in self.r if not CorruptionSpec(self.p, r).exact] \
-            if any(not METHODS[m][1] for m in self.methods) else []
-        if max(trained, default=0) > self.train.n_way - 1:
-            raise ValueError(f"bench.r={max(trained)} needs r + 1 classes per training task, "
-                             f"but train.n_way is {self.train.n_way}")
-        n_train = self.train.train_classes  # None: every class, so none held out
-        check_held_out(self.world, self.world.classes if n_train is None else n_train,
-                       max(self.n_way), "bench.n_way")
 
     def cells(self) -> list[Cell]:
         """The grid's cells: n_way outermost, then k_shot, then r."""
@@ -92,9 +80,10 @@ class BenchSpec:
         return doc
 
 
-def check_held_out(world: World, train_classes: int, n_way: int, key: str) -> None:
+def check_held_out(world: World, train_classes: int | None, n_way: int, key: str) -> None:
     """Reject a class split whose held-out pool (the world classes from
-    train_classes on) cannot fill an n_way-way episode; `key` names n_way."""
+    train_classes on; None holds none out) cannot fill an n_way-way episode."""
+    train_classes = world.classes if train_classes is None else train_classes
     if not 0 <= train_classes <= world.classes:
         raise ValueError(f"train_classes={train_classes} must be between 0 and "
                          f"the world's {world.classes} classes")
@@ -175,10 +164,13 @@ def _run_cells(spec: BenchSpec, cells: list[Cell], retrain: bool) -> BenchResult
     config is the train config's with its METHODS changes; a sweep-tagged cell
     then sets its axis's rectify field at test time, and in training too if
     `retrain`. The run plan maps each base cell to (cell label, method) ->
-    (training config, effective test config) and is checked in full before
-    any checkpoint is trained."""
+    (training config, effective test config), and each cell and config is
+    checked (check_held_out, trainer.check_training) before any training."""
     plan: dict[Cell, dict[tuple[str, str], tuple[TrainConfig, RectifyConfig]]] = {}
     for cell in cells:
+        corruption = CorruptionSpec(cell.p, cell.r)
+        corruption.check_n_way(cell.n_way, "bench.r", "bench.n_way")
+        check_held_out(spec.world, spec.train.train_classes, cell.n_way, "bench.n_way")
         runs = plan.setdefault(replace(cell, axis=None, axis_value=None), {})
         swept = {} if cell.axis is None else \
             {"lam": cell.axis_value} if cell.axis == "lambda" else {"k": int(cell.axis_value)}
@@ -188,8 +180,8 @@ def _run_cells(spec: BenchSpec, cells: list[Cell], retrain: bool) -> BenchResult
             test = replace(rect, **swept)
             test.resolve_k(cell.n_way, cell.k_shot, f"cell {cell.label()}: k_shot")
             train = _train_config(spec, test if retrain else rect, clean, cell.r)
-            train.resolved_rectify()
-            runs[(cell.label(), name)] = (train, _effective(test, CorruptionSpec(cell.p, cell.r)))
+            check_training(train, spec.world, "bench.r")
+            runs[(cell.label(), name)] = (train, _effective(test, corruption))
     checkpoints: dict[TrainConfig, NetworkParams] = {}
     accuracies: dict[tuple[str, str], list[float]] = {}
     hashes: dict[str, list[str]] = {}
@@ -228,27 +220,20 @@ def sweep(spec: BenchSpec, axis: str, values: list[float],
     """One paired benchmark per axis value: each grid cell, tagged by each
     value, scored on its base cell's episodes.
 
-    axis "lambda" varies the smoothing trade-off, axis "k" the neighbor count,
-    both at meta-test time, and each value must lie in that rectify key's range.
-    retrain=True also trains each lambda value's checkpoint with it. A k sweep
-    cannot retrain: k is checked against the cells' support sets.
+    axis "lambda" varies the smoothing trade-off, axis "k" the neighbor count
+    (an integer), both at meta-test time; each value must lie in that rectify
+    key's range. retrain=True also trains each lambda value's checkpoint with
+    it; a k sweep cannot. The plan checks k only on the runs that smooth.
     """
     check({"sweep.axis": axis, "sweep.values": values})
     if retrain and axis == "k":
         raise ValueError("sweep.retrain must be false when sweep.axis is 'k'")
-    base_cells = spec.cells()
     for i, v in enumerate(values):
         check_value(f"sweep.values[{i}]", v, KEYS[f"rectify.{axis}"].domain)
-        if axis == "k":
-            if int(v) != v:
-                raise ValueError(f"sweep.values[{i}] must be an integer for axis k, got {v}")
-            for cell in base_cells:
-                n_s = cell.n_way * cell.k_shot
-                if v >= n_s:
-                    raise ValueError(f"sweep.values: k={int(v)} must be < n_s={n_s} "
-                                     f"for cell {cell.label()}")
+        if axis == "k" and int(v) != v:
+            raise ValueError(f"sweep.values[{i}] must be an integer for axis k, got {v}")
     return _run_cells(spec, [replace(cell, axis=axis, axis_value=float(v))
-                             for cell in base_cells for v in values], retrain)
+                             for cell in spec.cells() for v in values], retrain)
 
 
 def write_report(result: BenchResult, out_dir) -> dict[str, str]:

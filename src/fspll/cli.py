@@ -118,6 +118,8 @@ def _require_out(args) -> str:
     """--out, which is made only when results are written: a failed run leaves none."""
     if not args.out:
         raise ValueError("--out <dir> is required for this command")
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out} names a file, not a directory")
     return args.out
 
 
@@ -147,7 +149,6 @@ def cmd_train(args) -> int:
     snapshot = {key: cfg[key] for key in ("train_classes", "network", "train", "rectify",
                                           "corruption")}
     snapshot["world"] = world_to_manifest(world)
-    snapshot["network"]["hidden_dims"] = list(config.network.hidden_dims)  # cast to int
     with open(os.path.join(out, "config.json"), "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -179,11 +180,10 @@ def cmd_test(args) -> int:
     rect = _parse_rectify(cfg)
     corruption = CorruptionSpec(**cfg["corruption"])
     cell = Cell(section["n_way"], section["k_shot"], corruption.r, corruption.p)
-    if cell.r > cell.n_way - 1:
-        raise ValueError(f"corruption.r={cell.r} needs r + 1 classes per episode, "
-                         f"but test.n_way is {cell.n_way}")
+    corruption.check_n_way(cell.n_way, "corruption.r", "test.n_way")
     rect.resolve_k(cell.n_way, cell.k_shot, "test.k_shot")
     check_held_out(world, cfg["train_classes"], cell.n_way, "test.n_way")
+    out = _require_out(args) if args.out else None
     params = load_checkpoint(_resolve(section["checkpoint"], base_dir))
     if params.spec.input_dim != world.dim:
         raise ValueError(f"test.checkpoint takes inputs of width {params.spec.input_dim}, "
@@ -195,13 +195,13 @@ def cmd_test(args) -> int:
 
     mean, std = float(np.mean(accs)), float(np.std(accs))
     print(f"accuracy over {rounds} rounds: {mean:.6f} +/- {std:.6f}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "test_rounds.csv"), "w", encoding="utf-8") as fh:
+    if out:
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, "test_rounds.csv"), "w", encoding="utf-8") as fh:
             fh.write("round,accuracy,episode_hash\n")
             for i, (acc, h) in enumerate(zip(accs, hashes)):
                 fh.write(f"{i},{acc:.6f},{h}\n")
-        with open(os.path.join(args.out, "test_summary.json"), "w", encoding="utf-8") as fh:
+        with open(os.path.join(out, "test_summary.json"), "w", encoding="utf-8") as fh:
             json.dump({"mean": round(mean, 6), "std": round(std, 6), "rounds": rounds,
                        "n_way": cell.n_way, "k_shot": cell.k_shot,
                        "eval_seed": section["eval_seed"]},

@@ -59,6 +59,13 @@ class CorruptionSpec:
         """True when no sample of any episode gains an irrelevant label."""
         return self.r == 0 or self.p == 0
 
+    def check_n_way(self, n_way: int, r_key: str, n_way_key: str, task: str = "episode") -> None:
+        """Raise unless an n_way-way `task` leaves r other classes for each
+        corrupted sample; `r_key` and `n_way_key` name r and n_way."""
+        if self.r > n_way - 1:
+            raise ValueError(f"{r_key}={self.r} needs r + 1 classes per {task}, "
+                             f"but {n_way_key} is {n_way}")
+
 
 @dataclass(frozen=True)
 class Episode:
@@ -214,8 +221,7 @@ def corrupt(episode: Episode, spec: CorruptionSpec, seed) -> Episode:
     pin this against that per-sample loop. In a stack each episode's
     generator makes exactly its own episode's calls."""
     l = episode.n_classes
-    if spec.r > l - 1:
-        raise ValueError(f"r={spec.r} needs at least r+1={spec.r + 1} classes, episode has {l}")
+    spec.check_n_way(l, "corruption.r", "n_way")
     Y = episode.candidates.copy()
     n_hit = int(np.floor(spec.p * episode.n_support))
     if n_hit > 0 and spec.r > 0:

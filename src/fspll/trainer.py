@@ -68,9 +68,6 @@ class TrainConfig:
 
     def __post_init__(self):
         check({f"train.{key}": getattr(self, key) for key in DEFAULTS["train"]})
-        if self.corruption.r > self.n_way - 1:
-            raise ValueError(f"corruption.r={self.corruption.r} needs r + 1 classes per "
-                             f"training task, but train.n_way is {self.n_way}")
 
     def resolved_rectify(self) -> RectifyConfig:
         # k is only meaningful when smoothing runs; resolving it lazily keeps
@@ -284,17 +281,24 @@ def _sample_tasks(config: TrainConfig, world: World, pool: np.ndarray,
                          config.corruption, rngs)
 
 
-def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainLog]:
-    """Train the embedding network and return (final params, per-epoch log)."""
+def check_training(config: TrainConfig, world: World, r_key: str = "corruption.r"
+                   ) -> tuple[np.ndarray, RectifyConfig]:
+    """Check the rules that tie config's keys to each other and to world (`r_key`
+    names r); return the classes it trains on and its k-resolved rectify config."""
     if world.dim != config.network.input_dim:
         raise ValueError(
             f"world dim {world.dim} does not match network input {config.network.input_dim}")
+    config.corruption.check_n_way(config.n_way, r_key, "train.n_way", "training task")
     n_pool = config.train_classes if config.train_classes is not None else world.classes
     if not config.n_way <= n_pool <= world.classes:
         raise ValueError(f"train_classes={n_pool} must be between train.n_way="
                          f"{config.n_way} and the world's {world.classes} classes")
-    pool = np.arange(n_pool)
-    rect = config.resolved_rectify()
+    return np.arange(n_pool), config.resolved_rectify()
+
+
+def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainLog]:
+    """Train the embedding network and return (final params, per-epoch log)."""
+    pool, rect = check_training(config, world)
     step = 1 if config.step_per_task else config.tasks_per_epoch  # tasks per SGD step
     chunk = min(step, stack_size(config.network, config.n_way, config.k_support,
                                  config.k_query))

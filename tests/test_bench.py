@@ -97,15 +97,28 @@ def test_grid_covers_all_cells():
     assert len(res.accuracies) == 4 * 2
 
 
-def test_spec_validation():
+class Trained(Exception):
+    """Raised by the meta_train stub: the run plan passed every check."""
+
+
+@pytest.fixture
+def stub_training(monkeypatch):
+    def trained(*args):
+        raise Trained
+
+    monkeypatch.setattr(fspll.bench, "meta_train", trained)
+
+
+def test_spec_validation(stub_training):
+    # the plan checks the held-out pool of each cell before any training
     with pytest.raises(ValueError, match="held-out"):
-        tiny_spec(n_way=[10])
+        run_benchmark(tiny_spec(n_way=[10]))
     # a train config without train_classes trains on every class
     train = replace(tiny_spec().train, train_classes=None)
     with pytest.raises(ValueError, match=re.escape(
             "held-out pool (0 classes) is smaller than bench.n_way=3: "
             "the world's 12 classes minus train_classes=12")):
-        tiny_spec(train=train)
+        run_benchmark(tiny_spec(train=train))
     with pytest.raises(ValueError, match="methods"):
         tiny_spec(methods=[])
     with pytest.raises(ValueError, match=re.escape("bench.methods[0] must be one of")):
@@ -120,13 +133,9 @@ def test_spec_validation():
 @pytest.mark.parametrize("overrides, message", [
     (dict(k_query=0), "bench.k_query must be in [1, inf), got 0"),
     (dict(n_way=[3, 2], r=[2]),
-     "bench.r=2 needs r + 1 classes per episode, but the smallest bench.n_way is 2"),
+     "bench.r=2 needs r + 1 classes per episode, but bench.n_way is 2"),
 ], ids=["k_query", "r"])
-def test_spec_rejects_bad_settings_before_any_training(monkeypatch, overrides, message):
-    def no_training(*args):
-        raise AssertionError("meta_train must not run")
-
-    monkeypatch.setattr(fspll.bench, "meta_train", no_training)
+def test_spec_rejects_bad_settings_before_any_training(stub_training, overrides, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         run_benchmark(tiny_spec(**overrides))
 
@@ -135,11 +144,12 @@ def test_spec_rejects_bad_settings_before_any_training(monkeypatch, overrides, m
     dict(methods=["fspll-plus", "pn-plus"]),  # every checkpoint trains on clean labels
     dict(p=0.0),                              # no label is ever ambiguous
 ], ids=["plus", "p0"])
-def test_spec_checks_only_the_r_values_it_trains(overrides):
+def test_spec_checks_only_the_r_values_it_trains(stub_training, overrides):
     train = replace(tiny_spec().train, n_way=2)
     with pytest.raises(ValueError, match="bench.r=2 needs r [+] 1 classes per training task"):
-        tiny_spec(train=train, r=[0, 2])
-    tiny_spec(train=train, r=[0, 2], **overrides)
+        run_benchmark(tiny_spec(train=train, r=[0, 2]))
+    with pytest.raises(Trained):
+        run_benchmark(tiny_spec(train=train, r=[0, 2], **overrides))
 
 
 # -- sweep -------------------------------------------------------------------------
@@ -180,6 +190,16 @@ def test_sweep_k_axis_validates_range():
         sweep(spec, "k", [9])  # n_s = 3*3 = 9
     swept = sweep(spec, "k", [1, 2])
     assert len(swept.cells) == 2
+
+
+def test_sweep_k_is_not_checked_where_no_run_smooths():
+    # pn does not smooth, so a k above its cells' 3 x 3 support samples is
+    # never used; the bench ignores rectify.k there in the same way
+    spec = tiny_spec(methods=["pn"])
+    swept = sweep(spec, "k", [9, 20])
+    bench = run_benchmark(spec)
+    pn = bench.accuracies[(bench.cells[0].label(), "pn")]
+    assert [swept.accuracies[(c.label(), "pn")] for c in swept.cells] == [pn, pn]
 
 
 def test_sweep_rejects_bad_axis():

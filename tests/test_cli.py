@@ -537,7 +537,8 @@ def _sweep(**section):
     ("sweep", _sweep(values=[0.5, float("inf")]),
      "sweep.values[1] must be in [0, inf), got inf"),
     ("sweep", _sweep(axis="k", values=[9]),
-     "sweep.values: k=9 must be < n_s=9 for cell N3-K3-r1-p1"),
+     "rectify.k=9 needs k + 1 support samples, but cell N3-K3-r1-p1-k9: k_shot=3 gives "
+     "3 x 3 = 9"),
     ("sweep", _sweep(axis="k", values=[2, float("nan")]),
      "sweep.values[1] must be in [0, inf), got nan"),
     ("sweep", _sweep(axis="k", values=[2, float("inf")]),
@@ -562,6 +563,11 @@ def _sweep(**section):
      "rectify.k=50 needs k + 1 support samples, but train.k_support=3 gives 3 x 3 = 9"),
     ("bench", _set((None, "train_classes", 11)),
      "train_classes=11 must be between 0 and the world's 10 classes"),
+    ("bench", _set((None, "train_classes", 2)),
+     "train_classes=2 must be between train.n_way=3 and the world's 10 classes"),
+    ("sweep", _set((None, "train_classes", 2), ("sweep", "axis", "lambda"),
+                   ("sweep", "values", [0.5])),
+     "train_classes=2 must be between train.n_way=3 and the world's 10 classes"),
     ("bench", _set((None, "train_classes", 8)),
      "held-out pool (2 classes) is smaller than bench.n_way=3: "
      "the world's 10 classes minus train_classes=8"),
@@ -618,7 +624,7 @@ def _sweep(**section):
         "bench-n_way-twice", "bench-k_shot-twice", "bench-r-twice",
         "sweep-values-twice", "sweep-k-retrain",
         "train-classes-0", "train-classes-11", "train-k",
-        "bench-classes-11", "bench-held-out", "test-classes-11", "test-held-out",
+        "bench-classes-11", "bench-classes-2", "sweep-classes-2", "bench-held-out", "test-classes-11", "test-held-out",
         "bench-lambda", "bench-lambda-nan", "bench-lambda-inf", "bench-iterations", "bench-rectify-k-0", "bench-p", "bench-r-negative",
         "bench-lr0", "bench-sigma", "bench-hidden-dims", "sweep-p", "train-corruption-p",
         "train-max-epoch", "gen-world-classes", "gen-world-mean-scale",
@@ -806,8 +812,13 @@ def test_invalid_json_config_exits_one(tmp_path, capsys):
     ("bench", lambda doc: doc["bench"].update(r=[2]),
      "bench.r=2 needs r + 1 classes per training task, but train.n_way is 2"),
 ], ids=["train", "bench"])
-def test_training_r_above_n_way_fails_before_any_output(tmp_path, capsys, command, edit,
-                                                        message):
+def test_training_r_above_n_way_fails_before_any_output(tmp_path, capsys, monkeypatch, command,
+                                                        edit, message):
+    def no_training(*args):
+        raise AssertionError("meta_train must not run")
+
+    # bench checks before training; train's checks open meta_train
+    monkeypatch.setattr(fspll.bench, "meta_train", no_training)
     doc = tiny_bench_doc()
     doc["train"]["n_way"] = 2
     edit(doc)
@@ -815,3 +826,36 @@ def test_training_r_above_n_way_fails_before_any_output(tmp_path, capsys, comman
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+def test_bench_ignores_the_corruption_section(tmp_path, command):
+    # the bench corrupts by bench.p and bench.r; corruption.r = 50 would not
+    # fit a 3-way training task, but no bench run trains under it
+    doc = tiny_bench_doc()
+    doc["sweep"] = {"axis": "lambda", "values": [0.0, 0.5]}
+    stray = json.loads(json.dumps(doc))
+    stray["corruption"] = {"p": 0.5, "r": 50}
+    for name, config in (("plain", doc), ("stray", stray)):
+        cfg = write_config(tmp_path, config, f"{name}.json")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    for name in ("summary.csv", "rounds.csv"):
+        assert (tmp_path / "stray" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["gen-world", "train", "test", "bench", "sweep"])
+def test_out_naming_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def no_training(*args):
+        raise AssertionError("meta_train must not run")
+
+    monkeypatch.setattr(fspll.bench, "meta_train", no_training)
+    monkeypatch.setattr(fspll.cli, "meta_train", no_training)
+    doc = tiny_bench_doc()
+    _test_section()(doc)  # test reads the checkpoint only after --out passes
+    doc["sweep"] = {"axis": "lambda", "values": [0.5]}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    out.write_text("kept\n")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --out {out} names a file, not a directory\n"
+    assert out.read_text() == "kept\n"

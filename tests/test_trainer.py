@@ -6,8 +6,8 @@ from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
 from fspll.episodes import (CorruptionSpec, Episode, corrupt, draw_episodes, make_world,
                             sample_episode)
 from fspll.pll_core import RectifyConfig, lse_cols, rectify
-from fspll.trainer import (TrainConfig, _sample_tasks, episode_loss_graph, episode_loss_grad,
-                           grad_check, lr_at, meta_test, meta_train)
+from fspll.trainer import (TrainConfig, _sample_tasks, check_training, episode_loss_graph,
+                           episode_loss_grad, grad_check, lr_at, meta_test, meta_train)
 
 
 def tiny_config(**overrides):
@@ -332,10 +332,12 @@ def test_train_config_validation():
         tiny_config(max_epoch=-1)
     with pytest.raises(ValueError, match=r"train.init_seed must be in \[0, inf\), got -1"):
         tiny_config(init_seed=-1)
+    # a rule that ties two keys together is checked when the run starts
+    config = tiny_config(corruption=CorruptionSpec(1.0, 3))
     with pytest.raises(ValueError, match="corruption.r=3 needs r [+] 1 classes per training "
                                          "task, but train.n_way is 3"):
-        tiny_config(corruption=CorruptionSpec(1.0, 3))
-    tiny_config(corruption=CorruptionSpec(1.0, 2))
+        meta_train(config, tiny_world())
+    check_training(tiny_config(corruption=CorruptionSpec(1.0, 2)), tiny_world())
 
 
 def test_meta_train_rejects_small_class_pool():
