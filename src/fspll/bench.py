@@ -7,12 +7,13 @@ effective test config). BenchSpec checks each key's range; the plan checks each
 rule that ties keys together or to the world. "Plus" methods meta-train on
 clean labels, the others under their cell's corruption (never the train
 config's own). On clean labels (r = 0 or p = 0) rectification is the identity,
-so a config there keeps only its rectify distance (and r = 0). A checkpoint is
-trained once per distinct training config: every method of an r = 0 cell, and
-both "plus" methods, share one. score_rounds draws a base cell's rounds once,
-in stacks, keeping one content hash per round for auditing, and scores each
-distinct run on every stack: every method, and every value of a sweep, sees the
-same episodes. `fspll test` scores through it too.
+so a config there keeps only its rectify distance (and r = 0): no k is checked
+or used. A checkpoint is trained once per distinct training config: every
+method of an r = 0 cell, and both "plus" methods, share one. score_rounds
+draws a base cell's rounds once, in stacks, keeping one content hash per round
+for auditing, and scores each distinct run on every stack: every method, and
+every value of a sweep, sees the same episodes. `fspll test` scores through it
+too, with the same effective config.
 """
 
 from __future__ import annotations
@@ -100,8 +101,7 @@ class BenchResult:
     cells: list[Cell]
     methods: list[str]
     accuracies: dict[tuple[str, str], list[float]]  # (cell label, method) -> per-round acc
-    episode_hashes: dict[str, list[str]]            # cell label -> per-round hash
-    meta: dict
+    meta: dict  # its "episode_hashes" maps each cell label to its per-round hashes
 
     def mean(self, cell_label: str, method: str) -> float:
         return float(np.mean(self.accuracies[(cell_label, method)]))
@@ -115,7 +115,7 @@ def config_hash(signature: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _effective(rect: RectifyConfig, corruption: CorruptionSpec) -> RectifyConfig:
+def effective_rectify(rect: RectifyConfig, corruption: CorruptionSpec) -> RectifyConfig:
     """A rectify config that gives rect's results under corruption: on exact
     labels rectification is the identity, and only the distance counts."""
     return RectifyConfig(iterations=0, distance=rect.distance) if corruption.exact else rect
@@ -126,7 +126,7 @@ def _train_config(spec: BenchSpec, rect: RectifyConfig, clean: bool, r_cell: int
     """The config that trains a checkpoint rectifying by rect for a cell with
     r_cell, on clean labels if `clean`."""
     corruption = CorruptionSpec(spec.p, 0 if clean else r_cell)
-    rect = _effective(rect, corruption)
+    rect = effective_rectify(rect, corruption)
     if corruption.exact:  # no label is ambiguous, and r draws nothing
         corruption = replace(corruption, r=0)
     return replace(spec.train, rectify=rect, corruption=corruption)
@@ -165,7 +165,7 @@ def _run_cells(spec: BenchSpec, cells: list[Cell], retrain: bool) -> BenchResult
     then sets its axis's rectify field at test time, and in training too if
     `retrain`. The run plan maps each base cell to (cell label, method) ->
     (training config, effective test config), and each cell and config is
-    checked (check_held_out, trainer.check_training) before any training."""
+    checked (check_held_out, check_k, check_training) before any training."""
     plan: dict[Cell, dict[tuple[str, str], tuple[TrainConfig, RectifyConfig]]] = {}
     for cell in cells:
         corruption = CorruptionSpec(cell.p, cell.r)
@@ -177,11 +177,11 @@ def _run_cells(spec: BenchSpec, cells: list[Cell], retrain: bool) -> BenchResult
         for name in spec.methods:
             changes, clean = METHODS[name]
             rect = replace(spec.train.rectify, **changes)
-            test = replace(rect, **swept)
-            test.resolve_k(cell.n_way, cell.k_shot, f"cell {cell.label()}: k_shot")
+            test = effective_rectify(replace(rect, **swept), corruption)
+            test.check_k(cell.n_way, cell.k_shot, f"cell {cell.label()}: k_shot")
             train = _train_config(spec, test if retrain else rect, clean, cell.r)
             check_training(train, spec.world, "bench.r")
-            runs[(cell.label(), name)] = (train, _effective(test, corruption))
+            runs[(cell.label(), name)] = (train, test)
     checkpoints: dict[TrainConfig, NetworkParams] = {}
     accuracies: dict[tuple[str, str], list[float]] = {}
     hashes: dict[str, list[str]] = {}
@@ -206,7 +206,7 @@ def _run_cells(spec: BenchSpec, cells: list[Cell], retrain: bool) -> BenchResult
         "cells": [c.label() for c in cells],
         "episode_hashes": hashes,
     }
-    return BenchResult(list(cells), meta["methods"], accuracies, hashes, meta)
+    return BenchResult(list(cells), meta["methods"], accuracies, meta)
 
 
 def run_benchmark(spec: BenchSpec) -> BenchResult:

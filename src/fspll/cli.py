@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import (BenchSpec, Cell, check_held_out, run_benchmark, score_rounds, sweep,
-                    write_report)
+from .bench import (BenchSpec, Cell, check_held_out, effective_rectify, run_benchmark,
+                    score_rounds, sweep, write_report)
 from .config import DEFAULTS, KEYS, check, check_type, check_value, config_keys
 from .embedding import NetworkSpec, embed_layers, init_network, load_checkpoint, save_checkpoint
 from .episodes import (CorruptionSpec, corrupt, make_world, sample_episode, world_from_manifest,
@@ -115,11 +115,16 @@ def _parse_bench(cfg: dict, base_dir: str) -> BenchSpec:
 
 
 def _require_out(args) -> str:
-    """--out, which is made only when results are written: a failed run leaves none."""
+    """--out, which is made only when results are written: a failed run leaves
+    none. Its nearest existing ancestor (or itself) must be a directory."""
     if not args.out:
         raise ValueError("--out <dir> is required for this command")
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise ValueError(f"--out {args.out} names a file, not a directory")
+    existing = args.out
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        where = "names" if existing == args.out else f"lies under {existing},"
+        raise ValueError(f"--out {args.out} {where} a file, not a directory")
     return args.out
 
 
@@ -177,11 +182,11 @@ def cmd_test(args) -> int:
     section = cfg["test"]
     if section["checkpoint"] is None:
         raise ValueError("config key test.checkpoint is required")
-    rect = _parse_rectify(cfg)
     corruption = CorruptionSpec(**cfg["corruption"])
+    rect = effective_rectify(_parse_rectify(cfg), corruption)
     cell = Cell(section["n_way"], section["k_shot"], corruption.r, corruption.p)
     corruption.check_n_way(cell.n_way, "corruption.r", "test.n_way")
-    rect.resolve_k(cell.n_way, cell.k_shot, "test.k_shot")
+    rect.check_k(cell.n_way, cell.k_shot, "test.k_shot")
     check_held_out(world, cfg["train_classes"], cell.n_way, "test.n_way")
     out = _require_out(args) if args.out else None
     params = load_checkpoint(_resolve(section["checkpoint"], base_dir))

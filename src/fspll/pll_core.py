@@ -30,7 +30,7 @@ with the fused training loss in trainer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +83,8 @@ def stack_size(spec: NetworkSpec, n_way: int, k_support: int, k_query: int) -> i
 class RectifyConfig:
     """Knobs of the rectification loop.
 
-    k is the neighbor count for confidence smoothing; None means "derive from
-    the episode as shots-per-class minus one" and must be resolved before the
-    loop runs with lam > 0.
+    k is the neighbor count for confidence smoothing; None means shots per
+    class minus one, which rectify derives from its episode when it smooths.
     """
 
     iterations: int = 10
@@ -97,12 +96,12 @@ class RectifyConfig:
         check({"rectify.iterations": self.iterations, "rectify.lambda": self.lam,
                "rectify.k": self.k, "rectify.distance": self.distance})
 
-    def resolve_k(self, n_way: int, shots: int, source: str) -> RectifyConfig:
-        """Resolve an unset k to shots - 1 when smoothing runs, and check that a
-        set k leaves a sample out of the n_way * shots support samples.
-        `source` names the shot count in the errors."""
+    def check_k(self, n_way: int, shots: int, source: str) -> None:
+        """Check that smoothing, when it runs, finds k neighbors among the
+        n_way * shots support samples, k unset meaning shots - 1. `source`
+        names the shot count in the errors."""
         if self.iterations == 0 or self.lam == 0:
-            return self
+            return
         if self.k is None and shots < 2:
             raise ValueError(f"{source}={shots} leaves no neighbor for smoothing (k = shots - 1); "
                              "set rectify.k, or rectify.lambda to 0")
@@ -110,7 +109,6 @@ class RectifyConfig:
         if k >= n_way * shots:
             raise ValueError(f"rectify.k={k} needs k + 1 support samples, but "
                              f"{source}={shots} gives {n_way} x {shots} = {n_way * shots}")
-        return replace(self, k=k)
 
 
 def validate_candidates(Y: np.ndarray) -> None:
@@ -294,8 +292,9 @@ def rectify(Z: np.ndarray, Y: np.ndarray, cfg: RectifyConfig) -> tuple[np.ndarra
 
     Q starts as Y with each column normalized to sum to 1; each iteration
     recomputes prototypes, applies the candidate softmax update, then the
-    neighbor smoothing. The neighbor graph is built once (Z is fixed here).
-    Returns (P, Q) with P recomputed from the final Q.
+    neighbor smoothing. The neighbor graph is built once (Z is fixed here);
+    an unset cfg.k is n_s // l - 1, shots per class minus one on a
+    class-balanced episode. Returns (P, Q) with P recomputed from the final Q.
 
     The inputs are checked once, here; the loop runs on the steps' kernels
     and gives the bits of the public steps called in turn. Z's leading axes
@@ -308,19 +307,21 @@ def rectify(Z: np.ndarray, Y: np.ndarray, cfg: RectifyConfig) -> tuple[np.ndarra
             or np.broadcast_shapes(Z.shape[:-2], Y.shape[:-2]) != Y.shape[:-2]):
         raise ValueError(f"rectify: Z {Z.shape} does not match Y {Y.shape}")
     Q = Y / Y.sum(axis=-2, keepdims=True)
-    smooth = cfg.iterations > 0 and cfg.lam > 0
-    if smooth and cfg.k is None:
-        raise ValueError("rectify: cfg.k must be resolved before smoothing runs")
     ZT = Z.swapaxes(-1, -2)
     cand = Y > 0
     cols = None
-    if smooth:
-        cols = _neighbor_columns(knn_indices(Z, cfg.k), Y.shape[:-2], Y.shape[-1])
+    if cfg.iterations > 0 and cfg.lam > 0:
+        k = cfg.k
+        if k is None:
+            shots = Y.shape[-1] // Y.shape[-2]
+            cfg.check_k(Y.shape[-2], shots, "shots per class")
+            k = shots - 1
+        cols = _neighbor_columns(knn_indices(Z, k), Y.shape[:-2], Y.shape[-1])
     for _ in range(cfg.iterations):
         P = _prototypes(ZT, Q)
         Q = _confidence(_distance(P.swapaxes(-1, -2), Z, cfg.distance), cand)
         if cols is not None:
-            Q = _smooth(Q, cand, cols, cfg.lam / cfg.k)
+            Q = _smooth(Q, cand, cols, cfg.lam / len(cols))
     return _prototypes(ZT, Q), Q
 
 

@@ -47,7 +47,7 @@ from .pll_core import (SQRT_EPS, RectifyConfig, classify_proba, lse_cols, predic
 @dataclass(frozen=True)
 class TrainConfig:
     """Meta-training hyperparameters. n_way/k_support/k_query shape the training
-    tasks; rectify.k left unset resolves to k_support - 1."""
+    tasks; rectify.k left unset is k_support - 1."""
 
     network: NetworkSpec
     max_epoch: int = 200
@@ -68,11 +68,6 @@ class TrainConfig:
 
     def __post_init__(self):
         check({f"train.{key}": getattr(self, key) for key in DEFAULTS["train"]})
-
-    def resolved_rectify(self) -> RectifyConfig:
-        # k is only meaningful when smoothing runs; resolving it lazily keeps
-        # e.g. 1-shot configs with iterations=0 valid.
-        return self.rectify.resolve_k(self.n_way, self.k_support, "train.k_support")
 
 
 @dataclass
@@ -282,9 +277,9 @@ def _sample_tasks(config: TrainConfig, world: World, pool: np.ndarray,
 
 
 def check_training(config: TrainConfig, world: World, r_key: str = "corruption.r"
-                   ) -> tuple[np.ndarray, RectifyConfig]:
+                   ) -> np.ndarray:
     """Check the rules that tie config's keys to each other and to world (`r_key`
-    names r); return the classes it trains on and its k-resolved rectify config."""
+    names r); return the classes it trains on."""
     if world.dim != config.network.input_dim:
         raise ValueError(
             f"world dim {world.dim} does not match network input {config.network.input_dim}")
@@ -293,12 +288,13 @@ def check_training(config: TrainConfig, world: World, r_key: str = "corruption.r
     if not config.n_way <= n_pool <= world.classes:
         raise ValueError(f"train_classes={n_pool} must be between train.n_way="
                          f"{config.n_way} and the world's {world.classes} classes")
-    return np.arange(n_pool), config.resolved_rectify()
+    config.rectify.check_k(config.n_way, config.k_support, "train.k_support")
+    return np.arange(n_pool)
 
 
 def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainLog]:
     """Train the embedding network and return (final params, per-epoch log)."""
-    pool, rect = check_training(config, world)
+    pool = check_training(config, world)
     step = 1 if config.step_per_task else config.tasks_per_epoch  # tasks per SGD step
     chunk = min(step, stack_size(config.network, config.n_way, config.k_support,
                                  config.k_query))
@@ -315,9 +311,9 @@ def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainL
         for start in range(0, config.tasks_per_epoch, chunk):
             stack = tasks[start:start + chunk]
             layers = embed_layers(params, stack.support)
-            _, Q = rectify(layers[-1], stack.candidates, rect)
+            _, Q = rectify(layers[-1], stack.candidates, config.rectify)
             stack_loss, stack_w, stack_b = episode_loss_grad(
-                params, layers, stack, Q, rect.distance, config.supervised_loss)
+                params, layers, stack, Q, config.rectify.distance, config.supervised_loss)
             for t, loss in enumerate(stack_loss.tolist()):
                 if not np.isfinite(loss):
                     raise RuntimeError(f"non-finite loss at epoch {epoch}, task {start + t}")
@@ -342,15 +338,10 @@ def meta_test(params: NetworkParams, episodes: Episode,
     The (T, ...) stack `episodes` (as sample_episode draws it; `episode[None]`
     makes one episode a stack of one) is embedded, rectified and classified in
     one pass. Returns (predictions, accuracies): the T x n_q predicted labels
-    and the T query accuracies, each episode's the same as on its own.
-    rectify_cfg.k left unset resolves to the per-class shot count minus one.
+    and the T query accuracies, each episode's the same as on its own. embed
+    and rectify check the inputs; rectify derives an unset k from the episode.
     """
-    if episodes.support.shape[-2] != params.spec.input_dim:
-        raise ValueError(
-            f"episode dim {episodes.support.shape[-2]} does not match "
-            f"network input {params.spec.input_dim}")
-    cfg = rectify_cfg.resolve_k(episodes.n_classes, episodes.n_support // episodes.n_classes,
-                                "shots per class")
-    protos, _ = rectify(embed(params, episodes.support), episodes.candidates, cfg)
-    preds = predict(classify_proba(embed(params, episodes.queries), protos, cfg.distance))
+    protos, _ = rectify(embed(params, episodes.support), episodes.candidates, rectify_cfg)
+    preds = predict(classify_proba(embed(params, episodes.queries), protos,
+                                   rectify_cfg.distance))
     return preds, (preds == episodes.query_truth).mean(axis=-1)

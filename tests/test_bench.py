@@ -68,10 +68,10 @@ def test_single_round_single_method():
 def test_methods_share_episode_streams():
     res = run_benchmark(tiny_spec())
     label = res.cells[0].label()
-    assert len(res.episode_hashes[label]) == 3
+    assert len(res.meta["episode_hashes"][label]) == 3
     # rerunning reproduces the identical stream
     res2 = run_benchmark(tiny_spec())
-    assert res.episode_hashes == res2.episode_hashes
+    assert res.meta["episode_hashes"] == res2.meta["episode_hashes"]
     assert res.accuracies == res2.accuracies
 
 
@@ -178,8 +178,8 @@ def test_sweep_values_share_episode_streams(monkeypatch):
     monkeypatch.setattr(fspll.bench, "draw_episodes", counting_draw_episodes)
     spec = tiny_spec(methods=["fspll"])
     swept = sweep(spec, "lambda", [0.0, 1.0])
-    h0 = swept.episode_hashes[swept.cells[0].label()]
-    h1 = swept.episode_hashes[swept.cells[1].label()]
+    h0 = swept.meta["episode_hashes"][swept.cells[0].label()]
+    h1 = swept.meta["episode_hashes"][swept.cells[1].label()]
     assert h0 == h1
     assert len(draws) == 1
 
@@ -290,6 +290,22 @@ def test_exact_label_cells_score_each_checkpoint_once(tmp_path, monkeypatch):
     for name in ("rounds.csv", "summary.csv", "meta.json"):
         assert (tmp_path / "shared" / name).read_bytes() == \
             (tmp_path / "per_variant" / name).read_bytes()
+
+
+# An exact cell runs no smoothing, so it reads no k: not a 1-shot cell's
+# k = shots - 1 = 0, nor a set k above its support size.
+@pytest.mark.parametrize("k_shot, r, p, k", [(1, 0, 1.0, None), (1, 2, 0.0, None),
+                                             (3, 0, 1.0, 100)],
+                         ids=["K1-r0", "K1-p0", "k100-r0"])
+def test_exact_cells_score_every_method_as_pn_whatever_k(k_shot, r, p, k):
+    spec = tiny_spec(k_shot=[k_shot], r=[r], p=p, methods=list(METHODS))
+    spec.train = replace(spec.train, rectify=RectifyConfig(k=k))
+    result = run_benchmark(spec)
+    label = result.cells[0].label()
+    pn = result.accuracies[(label, "pn")]
+    assert len(pn) == 3
+    for name in METHODS:
+        assert result.accuracies[(label, name)] == pn, name
 
 
 # -- reports -----------------------------------------------------------------------

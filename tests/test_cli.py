@@ -616,6 +616,12 @@ def _sweep(**section):
     ("sweep", _sweep(axis="k", values=[2, 0]), "sweep.values[1] must be in [1, inf), got 0"),
     ("sweep", _sweep(axis="k", values=[2.5]),
      "sweep.values[0] must be an integer for axis k, got 2.5"),
+    ("bench", _set(("bench", "k_shot", [1])),
+     "cell N3-K1-r1-p1: k_shot=1 leaves no neighbor for smoothing (k = shots - 1); "
+     "set rectify.k, or rectify.lambda to 0"),
+    ("test", _test_section(("test", "k_shot", 1)),
+     "test.k_shot=1 leaves no neighbor for smoothing (k = shots - 1); "
+     "set rectify.k, or rectify.lambda to 0"),
 ], ids=["bench-n_way-empty", "bench-k_shot-empty", "bench-r-empty", "bench-n_way-0",
         "bench-k_shot-0", "bench-k_shot-negative", "bench-k",
         "sweep-values-empty", "sweep-axis", "sweep-lambda-negative", "sweep-lambda-nan",
@@ -631,7 +637,8 @@ def _sweep(**section):
         "gen-world-mean-scale-0", "gen-world-mean-scale-overflow", "train-lr0-inf",
         "train-sigma-inf", "test-corruption-p",
         "test-corruption-r", "gen-world-seed", "bench-init-seed", "bench-task-seed",
-        "test-eval-seed", "bench-eval-seed", "bench-seed-flag", "sweep-k-0", "sweep-k-fraction"])
+        "test-eval-seed", "bench-eval-seed", "bench-seed-flag", "sweep-k-0", "sweep-k-fraction",
+        "bench-k_shot-1", "test-k_shot-1"])
 def test_config_errors_fail_before_any_output(tmp_path, capsys, monkeypatch, command, edit,
                                               message):
     def no_training(*args):
@@ -783,6 +790,38 @@ def test_distance_takes_only_the_listed_spellings(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "o")
 
 
+# On exact labels (r = 0 or p = 0) no run smooths, so none reads k: not a
+# 1-shot cell's k = shots - 1 = 0, nor a set k above the support size.
+@pytest.mark.parametrize("edit", [
+    _set(("bench", "k_shot", [1]), ("bench", "r", [0])),
+    _set(("bench", "k_shot", [1]), ("bench", "p", 0.0)),
+    _set(("rectify", "k", 100), ("bench", "r", [0])),
+], ids=["K1-r0", "K1-p0", "k100-r0"])
+def test_bench_exact_cells_ignore_k(tmp_path, edit):
+    doc = tiny_bench_doc()
+    doc["bench"]["methods"] = list(METHODS)
+    edit(doc)
+    cfg = write_config(tmp_path, doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(METHODS)
+    assert len({row.split(",", 2)[2] for row in rows}) == 1  # every method scores as pn
+
+
+def test_test_on_exact_labels_ignores_k(tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(init_network(NetworkSpec(4, (6,), 4), 0), str(ckpt))
+    doc = tiny_train_doc()
+    doc["corruption"]["r"] = 0
+    doc["test"] = {"checkpoint": str(ckpt), "n_way": 3, "k_shot": 1, "k_query": 4,
+                   "rounds": 3}
+    assert main(["test", "--config", write_config(tmp_path, doc)]) == 0
+    printed = capsys.readouterr().out
+    doc["rectify"]["iterations"] = 0  # pn
+    assert main(["test", "--config", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out == printed
+
+
 def test_one_shot_sweep_without_smoothing_runs(tmp_path):
     doc = tiny_bench_doc()
     doc["bench"].update(k_shot=[1], methods=["fspll"])
@@ -856,6 +895,7 @@ def test_out_naming_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch, 
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "o"
     out.write_text("kept\n")
-    assert main([command, "--config", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: --out {out} names a file, not a directory\n"
+    for path, where in ((out, "names"), (out / "sub" / "dir", f"lies under {out},")):
+        assert main([command, "--config", cfg, "--out", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: --out {path} {where} a file, not a directory\n"
     assert out.read_text() == "kept\n"

@@ -505,6 +505,19 @@ def test_rectify_matches_the_public_steps_bit_for_bit(lead, distance, lam, k, it
 
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "T3"])
+@pytest.mark.parametrize("distance", ["euclidean", "squared"])
+def test_rectify_derives_an_unset_k_as_shots_minus_one(lead, distance):
+    # 30 samples of 10 classes: 3 shots per class, so k = 2
+    Z, Y = ambiguous_instance(np.random.default_rng(45), lead)
+    cfg = RectifyConfig(iterations=10, lam=0.5, distance=distance)
+    P, Q = rectify(Z, Y, cfg)
+    P2, Q2 = rectify(Z, Y, replace(cfg, k=2))
+    np.testing.assert_array_equal(Q, Q2)
+    np.testing.assert_array_equal(P, P2)
+    assert not np.array_equal(Q, rectify(Z, Y, replace(cfg, k=1))[1])  # k counts here
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "T3"])
 def test_rectify_on_coincident_samples_matches_the_public_steps(lead):
     Z, Y = ambiguous_instance(np.random.default_rng(44), lead, coincident=True)
     cfg = RectifyConfig(iterations=10, lam=0.5, k=4)
@@ -694,8 +707,10 @@ def test_rectify_exact_labels_still_validate():
     Y[[0, 1, 0, 1], np.arange(4)] = 1  # class 2 has no sample
     with pytest.raises(ValueError, match="class 2 is not a candidate"):
         rectify(np.zeros((2, 4)), Y, RectifyConfig(iterations=10, lam=0.5, k=1))
-    Y[:, 3] = [0, 0, 1]  # now exact and valid
-    with pytest.raises(ValueError, match="cfg.k must be resolved"):
+    Y[:, 3] = [0, 0, 1]  # now exact and valid, with 4 // 3 = 1 shot per class
+    with pytest.raises(ValueError, match=re.escape(
+            "shots per class=1 leaves no neighbor for smoothing (k = shots - 1); "
+            "set rectify.k")):
         rectify(np.zeros((2, 4)), Y, RectifyConfig(iterations=10, lam=0.5))
 
 
@@ -799,11 +814,16 @@ def test_rectify_config_validation():
 
 def test_resolve_k_checks_a_set_k_against_the_support_size():
     # 3 x 3 = 9 support samples leave at most 8 neighbors
-    assert RectifyConfig(k=8).resolve_k(3, 3, "shots").k == 8
+    RectifyConfig(k=8).check_k(3, 3, "shots")
     with pytest.raises(ValueError, match=re.escape(
             "rectify.k=9 needs k + 1 support samples, but shots=3 gives 3 x 3 = 9")):
-        RectifyConfig(k=9).resolve_k(3, 3, "shots")
+        RectifyConfig(k=9).check_k(3, 3, "shots")
     # no smoothing, no neighbors: k is not used
-    assert RectifyConfig(k=50, lam=0.0).resolve_k(3, 3, "shots").k == 50
-    assert RectifyConfig(k=50, iterations=0).resolve_k(3, 3, "shots").k == 50
-    assert RectifyConfig().resolve_k(3, 3, "shots").k == 2
+    RectifyConfig(k=50, lam=0.0).check_k(3, 3, "shots")
+    RectifyConfig(k=50, iterations=0).check_k(3, 3, "shots")
+    RectifyConfig(lam=0.0).check_k(3, 1, "shots")
+    # an unset k is shots - 1
+    RectifyConfig().check_k(3, 2, "shots")
+    with pytest.raises(ValueError, match=re.escape(
+            "shots=1 leaves no neighbor for smoothing (k = shots - 1)")):
+        RectifyConfig().check_k(3, 1, "shots")

@@ -5,7 +5,7 @@ meta_train, which draws, rectifies and differentiates an epoch's tasks in
 stacks. k = 9 is the case where a neighbour sum in another order would move
 the last bit."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -224,7 +224,7 @@ def reference_meta_train(config, world):
     step on the task mean per epoch, or under step_per_task one step after
     each task."""
     pool = np.arange(config.train_classes)
-    rect = config.resolved_rectify()
+    rect = replace(config.rectify, k=config.k_support - 1)
     params = init_network(config.network, config.init_seed)
     losses = []
     for epoch in range(config.max_epoch):

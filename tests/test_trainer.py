@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,10 +125,11 @@ def test_loss_gradient_matches_finite_differences_on_frozen_episode():
     assert res.checked == params.n_params()
 
 
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
 @pytest.mark.parametrize("supervised", [False, True])
 @pytest.mark.parametrize("distance", ["euclidean", "squared"])
-def test_grad_check_is_tight_on_every_loss(distance, supervised):
-    params, episode, Q = frozen_task(distance, hidden=(6, 5))
+def test_grad_check_is_tight_on_every_loss(distance, supervised, hidden):
+    params, episode, Q = frozen_task(distance, hidden)
     res = grad_check(params, episode, Q, distance, supervised)
     assert res.max_rel_error < 1e-7
     assert (res.checked, res.excluded) == (params.n_params(), 0)
@@ -202,7 +206,7 @@ def test_meta_train_steps_with_fused_gradient():
     init = init_network(config.network, config.init_seed)
     episode = _sample_tasks(config, world, np.arange(config.train_classes), 0)[0]
     support_layers = embed_layers(init, episode.support)
-    rect = config.resolved_rectify()
+    rect = replace(config.rectify, k=config.k_support - 1)
     _, Q = rectify(support_layers[-1], episode.candidates, rect)
     loss, grad_w, grad_b = episode_loss_grad(init, support_layers, episode, Q, rect.distance)
     assert log.losses() == [loss]
@@ -319,7 +323,8 @@ def test_meta_test_zero_iterations_equals_pn_rule():
 def test_meta_test_dimension_mismatch():
     params = init_network(NetworkSpec(5, (), 4), seed=14)
     episode = sample_episode(tiny_world(), [0, 1], 2, 2, seed=15)
-    with pytest.raises(ValueError, match="dim"):
+    with pytest.raises(ValueError, match=re.escape(
+            "embed: expected 5 feature rows, got shape (1, 4, 4)")):
         meta_test(params, episode[None], RectifyConfig())
 
 
