@@ -1,5 +1,5 @@
-"""Command-line entry point: world generation, training, evaluation,
-benchmarking, sweeps, and a gradient self-check.
+"""Command-line entry point: training, evaluation, benchmarking, sweeps, and
+a gradient self-check.
 
 All hyperparameters live in JSON config files; flags only override seeds and
 paths. Every key of the file, with --seed applied, is checked against the
@@ -24,8 +24,7 @@ from .bench import (BenchSpec, Cell, check_held_out, effective_rectify, run_benc
                     score_rounds, sweep, write_report)
 from .config import DEFAULTS, KEYS, check, check_type, check_value, config_keys
 from .embedding import NetworkSpec, embed_layers, init_network, load_checkpoint, save_checkpoint
-from .episodes import (CorruptionSpec, corrupt, make_world, sample_episode, world_from_manifest,
-                       world_to_manifest)
+from .episodes import CorruptionSpec, corrupt, make_world, sample_episode, world_to_manifest
 from .pll_core import RectifyConfig, rectify
 from .trainer import TrainConfig, episode_loss_graph, episode_loss_grad, grad_check, meta_train
 
@@ -49,10 +48,6 @@ def _load_json(path):
         raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _resolve(path, base_dir):
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
-
-
 def _settings(doc, table: dict = DEFAULTS, prefix: str = "") -> dict:
     """`doc` over the table's defaults; a key the table does not hold, or a
     value of another type than its default's, is an error."""
@@ -70,30 +65,16 @@ def _settings(doc, table: dict = DEFAULTS, prefix: str = "") -> dict:
             for key, entry in table.items()}
 
 
-def _load_config(args) -> tuple[dict, str]:
+def _load_config(args) -> dict:
     """The settings of the --config file, with --seed applied to the
-    command's seed keys and every key checked, and the directory its relative
-    paths start from."""
+    command's seed keys and every key checked."""
     cfg = _settings(_load_json(args.config))
     if args.seed is not None:
         for key in args.seed_keys:
             section, name = key.split(".")
             cfg[section][name] = args.seed
     check(dict(config_keys(cfg)))
-    return cfg, os.path.dirname(os.path.abspath(args.config))
-
-
-def _parse_world(cfg: dict, base_dir: str):
-    section = cfg["world"]
-    if section["path"] is not None:
-        path = _resolve(section["path"], base_dir)
-        doc = _load_json(path)
-        try:
-            return world_from_manifest(doc)
-        except ValueError as exc:
-            raise ValueError(f"world manifest {path}: {exc}") from None
-    return make_world(section["seed"], section["classes"], section["dim"],
-                      section["sigma"], section["mean_scale"])
+    return cfg
 
 
 def _parse_rectify(cfg: dict) -> RectifyConfig:
@@ -109,8 +90,8 @@ def _parse_train(cfg: dict, input_dim: int) -> TrainConfig:
                        train_classes=cfg["train_classes"], **cfg["train"])
 
 
-def _parse_bench(cfg: dict, base_dir: str) -> BenchSpec:
-    world = _parse_world(cfg, base_dir)
+def _parse_bench(cfg: dict) -> BenchSpec:
+    world = make_world(**cfg["world"])
     return BenchSpec(world=world, train=_parse_train(cfg, world.dim), **cfg["bench"])
 
 
@@ -130,21 +111,9 @@ def _require_out(args) -> str:
 
 # -- subcommands ----------------------------------------------------------------
 
-def cmd_gen_world(args) -> int:
-    world = _parse_world(*_load_config(args))
-    out = _require_out(args)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "world.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(world_to_manifest(world), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {path} ({world.classes} classes, dim {world.dim})")
-    return 0
-
-
 def cmd_train(args) -> int:
-    cfg, base_dir = _load_config(args)
-    world = _parse_world(cfg, base_dir)
+    cfg = _load_config(args)
+    world = make_world(**cfg["world"])
     config = _parse_train(cfg, world.dim)
     out = _require_out(args)
 
@@ -177,8 +146,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_test(args) -> int:
-    cfg, base_dir = _load_config(args)
-    world = _parse_world(cfg, base_dir)
+    cfg = _load_config(args)
+    world = make_world(**cfg["world"])
     section = cfg["test"]
     if section["checkpoint"] is None:
         raise ValueError("config key test.checkpoint is required")
@@ -189,7 +158,9 @@ def cmd_test(args) -> int:
     rect.check_k(cell.n_way, cell.k_shot, "test.k_shot")
     check_held_out(world, cfg["train_classes"], cell.n_way, "test.n_way")
     out = _require_out(args) if args.out else None
-    params = load_checkpoint(_resolve(section["checkpoint"], base_dir))
+    # relative to the config file (an absolute path joins as itself)
+    params = load_checkpoint(os.path.join(os.path.dirname(os.path.abspath(args.config)),
+                                          section["checkpoint"]))
     if params.spec.input_dim != world.dim:
         raise ValueError(f"test.checkpoint takes inputs of width {params.spec.input_dim}, "
                          f"but world.dim is {world.dim}")
@@ -229,14 +200,14 @@ def _report(result, out: str) -> int:
 
 
 def cmd_bench(args) -> int:
-    spec = _parse_bench(*_load_config(args))
+    spec = _parse_bench(_load_config(args))
     out = _require_out(args)
     return _report(run_benchmark(spec), out)
 
 
 def cmd_sweep(args) -> int:
-    cfg, base_dir = _load_config(args)
-    spec = _parse_bench(cfg, base_dir)
+    cfg = _load_config(args)
+    spec = _parse_bench(cfg)
     section = cfg["sweep"]
     if section["axis"] is None or section["values"] is None:
         raise ValueError("config keys sweep.axis and sweep.values are required")
@@ -303,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, seed_keys=seed_keys)
         return p
 
-    add("gen-world", cmd_gen_world, "generate a synthetic world manifest", ["world.seed"])
     train_p = add("train", cmd_train, "meta-train an embedding checkpoint",
                   ["train.init_seed", "train.task_seed"])
     train_p.add_argument("--timing", action="store_true",

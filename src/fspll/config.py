@@ -1,10 +1,10 @@
 """Every config key in one table, with its default and the values it takes,
 and the one checker that applies it: to a whole config file in the CLI, to
-each config class's own keys, and to the fields of a world manifest or a
-checkpoint, which take the type and range of a config key. A number's range
-is an interval such as `[1, inf)`: NaN lies in none, and an open `inf` end
-rejects Infinity, so no key takes a non-finite number. The bench methods are
-the keys of METHODS. This module imports nothing from fspll.
+each config class's own keys, and to the fields of a checkpoint, which take
+the type and range of a config key. A number's range is an interval such as
+`[1, inf)`: NaN lies in none, and an open `inf` end rejects Infinity, so no
+key takes a non-finite number. The bench methods are the keys of METHODS.
+This module imports nothing from fspll.
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ DEFAULTS = {
     "world": {"seed": Key(1, "[0, inf)"), "classes": Key(50, "[2, inf)"),
               "dim": Key(16, "[1, inf)"), "sigma": Key(1.0, "(0, inf)"),
               # the largest scale whose uniform draw has a finite width
-              "mean_scale": Key(1.0, "(0, 8.988465674311579e+307]"),
-              "path": Key(None, null_type="",
-                          note="load this world manifest instead of the other world keys")},
+              "mean_scale": Key(1.0, "(0, 8.988465674311579e+307]")},
     "train_classes": Key(30, "[0, inf)",
                          note="meta-train on the first N world classes; the rest are held out"),
     "network": {"hidden_dims": Key([64, 64], "[1, inf)"), "output_dim": Key(64, "[1, inf)")},
@@ -149,9 +147,9 @@ def check_type(name: str, value, default, null_type=None) -> None:
 
 
 def check_fields(doc, keys: dict) -> None:
-    """Raise unless the parsed JSON `doc` is an object that holds each field
-    of `keys`, with the type and range of the config key it maps to (a field
-    mapped to None only has to be there)."""
+    """Raise unless the parsed JSON checkpoint `doc` is an object that holds
+    each field of `keys`, with the type and range of the config key it maps to
+    (a field mapped to None only has to be there)."""
     if not isinstance(doc, dict):
         raise ValueError(f"must hold a JSON object, not {JSON_TYPES.get(type(doc), 'null')}")
     for name, key in keys.items():

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import check, check_fields
+from .config import check
 
 
 @dataclass(frozen=True)
@@ -267,13 +267,7 @@ MANIFEST_KEYS = ("seed", "classes", "dim", "sigma", "mean_scale")  # world.* con
 
 
 def world_to_manifest(world: World) -> dict:
-    """JSON-ready description; means are regenerated from the seed on load."""
+    """The world's config keys, JSON-ready: `make_world(**manifest)` draws the
+    same means from the seed. train's config.json and the bench signature
+    record a run's world with it."""
     return {key: getattr(world, key) for key in MANIFEST_KEYS}
-
-
-def world_from_manifest(doc) -> World:
-    """The world a parsed manifest describes. Each key must have the type and
-    range of its world config key; a malformed manifest raises a ValueError
-    naming the key."""
-    check_fields(doc, {key: f"world.{key}" for key in MANIFEST_KEYS})
-    return make_world(*(doc[key] for key in MANIFEST_KEYS))

@@ -293,7 +293,6 @@ def test_c9_cli_determinism(tmp_path, capsys):
     cfg.write_text(json.dumps(base))
 
     commands = {
-        "gen-world": ["gen-world", "--config", str(cfg)],
         "train": ["train", "--config", str(cfg)],
         "test": ["test", "--config", str(cfg)],
         "bench": ["bench", "--config", str(cfg)],

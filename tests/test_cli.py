@@ -61,23 +61,6 @@ def tiny_bench_doc():
     return doc
 
 
-def test_gen_world_writes_manifest(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"world": {"seed": 5, "classes": 8, "dim": 3,
-                                            "sigma": 0.4}})
-    out = tmp_path / "w"
-    assert main(["gen-world", "--config", cfg, "--out", str(out)]) == 0
-    doc = json.loads((out / "world.json").read_text())
-    assert doc["classes"] == 8 and doc["seed"] == 5
-
-
-def test_gen_world_seed_override(tmp_path):
-    cfg = write_config(tmp_path, {"world": {"seed": 5, "classes": 8, "dim": 3,
-                                            "sigma": 0.4}})
-    out = tmp_path / "w"
-    main(["gen-world", "--config", cfg, "--out", str(out), "--seed", "77"])
-    assert json.loads((out / "world.json").read_text())["seed"] == 77
-
-
 def test_train_writes_run_directory(tmp_path):
     cfg = write_config(tmp_path, tiny_train_doc())
     out = tmp_path / "run"
@@ -162,51 +145,6 @@ def test_test_rejects_a_checkpoint_of_another_input_width(tmp_path, capsys, monk
 
 def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
-
-
-MANIFEST = {"seed": 3, "classes": 10, "dim": 4, "sigma": 0.5, "mean_scale": 1.0}
-
-
-@pytest.mark.parametrize("command", ["gen-world", "bench"])
-@pytest.mark.parametrize("manifest, message", [
-    (_without(MANIFEST, "sigma"), "field sigma is missing"),
-    (_without(MANIFEST, "seed"), "field seed is missing"),
-    ([1, 2], "must hold a JSON object, not a list"),
-    ({**MANIFEST, "seed": 3.7}, "field seed must be an integer, got 3.7"),
-    ({**MANIFEST, "classes": 10.9}, "field classes must be an integer, got 10.9"),
-    ({**MANIFEST, "dim": "4"}, 'field dim must be an integer, got "4"'),
-    ({**MANIFEST, "mean_scale": True}, "field mean_scale must be a number, got true"),
-    ({**MANIFEST, "classes": 1}, "field classes must be in [2, inf), got 1"),
-    ({**MANIFEST, "sigma": 0}, "field sigma must be in (0, inf), got 0"),
-    ({**MANIFEST, "seed": -1}, "field seed must be in [0, inf), got -1"),
-], ids=["no-sigma", "no-seed", "list", "seed-fraction", "classes-fraction", "dim-string",
-        "mean-scale-boolean", "classes-1", "sigma-0", "seed-negative"])
-def test_malformed_world_manifest_fails_by_key(tmp_path, capsys, monkeypatch, command,
-                                               manifest, message):
-    def no_training(*args):
-        raise AssertionError("meta_train must not run")
-
-    monkeypatch.setattr(fspll.bench, "meta_train", no_training)
-    path = tmp_path / "world.json"
-    path.write_text(json.dumps(manifest))
-    doc = tiny_bench_doc()
-    doc["world"] = {"path": "world.json"}  # relative to the config file
-    cfg = write_config(tmp_path, doc)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: world manifest {path}: {message}\n"
-    assert "Traceback" not in err
-    assert not os.path.exists(tmp_path / "o")
-
-
-def test_world_manifest_keeps_its_values(tmp_path):
-    # a manifest is read as written: an integer sigma stays one, as it does
-    # in a config file's world section
-    (tmp_path / "world.json").write_text(json.dumps({**MANIFEST, "sigma": 1}))
-    cfg = write_config(tmp_path, {"world": {"path": "world.json"}})
-    assert main(["gen-world", "--config", cfg, "--out", str(tmp_path / "w")]) == 0
-    written = json.loads((tmp_path / "w" / "world.json").read_text())
-    assert written == {**MANIFEST, "sigma": 1} and type(written["sigma"]) is int
 
 
 def _checkpoint_edit(edit):
@@ -421,7 +359,8 @@ def test_config_defaults_match_library_defaults():
     (lambda d: d["rectify"].update(lamda=0.0), "unknown config key rectify.lamda"),
     (lambda d: d.update(trian={}), "unknown config key trian"),
     (lambda d: d.update(world=5), "config key world must be a JSON object"),
-], ids=["misspelt-key", "unknown-section", "section-not-object"])
+    (lambda d: d.update(world={"path": "w.json"}), "unknown config key world.path"),
+], ids=["misspelt-key", "unknown-section", "section-not-object", "world-path"])
 def test_bad_config_key_exits_one(tmp_path, capsys, edit, message):
     doc = tiny_train_doc()
     edit(doc)
@@ -444,7 +383,7 @@ def test_bad_config_key_exits_one(tmp_path, capsys, edit, message):
     ("network", "hidden_dims", 64, "config key network.hidden_dims must be a list, got 64"),
     ("rectify", "k", 2.5, "config key rectify.k must be an integer or null, got 2.5"),
     ("rectify", "distance", 1, "config key rectify.distance must be a string, got 1"),
-    ("world", "path", 3, "config key world.path must be a string or null, got 3"),
+    ("world", "sigma", "0.5", 'config key world.sigma must be a number, got "0.5"'),
     ("bench", "methods", ["fspll", 1], "config key bench.methods[1] must be a string, got 1"),
     ("sweep", "values", [0.5, "1"], 'config key sweep.values[1] must be a number, got "1"'),
 ])
@@ -595,18 +534,18 @@ def _sweep(**section):
      "bench.p must be in [0, 1], got -0.5"),
     ("train", _set(("corruption", "p", 1.5)), "corruption.p must be in [0, 1], got 1.5"),
     ("train", _set(("train", "max_epoch", -1)), "train.max_epoch must be in [0, inf), got -1"),
-    ("gen-world", _set(("world", "classes", 1)), "world.classes must be in [2, inf), got 1"),
-    ("gen-world", _set(("world", "mean_scale", float("nan"))),
+    ("train", _set(("world", "classes", 1)), "world.classes must be in [2, inf), got 1"),
+    ("train", _set(("world", "mean_scale", float("nan"))),
      "world.mean_scale must be in (0, 8.988465674311579e+307], got nan"),
-    ("gen-world", _set(("world", "mean_scale", 0)),
+    ("train", _set(("world", "mean_scale", 0)),
      "world.mean_scale must be in (0, 8.988465674311579e+307], got 0"),
-    ("gen-world", _set(("world", "mean_scale", 1e308)),
+    ("train", _set(("world", "mean_scale", 1e308)),
      "world.mean_scale must be in (0, 8.988465674311579e+307], got 1e+308"),
     ("train", _set(("train", "lr0", float("inf"))), "train.lr0 must be in (0, inf), got inf"),
     ("train", _set(("world", "sigma", float("inf"))), "world.sigma must be in (0, inf), got inf"),
     ("test", _test_section(("corruption", "p", -0.1)), "corruption.p must be in [0, 1], got -0.1"),
     ("test", _test_section(("corruption", "r", -1)), "corruption.r must be in [0, inf), got -1"),
-    ("gen-world", _set(("world", "seed", -1)), "world.seed must be in [0, inf), got -1"),
+    ("train", _set(("world", "seed", -1)), "world.seed must be in [0, inf), got -1"),
     ("bench", _set(("train", "init_seed", -1)), "train.init_seed must be in [0, inf), got -1"),
     ("bench", _set(("train", "task_seed", -1)), "train.task_seed must be in [0, inf), got -1"),
     ("test", _test_section(("test", "eval_seed", -1)),
@@ -633,10 +572,10 @@ def _sweep(**section):
         "bench-classes-11", "bench-classes-2", "sweep-classes-2", "bench-held-out", "test-classes-11", "test-held-out",
         "bench-lambda", "bench-lambda-nan", "bench-lambda-inf", "bench-iterations", "bench-rectify-k-0", "bench-p", "bench-r-negative",
         "bench-lr0", "bench-sigma", "bench-hidden-dims", "sweep-p", "train-corruption-p",
-        "train-max-epoch", "gen-world-classes", "gen-world-mean-scale",
-        "gen-world-mean-scale-0", "gen-world-mean-scale-overflow", "train-lr0-inf",
+        "train-max-epoch", "train-world-classes", "train-mean-scale",
+        "train-mean-scale-0", "train-mean-scale-overflow", "train-lr0-inf",
         "train-sigma-inf", "test-corruption-p",
-        "test-corruption-r", "gen-world-seed", "bench-init-seed", "bench-task-seed",
+        "test-corruption-r", "train-world-seed", "bench-init-seed", "bench-task-seed",
         "test-eval-seed", "bench-eval-seed", "bench-seed-flag", "sweep-k-0", "sweep-k-fraction",
         "bench-k_shot-1", "test-k_shot-1"])
 def test_config_errors_fail_before_any_output(tmp_path, capsys, monkeypatch, command, edit,
@@ -707,7 +646,7 @@ def test_every_numeric_key_rejects_each_value_outside_its_range(tmp_path, capsys
                        f"{' or null' if entry.default is None else ''}, got {json.dumps(value)}")
         else:
             message = f"{name} must be in {entry.domain}, got {value}"
-        for command in ("gen-world", "train", "test", "bench", "sweep"):
+        for command in ("train", "test", "bench", "sweep"):
             assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1, \
                 (command, value)
             assert capsys.readouterr().err == f"error: {message}\n", (command, value)
@@ -722,6 +661,18 @@ SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(CONFIGS, "*.json"))) + [
 def test_shipped_configs_pass_the_table(path):
     # the table checks every section of a file, not only the command's own
     _load_config(argparse.Namespace(config=path, seed=None, seed_keys=[]))
+
+
+def test_test_eval_scores_on_the_world_its_checkpoint_trains_on():
+    # test_eval.json scores runs/bench_ckpt, which train_bench.json trains:
+    # held-out classes are held out only on the same world and class split
+    docs = []
+    for name in ("test_eval.json", "train_bench.json"):
+        with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    assert docs[0]["test"]["checkpoint"] == "../runs/bench_ckpt/checkpoint.json"
+    for key in ("world", "train_classes"):
+        assert docs[0][key] == docs[1][key], key
 
 
 def test_bench_checks_training_rectify_before_any_training(tmp_path, capsys, monkeypatch):
@@ -882,7 +833,7 @@ def test_bench_ignores_the_corruption_section(tmp_path, command):
         assert (tmp_path / "stray" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
-@pytest.mark.parametrize("command", ["gen-world", "train", "test", "bench", "sweep"])
+@pytest.mark.parametrize("command", ["train", "test", "bench", "sweep"])
 def test_out_naming_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
     def no_training(*args):
         raise AssertionError("meta_train must not run")

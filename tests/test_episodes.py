@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fspll.episodes import (CorruptionSpec, Episode, _choice_rows, corrupt, episode_hash,
-                            make_world, sample_episode, world_from_manifest, world_to_manifest)
+                            make_world, sample_episode, world_to_manifest)
 
 
 def test_world_determinism():
@@ -48,7 +48,7 @@ def test_world_rejects_a_non_positive_mean_scale(mean_scale):
 
 def test_world_manifest_round_trip():
     world = make_world(7, classes=6, dim=4, sigma=0.4, mean_scale=1.5)
-    again = world_from_manifest(world_to_manifest(world))
+    again = make_world(**world_to_manifest(world))
     assert (again.seed, again.classes, again.dim, again.sigma, again.mean_scale) == \
         (world.seed, world.classes, world.dim, world.sigma, world.mean_scale)
     np.testing.assert_array_equal(again.means, world.means)
