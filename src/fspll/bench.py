@@ -13,16 +13,16 @@ method of an r = 0 cell, and both "plus" methods, share one. score_rounds
 draws a base cell's rounds once, in stacks, keeping one content hash per round
 for auditing, and scores each distinct run on every stack: every method, and
 every value of a sweep, sees the same episodes. `fspll test` scores through it
-too, with the same effective config.
+too, with the same effective config. meta.json records the plan, keying each
+distinct training config in plan order, and its config_hash hashes that record.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -74,12 +74,6 @@ class BenchSpec:
         """The grid's cells: n_way outermost, then k_shot, then r."""
         return [Cell(n, k, r, self.p) for n in self.n_way for k in self.k_shot for r in self.r]
 
-    def signature(self) -> dict:
-        """Canonical JSON-ready description; hashing it identifies the run."""
-        doc = dataclasses.asdict(self)
-        doc["world"] = world_to_manifest(self.world)
-        return doc
-
 
 def check_held_out(world: World, train_classes: int | None, n_way: int, key: str) -> None:
     """Reject a class split whose held-out pool (the world classes from
@@ -110,8 +104,8 @@ class BenchResult:
         return float(np.std(self.accuracies[(cell_label, method)]))  # population std
 
 
-def config_hash(signature: dict) -> str:
-    blob = json.dumps(signature, sort_keys=True, separators=(",", ":"))
+def config_hash(plan: dict) -> str:
+    blob = json.dumps(plan, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -165,8 +159,10 @@ def _run_cells(spec: BenchSpec, cells: list[Cell], retrain: bool) -> BenchResult
     then sets its axis's rectify field at test time, and in training too if
     `retrain`. The run plan maps each base cell to (cell label, method) ->
     (training config, effective test config), and each cell and config is
-    checked (check_held_out, check_k, check_training) before any training."""
+    checked (check_held_out, check_k, check_training) before any training.
+    meta["plan"] records it, and config_hash hashes that record."""
     plan: dict[Cell, dict[tuple[str, str], tuple[TrainConfig, RectifyConfig]]] = {}
+    train_keys: dict[TrainConfig, str] = {}
     for cell in cells:
         corruption = CorruptionSpec(cell.p, cell.r)
         corruption.check_n_way(cell.n_way, "bench.r", "bench.n_way")
@@ -182,6 +178,7 @@ def _run_cells(spec: BenchSpec, cells: list[Cell], retrain: bool) -> BenchResult
             train = _train_config(spec, test if retrain else rect, clean, cell.r)
             check_training(train, spec.world, "bench.r")
             runs[(cell.label(), name)] = (train, test)
+            train_keys.setdefault(train, f"t{len(train_keys)}")
     checkpoints: dict[TrainConfig, NetworkParams] = {}
     accuracies: dict[tuple[str, str], list[float]] = {}
     hashes: dict[str, list[str]] = {}
@@ -197,10 +194,14 @@ def _run_cells(spec: BenchSpec, cells: list[Cell], retrain: bool) -> BenchResult
         for (label, name), run in runs.items():
             hashes[label] = list(drawn)
             accuracies[(label, name)] = list(scored[run])
+    record = {"world": world_to_manifest(spec.world), "train_classes": spec.train.train_classes,
+              "k_query": spec.k_query, "eval_seed": spec.eval_seed, "rounds": spec.rounds,
+              "train": {key: asdict(train) for train, key in train_keys.items()},
+              "runs": {f"{label} {name}": {"train": train_keys[train], "test": asdict(test)}
+                       for runs in plan.values() for (label, name), (train, test) in runs.items()}}
     meta = {
-        "config_hash": config_hash(spec.signature()),
-        "seeds": {"world": spec.world.seed, "init": spec.train.init_seed,
-                  "task": spec.train.task_seed, "eval": spec.eval_seed},
+        "plan": record,
+        "config_hash": config_hash(record),
         "std": "population",
         "methods": list(spec.methods),
         "cells": [c.label() for c in cells],
@@ -228,10 +229,15 @@ def sweep(spec: BenchSpec, axis: str, values: list[float],
     check({"sweep.axis": axis, "sweep.values": values})
     if retrain and axis == "k":
         raise ValueError("sweep.retrain must be false when sweep.axis is 'k'")
+    tags: dict[str, int] = {}
     for i, v in enumerate(values):
         check_value(f"sweep.values[{i}]", v, KEYS[f"rectify.{axis}"].domain)
         if axis == "k" and int(v) != v:
             raise ValueError(f"sweep.values[{i}] must be an integer for axis k, got {v}")
+        tag = f"{axis}{float(v):g}"  # as Cell.label tags the value's cells
+        if tags.setdefault(tag, i) != i:  # else its rows overwrite the earlier value's
+            raise ValueError(f"sweep.values[{i}]={v!r} gives the cell tag {tag} "
+                             f"of sweep.values[{tags[tag]}]")
     return _run_cells(spec, [replace(cell, axis=axis, axis_value=float(v))
                              for cell in spec.cells() for v in values], retrain)
 

@@ -268,6 +268,6 @@ MANIFEST_KEYS = ("seed", "classes", "dim", "sigma", "mean_scale")  # world.* con
 
 def world_to_manifest(world: World) -> dict:
     """The world's config keys, JSON-ready: `make_world(**manifest)` draws the
-    same means from the seed. train's config.json and the bench signature
-    record a run's world with it."""
+    same means from the seed. train's config.json and the bench plan record a
+    run's world with it."""
     return {key: getattr(world, key) for key in MANIFEST_KEYS}

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -234,6 +235,20 @@ def test_clean_label_training_ignores_rectification(distance, step_per_task, cor
             np.testing.assert_array_equal(got, want)
 
 
+def assert_same_scores(shared, per_variant):
+    """Two run directories hold the same rounds, scores and episode hashes,
+    and their plans give every run the same test config; return the first's
+    plan. The plans differ in their training configs, which record the
+    sharing."""
+    for name in ("rounds.csv", "summary.csv"):
+        assert (shared / name).read_bytes() == (per_variant / name).read_bytes()
+    metas = [json.loads((run_dir / "meta.json").read_text()) for run_dir in (shared, per_variant)]
+    assert metas[0]["episode_hashes"] == metas[1]["episode_hashes"]
+    tests = [{run: r["test"] for run, r in meta["plan"]["runs"].items()} for meta in metas]
+    assert tests[0] == tests[1]
+    return metas[0]["plan"]
+
+
 def train_config_per_variant(spec, rect, clean, r_cell):
     """Reference training config: one checkpoint per rectify variant, with no
     sharing on clean labels."""
@@ -260,16 +275,15 @@ def test_clean_label_checkpoints_are_shared_without_changing_reports(tmp_path, m
     monkeypatch.setattr(fspll.bench, "_train_config", train_config_per_variant)
     write_report(run_benchmark(spec), tmp_path / "per_variant")
     assert len(calls) == shared + 6
-    for name in ("rounds.csv", "summary.csv", "meta.json"):
-        assert (tmp_path / "shared" / name).read_bytes() == \
-            (tmp_path / "per_variant" / name).read_bytes()
+    plan = assert_same_scores(tmp_path / "shared", tmp_path / "per_variant")
+    assert len(plan["train"]) == shared
 
 
 def test_exact_label_cells_score_each_checkpoint_once(tmp_path, monkeypatch):
     # on the r = 0 cell fspll, fspll-nm and pn share one checkpoint, and each
     # test config reduces to the identity there: one meta_test call scores
     # all three. With one checkpoint per variant nothing is shared, and the
-    # reports must not change.
+    # scores must not change.
     calls = []
 
     def counting_meta_test(params, episodes, cfg):
@@ -287,9 +301,8 @@ def test_exact_label_cells_score_each_checkpoint_once(tmp_path, monkeypatch):
     monkeypatch.setattr(fspll.bench, "_train_config", train_config_per_variant)
     write_report(run_benchmark(spec), tmp_path / "per_variant")
     assert len(calls) == 4 + 3 + 3
-    for name in ("rounds.csv", "summary.csv", "meta.json"):
-        assert (tmp_path / "shared" / name).read_bytes() == \
-            (tmp_path / "per_variant" / name).read_bytes()
+    plan = assert_same_scores(tmp_path / "shared", tmp_path / "per_variant")
+    assert len(plan["train"]) == 4  # one checkpoint for the r = 0 cell, three for r = 1
 
 
 # An exact cell runs no smoothing, so it reads no k: not a 1-shot cell's
@@ -331,6 +344,55 @@ def test_write_report_files_and_recomputation(tmp_path):
     meta = json.loads((tmp_path / "run" / "meta.json").read_text())
     assert meta["std"] == "population"
     assert len(meta["config_hash"]) == 64
+
+
+# -- the run plan in meta.json ----------------------------------------------------
+
+@pytest.mark.parametrize("run", [run_benchmark, lambda spec: sweep(spec, "k", [1, 2])],
+                         ids=["bench", "sweep"])
+def test_config_hash_recomputes_from_the_plan_in_meta_json(tmp_path, run):
+    paths = write_report(run(tiny_spec()), tmp_path / "run")
+    with open(paths["meta.json"], encoding="utf-8") as fh:
+        meta = json.load(fh)
+    blob = json.dumps(meta["plan"], sort_keys=True, separators=(",", ":"))
+    assert meta["config_hash"] == hashlib.sha256(blob.encode()).hexdigest()
+    # the plan holds every seed, so meta.json lists them nowhere else
+    assert "seeds" not in meta
+    plan = meta["plan"]
+    assert (plan["world"]["seed"], plan["eval_seed"]) == (1, 4)
+    assert {(t["init_seed"], t["task_seed"]) for t in plan["train"].values()} == {(2, 3)}
+
+
+def test_config_hash_tells_a_retrain_sweep_from_a_fixed_one():
+    spec = tiny_spec(methods=["fspll"])
+    fixed, retrained = (sweep(spec, "lambda", [0.0, 0.5], retrain=retrain)
+                        for retrain in (False, True))
+    assert [len(res.meta["plan"]["train"]) for res in (fixed, retrained)] == [1, 2]
+    assert fixed.meta["config_hash"] != retrained.meta["config_hash"]
+
+
+def test_train_corruption_leaves_meta_json_alone(tmp_path):
+    # no bench reads the train config's own corruption: each run trains under
+    # its cell's
+    spec = tiny_spec()
+    stray = tiny_spec(train=replace(spec.train, corruption=CorruptionSpec(0.5, 2)))
+    write_report(run_benchmark(spec), tmp_path / "a")
+    write_report(run_benchmark(stray), tmp_path / "b")
+    for name in ("rounds.csv", "summary.csv", "meta.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_plan_records_which_runs_share_a_checkpoint():
+    res = run_benchmark(tiny_spec(r=[0, 1], methods=list(METHODS)))
+    plan = res.meta["plan"]
+    exact, noisy = ({name: plan["runs"][f"{cell.label()} {name}"]["train"] for name in METHODS}
+                    for cell in res.cells)
+    clean = exact["fspll"]
+    assert exact["fspll-nm"] == exact["pn"] == clean
+    assert noisy["fspll-plus"] == noisy["pn-plus"] == clean
+    assert plan["train"][clean]["corruption"] == {"p": 1.0, "r": 0}
+    assert sorted(plan["train"]) == ["t0", "t1", "t2", "t3"]
+    assert sorted({noisy[name] for name in ("fspll", "fspll-nm", "pn")}) == ["t1", "t2", "t3"]
 
 
 def test_write_report_is_byte_deterministic(tmp_path):

@@ -492,6 +492,8 @@ def _sweep(**section):
     ("bench", _set(("bench", "k_shot", [3, 3])), "bench.k_shot lists 3 twice"),
     ("bench", _set(("bench", "r", [1, 1])), "bench.r lists 1 twice"),
     ("sweep", _sweep(values=[0.5, 0.5]), "sweep.values lists 0.5 twice"),
+    ("sweep", _sweep(values=[0.5, 0.25, 0.5000001]),
+     "sweep.values[2]=0.5000001 gives the cell tag lambda0.5 of sweep.values[0]"),
     ("sweep", _sweep(axis="k", values=[2], retrain=True),
      "sweep.retrain must be false when sweep.axis is 'k'"),
     ("train", _set((None, "train_classes", 0)),
@@ -567,7 +569,7 @@ def _sweep(**section):
         "sweep-lambda-inf", "sweep-k", "sweep-k-nan", "sweep-k-inf",
         "bench-methods-twice", "bench-methods-unknown", "sweep-methods-unknown",
         "bench-n_way-twice", "bench-k_shot-twice", "bench-r-twice",
-        "sweep-values-twice", "sweep-k-retrain",
+        "sweep-values-twice", "sweep-values-same-tag", "sweep-k-retrain",
         "train-classes-0", "train-classes-11", "train-k",
         "bench-classes-11", "bench-classes-2", "sweep-classes-2", "bench-held-out", "test-classes-11", "test-held-out",
         "bench-lambda", "bench-lambda-nan", "bench-lambda-inf", "bench-iterations", "bench-rectify-k-0", "bench-p", "bench-r-negative",
