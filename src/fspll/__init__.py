@@ -1,7 +1,6 @@
 """Few-shot partial-label learning: episodic embedding training with iterative
 prototype rectification, plus a synthetic paired benchmark harness."""
 
-from .autodiff import Graph, Tensor
 from .bench import BenchResult, BenchSpec, run_benchmark, sweep, write_report
 from .embedding import (NetworkParams, NetworkSpec, embed, init_network,
                         load_checkpoint, save_checkpoint)
@@ -17,11 +16,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchResult", "BenchSpec", "CorruptionSpec", "Episode", "GradCheckResult",
-    "Graph", "NetworkParams", "NetworkSpec", "RectifyConfig", "Tensor",
-    "TrainConfig", "TrainLog", "World", "classify_proba", "compute_prototypes",
-    "corrupt", "embed", "episode_hash", "grad_check", "init_network",
-    "knn_indices", "load_checkpoint", "lr_at", "make_world", "meta_test",
-    "meta_train", "pairwise_distance", "predict", "rectify",
-    "run_benchmark", "sample_episode", "save_checkpoint", "smooth_confidence", "sweep",
-    "update_confidence", "write_report",
+    "NetworkParams", "NetworkSpec", "RectifyConfig", "TrainConfig", "TrainLog",
+    "World", "classify_proba", "compute_prototypes", "corrupt", "embed",
+    "episode_hash", "grad_check", "init_network", "knn_indices", "load_checkpoint",
+    "lr_at", "make_world", "meta_test", "meta_train", "pairwise_distance", "predict",
+    "rectify", "run_benchmark", "sample_episode", "save_checkpoint",
+    "smooth_confidence", "sweep", "update_confidence", "write_report",
 ]

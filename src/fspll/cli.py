@@ -26,7 +26,7 @@ from .config import DEFAULTS, KEYS, check, check_type, check_value, config_keys
 from .embedding import NetworkSpec, embed_layers, init_network, load_checkpoint, save_checkpoint
 from .episodes import CorruptionSpec, corrupt, make_world, sample_episode, world_to_manifest
 from .pll_core import RectifyConfig, rectify
-from .trainer import TrainConfig, episode_loss_graph, episode_loss_grad, grad_check, meta_train
+from .trainer import TrainConfig, grad_check, meta_train
 
 
 def _config_help() -> str:
@@ -221,7 +221,6 @@ def cmd_grad_check(args) -> int:
     check_value("--seed", seed, KEYS["world.seed"].domain)  # every seed key's range
     rng = np.random.default_rng(seed)
     worst = 0.0
-    fused_dev = 0.0
     excluded = 0
     for trial in range(3):
         world = make_world(int(rng.integers(2 ** 31)), classes=6, dim=5, sigma=0.6)
@@ -230,22 +229,12 @@ def cmd_grad_check(args) -> int:
         spec = NetworkSpec(5, (6,), 4)
         params = init_network(spec, int(rng.integers(2 ** 31)))
         rect = RectifyConfig(iterations=5, lam=0.5, k=2)
-        support_layers = embed_layers(params, episode.support)
-        _, Q = rectify(support_layers[-1], episode.candidates, rect)
+        _, Q = rectify(embed_layers(params, episode.support)[-1], episode.candidates, rect)
         res = grad_check(params, episode, Q, rect.distance)
         worst = max(worst, res.max_rel_error)
         excluded += res.excluded
-        # the fused gradient must also equal the graph's
-        _, grad_w, grad_b = episode_loss_grad(params, support_layers, episode, Q, rect.distance)
-        graph, sink, layers = episode_loss_graph(params, episode, Q, rect.distance)
-        graph.backward(sink)
-        for (w_node, b_node), gw, gb in zip(layers, grad_w, grad_b):
-            for node, g in ((w_node, gw), (b_node, gb)):
-                dev = np.abs(g - node.grad) / np.maximum(1.0, np.abs(node.grad))
-                fused_dev = max(fused_dev, float(dev.max()))
     print(f"max relative gradient error: {worst:.3e} ({excluded} kink entries excluded)")
-    print(f"fused training gradient vs graph: max relative deviation {fused_dev:.3e}")
-    return 0 if worst < 1e-4 and fused_dev < 1e-12 else 1
+    return 0 if worst < 1e-4 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

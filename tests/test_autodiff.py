@@ -9,7 +9,6 @@ import fspll
 from fspll.autodiff import Graph
 from fspll.embedding import NetworkSpec, init_network
 from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
-from fspll.pll_core import SQRT_EPS, sqrt_eps
 from fspll.trainer import episode_loss_graph
 
 
@@ -217,21 +216,6 @@ def test_sqrt_epsilon_keeps_gradient_finite_at_zero():
     g.backward(sink)
     assert np.isfinite(x.grad[0, 0])
     np.testing.assert_allclose(sink.values[0, 0], 1e-6, rtol=1e-12)
-
-
-@pytest.mark.parametrize("x", [
-    [[1e-12, 0.5, 4.0], [2.0, 1e-3, 9.0]],          # none below SQRT_EPS
-    [[0.0, 1e-13, 4.0], [1e-12, 2.0, 1e-30]],       # some below
-    [[5e-13, 1.0, 4.0], [1e-12, 2.0, 3.0]],         # one below, none zero
-    [[np.nan, 1.0, np.inf], [4.0, 2.0, 3.0]],       # NaN and inf, none below
-    [[np.nan, 0.0, np.inf], [4.0, 2.0, 3.0]],
-    [[np.inf, 1e-12], [2.0, 3.0]],
-    np.empty((0, 3)),
-], ids=["above", "below", "below-positive", "nan-inf", "nan-inf-below", "inf", "empty"])
-def test_sqrt_eps_matches_its_shifted_form(x):
-    x = np.asarray(x, dtype=np.float64)
-    np.testing.assert_array_equal(sqrt_eps(x),
-                                  np.sqrt(np.where(x < SQRT_EPS, x + SQRT_EPS, x)))
 
 
 def _imports(module):

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -249,8 +250,9 @@ def test_sweep_command(tmp_path):
 def test_grad_check_command(capsys):
     assert main(["grad-check", "--seed", "7"]) == 0
     out = capsys.readouterr().out
-    assert "max relative gradient error" in out
-    assert "fused training gradient vs graph" in out
+    # one line: the finite-difference check's, and nothing after it
+    assert re.fullmatch(
+        r"max relative gradient error: \d\.\d{3}e-\d+ \(0 kink entries excluded\)\n", out)
 
 
 def test_grad_check_rejects_a_negative_seed_before_any_work(capsys, monkeypatch):

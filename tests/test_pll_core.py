@@ -11,7 +11,7 @@ from fspll.embedding import NetworkParams, NetworkSpec, embed_layers, init_netwo
 from fspll.episodes import CorruptionSpec, corrupt, draw_episodes, make_world, sample_episode
 from fspll.pll_core import (DISTANCE_KINDS, SQRT_EPS, RectifyConfig, classify_proba,
                             compute_prototypes, knn_indices, pairwise_distance, predict,
-                            rectify, smooth_confidence, sqdist, update_confidence)
+                            rectify, smooth_confidence, sqdist, sqrt_eps, update_confidence)
 from fspll.trainer import episode_loss_grad
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,21 @@ def test_distance_matches_scalar_loop():
 def test_distance_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         pairwise_distance(np.ones((2, 1)), np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("x", [
+    [[1e-12, 0.5, 4.0], [2.0, 1e-3, 9.0]],          # none below SQRT_EPS
+    [[0.0, 1e-13, 4.0], [1e-12, 2.0, 1e-30]],       # some below
+    [[5e-13, 1.0, 4.0], [1e-12, 2.0, 3.0]],         # one below, none zero
+    [[np.nan, 1.0, np.inf], [4.0, 2.0, 3.0]],       # NaN and inf, none below
+    [[np.nan, 0.0, np.inf], [4.0, 2.0, 3.0]],
+    [[np.inf, 1e-12], [2.0, 3.0]],
+    np.empty((0, 3)),
+], ids=["above", "below", "below-positive", "nan-inf", "nan-inf-below", "inf", "empty"])
+def test_sqrt_eps_matches_its_shifted_form(x):
+    x = np.asarray(x, dtype=np.float64)
+    np.testing.assert_array_equal(sqrt_eps(x),
+                                  np.sqrt(np.where(x < SQRT_EPS, x + SQRT_EPS, x)))
 
 
 # -- confidence update ----------------------------------------------------------

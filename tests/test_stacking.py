@@ -239,7 +239,8 @@ def reference_meta_train(config, world):
             episode = corrupt(episode, config.corruption, rng)
             layers = embed_layers(params, episode.support)
             _, Q = rectify(layers[-1], episode.candidates, rect)
-            loss, task_w, task_b = episode_loss_grad(params, layers, episode, Q, rect.distance)
+            loss, task_w, task_b = episode_loss_grad(params, layers, episode, Q, rect.distance,
+                                                     config.supervised_loss)
             loss_sum += loss
             for i in range(len(params.weights)):
                 if config.step_per_task:
@@ -262,12 +263,27 @@ def reference_meta_train(config, world):
 # support and 5 x 4 query samples: the default budget stacks all 7 tasks of an
 # epoch; 36000 bytes gives stacks of 3, 3 and 1. Under step_per_task every
 # stack is one task, whatever the budget.
-@pytest.mark.parametrize("stack_bytes, step_per_task", [
-    (fspll.pll_core.STACK_BYTES, False), (36000, False),
-    (fspll.pll_core.STACK_BYTES, True), (36000, True),
-], ids=[str(fspll.pll_core.STACK_BYTES), "36000", f"{fspll.pll_core.STACK_BYTES}-step_per_task",
-        "36000-step_per_task"])
-def test_batch_mean_meta_train_matches_per_task_reference(monkeypatch, stack_bytes,
+BUDGETS = [(fspll.pll_core.STACK_BYTES, False), (36000, False),
+           (fspll.pll_core.STACK_BYTES, True), (36000, True)]
+BUDGET_IDS = [str(fspll.pll_core.STACK_BYTES), "36000",
+              f"{fspll.pll_core.STACK_BYTES}-step_per_task", "36000-step_per_task"]
+
+# mode -> the TrainConfig fields it changes from fspll at r = 2: each way the
+# benches train a checkpoint. fspll's cases keep their budget-only ids.
+TRAINING_MODES = {
+    "fspll": {},
+    "pn": {"rectify": RectifyConfig(iterations=0)},
+    "fspll-nm": {"rectify": RectifyConfig(iterations=10, lam=0.0)},
+    "exact": {"rectify": RectifyConfig(iterations=0), "corruption": CorruptionSpec(1.0, 0)},
+    "supervised": {"supervised_loss": True},
+    "squared": {"rectify": RectifyConfig(iterations=10, lam=0.5, distance="squared")},
+}
+
+
+@pytest.mark.parametrize("mode, stack_bytes, step_per_task", [
+    (mode, *budget) for mode in TRAINING_MODES for budget in BUDGETS
+], ids=[b if mode == "fspll" else f"{mode}-{b}" for mode in TRAINING_MODES for b in BUDGET_IDS])
+def test_batch_mean_meta_train_matches_per_task_reference(monkeypatch, mode, stack_bytes,
                                                           step_per_task):
     monkeypatch.setattr(fspll.pll_core, "STACK_BYTES", stack_bytes)
     world = make_world(34, classes=12, dim=4, sigma=0.7)
@@ -276,6 +292,7 @@ def test_batch_mean_meta_train_matches_per_task_reference(monkeypatch, stack_byt
                          rectify=RectifyConfig(iterations=10, lam=0.5),
                          corruption=CorruptionSpec(1.0, 2), lr0=0.05, init_seed=35,
                          task_seed=36, step_per_task=step_per_task)
+    config = replace(config, **TRAINING_MODES[mode])
     params, log = meta_train(config, world)
     want, losses = reference_meta_train(config, world)
     assert log.losses() == losses
