@@ -6,14 +6,15 @@ One run plan drives training and scoring: before anything is trained, each
 effective test config). BenchSpec checks each key's range; the plan checks each
 rule that ties keys together or to the world. "Plus" methods meta-train on
 clean labels, the others under their cell's corruption (never the train
-config's own). On clean labels (r = 0 or p = 0) rectification is the identity,
-so a config there keeps only its rectify distance (and r = 0): no k is checked
-or used. A checkpoint is trained once per distinct training config: every
-method of an r = 0 cell, and both "plus" methods, share one. score_rounds
-draws a base cell's rounds once, in stacks, keeping one content hash per round
-for auditing, and scores each distinct run on every stack: every method, and
-every value of a sweep, sees the same episodes. `fspll test` scores through it
-too, with the same effective config. meta.json records the plan, keying each
+config's own). On clean labels (r = 0, or floor(p * n_s) = 0 hit samples of
+a cell's or training task's n_s) rectification is the identity, so a config
+there keeps only its rectify distance (and r = 0): no k is checked or used. A
+checkpoint is trained once per distinct training config: every method of an
+r = 0 cell, and both "plus" methods, share one. score_rounds draws a base
+cell's rounds once, in stacks, keeping one content hash per round for
+auditing, and scores each distinct run on every stack: every method, and every
+value of a sweep, sees the same episodes. `fspll test` scores through it too,
+with the same effective config. meta.json records the plan, keying each
 distinct training config in plan order, and its config_hash hashes that record.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .config import DEFAULTS, KEYS, METHODS, check, check_value
 from .embedding import NetworkParams
-from .episodes import CorruptionSpec, World, draw_episodes, episode_hash, world_to_manifest
+from .episodes import CorruptionSpec, World, draw_episodes, episode_hash
 from .pll_core import RectifyConfig, stack_size
 from .trainer import TrainConfig, check_training, meta_test, meta_train
 
@@ -109,10 +110,12 @@ def config_hash(plan: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def effective_rectify(rect: RectifyConfig, corruption: CorruptionSpec) -> RectifyConfig:
-    """A rectify config that gives rect's results under corruption: on exact
-    labels rectification is the identity, and only the distance counts."""
-    return RectifyConfig(iterations=0, distance=rect.distance) if corruption.exact else rect
+def effective_rectify(rect: RectifyConfig, corruption: CorruptionSpec, n_support: int
+                      ) -> RectifyConfig:
+    """rect's results under corruption on episodes of n_support samples: on
+    exact labels rectification is the identity, and only the distance counts."""
+    return RectifyConfig(iterations=0, distance=rect.distance) \
+        if corruption.exact(n_support) else rect
 
 
 def _train_config(spec: BenchSpec, rect: RectifyConfig, clean: bool, r_cell: int
@@ -120,10 +123,11 @@ def _train_config(spec: BenchSpec, rect: RectifyConfig, clean: bool, r_cell: int
     """The config that trains a checkpoint rectifying by rect for a cell with
     r_cell, on clean labels if `clean`."""
     corruption = CorruptionSpec(spec.p, 0 if clean else r_cell)
-    rect = effective_rectify(rect, corruption)
-    if corruption.exact:  # no label is ambiguous, and r draws nothing
+    n_support = spec.train.n_way * spec.train.k_support
+    if corruption.exact(n_support):  # no label is ambiguous, and r draws nothing
         corruption = replace(corruption, r=0)
-    return replace(spec.train, rectify=rect, corruption=corruption)
+    return replace(spec.train, rectify=effective_rectify(rect, corruption, n_support),
+                   corruption=corruption)
 
 
 def score_rounds(world: World, train_classes: int, k_query: int, eval_seed: int, cell: Cell,
@@ -173,9 +177,9 @@ def _run_cells(spec: BenchSpec, cells: list[Cell], retrain: bool) -> BenchResult
         for name in spec.methods:
             changes, clean = METHODS[name]
             rect = replace(spec.train.rectify, **changes)
-            test = effective_rectify(replace(rect, **swept), corruption)
+            test = effective_rectify(replace(rect, **swept), corruption, cell.n_way * cell.k_shot)
             test.check_k(cell.n_way, cell.k_shot, f"cell {cell.label()}: k_shot")
-            train = _train_config(spec, test if retrain else rect, clean, cell.r)
+            train = _train_config(spec, replace(rect, **swept) if retrain else rect, clean, cell.r)
             check_training(train, spec.world, "bench.r")
             runs[(cell.label(), name)] = (train, test)
             train_keys.setdefault(train, f"t{len(train_keys)}")
@@ -194,7 +198,8 @@ def _run_cells(spec: BenchSpec, cells: list[Cell], retrain: bool) -> BenchResult
         for (label, name), run in runs.items():
             hashes[label] = list(drawn)
             accuracies[(label, name)] = list(scored[run])
-    record = {"world": world_to_manifest(spec.world), "train_classes": spec.train.train_classes,
+    record = {"world": {key: getattr(spec.world, key) for key in DEFAULTS["world"]},
+              "train_classes": spec.train.train_classes,
               "k_query": spec.k_query, "eval_seed": spec.eval_seed, "rounds": spec.rounds,
               "train": {key: asdict(train) for train, key in train_keys.items()},
               "runs": {f"{label} {name}": {"train": train_keys[train], "test": asdict(test)}

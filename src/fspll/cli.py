@@ -24,7 +24,7 @@ from .bench import (BenchSpec, Cell, check_held_out, effective_rectify, run_benc
                     score_rounds, sweep, write_report)
 from .config import DEFAULTS, KEYS, check, check_type, check_value, config_keys
 from .embedding import NetworkSpec, embed_layers, init_network, load_checkpoint, save_checkpoint
-from .episodes import CorruptionSpec, corrupt, make_world, sample_episode, world_to_manifest
+from .episodes import CorruptionSpec, corrupt, make_world, sample_episode
 from .pll_core import RectifyConfig, rectify
 from .trainer import TrainConfig, grad_check, meta_train
 
@@ -120,9 +120,8 @@ def cmd_train(args) -> int:
     params, log = meta_train(config, world)
     os.makedirs(out, exist_ok=True)
 
-    snapshot = {key: cfg[key] for key in ("train_classes", "network", "train", "rectify",
-                                          "corruption")}
-    snapshot["world"] = world_to_manifest(world)
+    snapshot = {key: cfg[key] for key in ("world", "train_classes", "network", "train",
+                                          "rectify", "corruption")}
     with open(os.path.join(out, "config.json"), "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -152,8 +151,8 @@ def cmd_test(args) -> int:
     if section["checkpoint"] is None:
         raise ValueError("config key test.checkpoint is required")
     corruption = CorruptionSpec(**cfg["corruption"])
-    rect = effective_rectify(_parse_rectify(cfg), corruption)
     cell = Cell(section["n_way"], section["k_shot"], corruption.r, corruption.p)
+    rect = effective_rectify(_parse_rectify(cfg), corruption, cell.n_way * cell.k_shot)
     corruption.check_n_way(cell.n_way, "corruption.r", "test.n_way")
     rect.check_k(cell.n_way, cell.k_shot, "test.k_shot")
     check_held_out(world, cfg["train_classes"], cell.n_way, "test.n_way")

@@ -105,13 +105,15 @@ CHECKPOINT_FIELDS = {"input_dim": "world.dim", "hidden_dims": "network.hidden_di
 
 
 def load_checkpoint(path) -> NetworkParams:
-    """Read a save_checkpoint file. A malformed one raises a ValueError that
-    names the file and the field."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    """Read a save_checkpoint file. An unreadable or malformed one raises the
+    ValueError `checkpoint <path>: <reason>`; a malformed one's names the field."""
     try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
         return _checkpoint_params(json.loads(text))
-    except ValueError as exc:  # invalid JSON is one too
+    except OSError as exc:
+        raise ValueError(f"checkpoint {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # invalid JSON, and bytes that are not UTF-8, are ones too
         raise ValueError(f"checkpoint {path}: {exc}") from None
 
 

@@ -45,8 +45,8 @@ class World:
 @dataclass(frozen=True)
 class CorruptionSpec:
     """p: proportion of support samples corrupted; r: irrelevant labels added
-    each. With r = 0 or p = 0 every label stays exact (see `exact`), and
-    rectifying such an episode returns its labels unchanged."""
+    each. With r = 0, or a p that hits none of an episode's samples, every
+    label stays exact (see `exact`), and rectifying it returns them unchanged."""
 
     p: float
     r: int
@@ -54,10 +54,14 @@ class CorruptionSpec:
     def __post_init__(self):
         check({"corruption.p": self.p, "corruption.r": self.r})
 
-    @property
-    def exact(self) -> bool:
-        """True when no sample of any episode gains an irrelevant label."""
-        return self.r == 0 or self.p == 0
+    def hits(self, n_support: int) -> int:
+        """How many of an episode's n_support samples gain r irrelevant
+        labels: floor(p * n_support), or none when r = 0."""
+        return int(np.floor(self.p * n_support)) if self.r > 0 else 0
+
+    def exact(self, n_support: int) -> bool:
+        """True when r = 0 or floor(p * n_support) = 0: no sample gains a label."""
+        return self.hits(n_support) == 0
 
     def check_n_way(self, n_way: int, r_key: str, n_way_key: str, task: str = "episode") -> None:
         """Raise unless an n_way-way `task` leaves r other classes for each
@@ -210,7 +214,7 @@ def _choice_rows(rngs, n: int, pop: int, r: int) -> np.ndarray:
 
 
 def corrupt(episode: Episode, spec: CorruptionSpec, seed) -> Episode:
-    """Partially label the support set: floor(p * n_s) samples, chosen without
+    """Partially label the support set: spec.hits(n_s) samples, chosen without
     replacement, each gain r labels from the episode's other classes. Ground
     truth stays a candidate; queries are untouched. A stack of T episodes
     takes a sequence of T seeds or generators, one per episode.
@@ -223,8 +227,8 @@ def corrupt(episode: Episode, spec: CorruptionSpec, seed) -> Episode:
     l = episode.n_classes
     spec.check_n_way(l, "corruption.r", "n_way")
     Y = episode.candidates.copy()
-    n_hit = int(np.floor(spec.p * episode.n_support))
-    if n_hit > 0 and spec.r > 0:
+    n_hit = spec.hits(episode.n_support)
+    if n_hit > 0:
         stacked = Y.ndim == 3
         rngs = [np.random.default_rng(s) for s in seed] if stacked \
             else [np.random.default_rng(seed)]
@@ -259,15 +263,3 @@ def episode_hash(episode: Episode) -> str | list[str]:
                 episode.queries, episode.support_truth, episode.query_truth):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()[:16]
-
-
-# -- world manifests -----------------------------------------------------------
-
-MANIFEST_KEYS = ("seed", "classes", "dim", "sigma", "mean_scale")  # world.* config keys
-
-
-def world_to_manifest(world: World) -> dict:
-    """The world's config keys, JSON-ready: `make_world(**manifest)` draws the
-    same means from the seed. train's config.json and the bench plan record a
-    run's world with it."""
-    return {key: getattr(world, key) for key in MANIFEST_KEYS}

@@ -218,7 +218,7 @@ def test_clean_label_training_ignores_rectification(distance, step_per_task, cor
     # the invariant the checkpoint cache relies on: on exact labels the
     # fspll, fspll-nm and pn training configs, and the one the cache trains,
     # give the same weights to the last bit
-    assert corruption.exact
+    assert corruption.exact(3 * 3)  # n_way x k_support below
     world = make_world(5, classes=10, dim=4, sigma=0.6)
     base = RectifyConfig(distance=distance)
     trained = []

@@ -27,6 +27,12 @@ CONFIGS = os.path.join(ROOT, "configs")
 SRC = os.path.join(ROOT, "src")
 
 
+def shipped(name):
+    """The settings of configs/<name>, read and checked as `fspll` reads them."""
+    return _load_config(argparse.Namespace(config=os.path.join(CONFIGS, name), seed=None,
+                                           seed_keys=[]))
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -205,6 +211,22 @@ def test_malformed_checkpoint_fails_by_field(tmp_path, capsys, monkeypatch, chec
     err = capsys.readouterr().err
     assert err == f"error: checkpoint {path}: {message}\n"
     assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "o")
+
+
+# a checkpoint that cannot be read fails as a malformed one does, by path
+@pytest.mark.parametrize("is_dir, reason", [(False, "No such file or directory"),
+                                            (True, "Is a directory")],
+                         ids=["missing", "directory"])
+def test_unreadable_checkpoint_fails_by_path(tmp_path, capsys, is_dir, reason):
+    path = tmp_path / "checkpoint.json"
+    if is_dir:
+        path.mkdir()
+    doc = tiny_train_doc()
+    doc["test"] = {"checkpoint": str(path), "n_way": 3, "k_shot": 3, "k_query": 4}
+    cfg = write_config(tmp_path, doc)
+    assert main(["test", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: checkpoint {path}: {reason}\n"
     assert not os.path.exists(tmp_path / "o")
 
 
@@ -745,8 +767,9 @@ def test_distance_takes_only_the_listed_spellings(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "o")
 
 
-# On exact labels (r = 0 or p = 0) no run smooths, so none reads k: not a
-# 1-shot cell's k = shots - 1 = 0, nor a set k above the support size.
+# On exact labels (r = 0, or a p that hits no support sample) no run smooths,
+# so none reads k: not a 1-shot cell's k = shots - 1 = 0, nor a set k above
+# the support size.
 @pytest.mark.parametrize("edit", [
     _set(("bench", "k_shot", [1]), ("bench", "r", [0])),
     _set(("bench", "k_shot", [1]), ("bench", "p", 0.0)),
@@ -763,11 +786,13 @@ def test_bench_exact_cells_ignore_k(tmp_path, edit):
     assert len({row.split(",", 2)[2] for row in rows}) == 1  # every method scores as pn
 
 
-def test_test_on_exact_labels_ignores_k(tmp_path, capsys):
+# p = 0.2 hits floor(0.2 * 3) = 0 of the cell's 3 x 1 support samples
+@pytest.mark.parametrize("corruption", [{"r": 0}, {"p": 0.2}], ids=["r0", "p-hits-none"])
+def test_test_on_exact_labels_ignores_k(tmp_path, capsys, corruption):
     ckpt = tmp_path / "checkpoint.json"
     save_checkpoint(init_network(NetworkSpec(4, (6,), 4), 0), str(ckpt))
     doc = tiny_train_doc()
-    doc["corruption"]["r"] = 0
+    doc["corruption"].update(corruption)
     doc["test"] = {"checkpoint": str(ckpt), "n_way": 3, "k_shot": 1, "k_query": 4,
                    "rounds": 3}
     assert main(["test", "--config", write_config(tmp_path, doc)]) == 0
@@ -775,6 +800,23 @@ def test_test_on_exact_labels_ignores_k(tmp_path, capsys):
     doc["rectify"]["iterations"] = 0  # pn
     assert main(["test", "--config", write_config(tmp_path, doc)]) == 0
     assert capsys.readouterr().out == printed
+
+
+# p hits floor(p * n_s) support samples: none of a 3-way 1-shot cell's 3 at
+# p = 0.2, so its labels stay exact and no run smooths, or reads k, there.
+# A training task's 3 x 3 samples, of which p hits one, still train each
+# method on its own rectify config.
+def test_bench_cell_whose_p_hits_no_sample_ignores_k(tmp_path):
+    doc = tiny_bench_doc()
+    doc["bench"].update(k_shot=[1], p=0.2, methods=list(METHODS))
+    cfg = write_config(tmp_path, doc)
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    plan = json.loads((tmp_path / "o" / "meta.json").read_text())["plan"]
+    for name in METHODS:
+        assert plan["runs"][f"N3-K1-r1-p0.2 {name}"]["test"]["iterations"] == 0, name
+    trained = plan["train"].values()
+    assert [(t["corruption"]["r"], t["rectify"]["iterations"], t["rectify"]["lam"])
+            for t in trained] == [(1, 3, 0.5), (1, 3, 0.0), (1, 0, 0.5), (0, 0, 0.5)]
 
 
 def test_one_shot_sweep_without_smoothing_runs(tmp_path):

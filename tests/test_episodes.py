@@ -4,8 +4,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from fspll.config import DEFAULTS
 from fspll.episodes import (CorruptionSpec, Episode, _choice_rows, corrupt, episode_hash,
-                            make_world, sample_episode, world_to_manifest)
+                            make_world, sample_episode)
+
+from test_cli import shipped
 
 
 def test_world_determinism():
@@ -46,9 +49,10 @@ def test_world_rejects_a_non_positive_mean_scale(mean_scale):
         make_world(1, classes=5, dim=3, sigma=0.5, mean_scale=mean_scale)
 
 
-def test_world_manifest_round_trip():
+def test_world_config_keys_round_trip():
+    # train's config.json and the bench plan record a world by its config keys
     world = make_world(7, classes=6, dim=4, sigma=0.4, mean_scale=1.5)
-    again = make_world(**world_to_manifest(world))
+    again = make_world(**{key: getattr(world, key) for key in DEFAULTS["world"]})
     assert (again.seed, again.classes, again.dim, again.sigma, again.mean_scale) == \
         (world.seed, world.classes, world.dim, world.sigma, world.mean_scale)
     np.testing.assert_array_equal(again.means, world.means)
@@ -118,6 +122,19 @@ def test_corrupt_partial_proportion():
     counts = out.candidates.sum(axis=0)
     assert (counts == 2).sum() == 10  # floor(0.5 * 20)
     assert (counts == 1).sum() == 10
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.2, 0.5, 0.99, 1.0])
+def test_hits_counts_the_samples_corrupt_changes(p, r):
+    # exact, which decides whether a run rectifies, reads the same count
+    world = make_world(3, classes=10, dim=3, sigma=0.5)
+    spec = CorruptionSpec(p, r)
+    for k_support in (1, 2, 3, 5):
+        ep = sample_episode(world, [0, 1, 2, 3], k_support, 2, seed=k_support)
+        changed = (corrupt(ep, spec, seed=5).candidates != ep.candidates).any(axis=0).sum()
+        assert changed == spec.hits(ep.n_support), k_support
+        assert spec.exact(ep.n_support) == (changed == 0), k_support
 
 
 def test_corrupt_class_coverage():
@@ -203,6 +220,21 @@ def test_choice_rows_match_choice_calls_in_order(l, buffered_half):
                 assert vectorised.bit_generator.state == looped.bit_generator.state, case
 
 
+@pytest.mark.parametrize("r", [1, 2, 200, 201, 5000])
+@pytest.mark.parametrize("pop", [10000, 10001], ids=["replay", "fallback"])
+def test_choice_rows_at_numpys_population_threshold(pop, r):
+    # choice keeps Floyd's sampling up to pop = 10000, which _choice_rows
+    # replays; above it, r > pop // 50 switches choice to a tail shuffle, and
+    # _choice_rows calls choice itself
+    twins = [_twin_generators([pop, r, t], False) for t in range(2)]
+    rows = _choice_rows([v for v, _ in twins], 3, pop, r)
+    assert rows.shape == (2, 3, r)
+    for t, (vectorised, looped) in enumerate(twins):
+        expected = np.stack([looped.choice(pop, r, replace=False) for _ in range(3)])
+        np.testing.assert_array_equal(rows[t], expected, err_msg=f"t={t}")
+        assert vectorised.bit_generator.state == looped.bit_generator.state, f"t={t}"
+
+
 def test_choice_rows_rejection_falls_back_to_the_loop():
     # the cached word 0 meets bound b = 9 (pop = 9, r = 1): (0 * 9) mod 2**32 = 0
     # is below (2**32 - 9) mod 9 = 4, so choice rejects it and draws again;
@@ -258,16 +290,20 @@ def test_episode_indexing_slices_the_stack():
     assert episode_hash(single[None]) == [episode_hash(single)]
 
 
-@pytest.mark.parametrize("r, digest", [(0, "b5824c459b05798e"), (1, "37ecd95eb1ee4311"),
-                                       (2, "590731a1664c9376")])
-def test_training_task_stream_is_pinned(r, digest):
-    # the first training task of configs/bench_desk.json; the digests pin the
-    # RNG stream of class choice, feature draws and corruption
-    world = make_world(105, 50, 8, 0.3)
-    rng = np.random.default_rng([107, 0, 0])
-    class_ids = rng.choice(np.arange(30), size=10, replace=False)
-    episode = sample_episode(world, class_ids, 5, 10, rng)
-    assert episode_hash(corrupt(episode, CorruptionSpec(1.0, r), rng)) == digest
+@pytest.mark.parametrize("index, digest", enumerate(["b5824c459b05798e", "37ecd95eb1ee4311",
+                                                     "590731a1664c9376"]))
+def test_training_task_stream_is_pinned(index, digest):
+    # the first training task of the checkpoint that configs/bench_desk.json
+    # trains under its index-th r; the digests pin the RNG stream of class
+    # choice, feature draws and corruption
+    cfg = shipped("bench_desk.json")
+    train, bench = cfg["train"], cfg["bench"]
+    world = make_world(**cfg["world"])
+    rng = np.random.default_rng([train["task_seed"], 0, 0])
+    class_ids = rng.choice(np.arange(cfg["train_classes"]), size=train["n_way"], replace=False)
+    episode = sample_episode(world, class_ids, train["k_support"], train["k_query"], rng)
+    corruption = CorruptionSpec(bench["p"], bench["r"][index])
+    assert episode_hash(corrupt(episode, corruption, rng)) == digest
 
 
 def test_corruption_spec_validation():
