@@ -6,16 +6,17 @@ One run plan drives training and scoring: before anything is trained, each
 effective test config). BenchSpec checks each key's range; the plan checks each
 rule that ties keys together or to the world. "Plus" methods meta-train on
 clean labels, the others under their cell's corruption (never the train
-config's own). On clean labels (r = 0, or floor(p * n_s) = 0 hit samples of
-a cell's or training task's n_s) rectification is the identity, so a config
-there keeps only its rectify distance (and r = 0): no k is checked or used. A
-checkpoint is trained once per distinct training config: every method of an
-r = 0 cell, and both "plus" methods, share one. score_rounds draws a base
-cell's rounds once, in stacks, keeping one content hash per round for
-auditing, and scores each distinct run on every stack: every method, and every
-value of a sweep, sees the same episodes. `fspll test` scores through it too,
-with the same effective config. meta.json records the plan, keying each
-distinct training config in plan order, and its config_hash hashes that record.
+config's own). On clean labels (r = 0, or floor(p * n_s) = 0 hit samples of a
+cell's or training task's n_s) rectification is the identity:
+trainer.effective_rectify keeps only a config's rectify distance, the plan sets
+r = 0, and no k is checked or used. A checkpoint is trained once per distinct
+training config: every method of an r = 0 cell, and both "plus" methods, share
+one. score_rounds draws a base cell's rounds once, in stacks, keeping one
+content hash per round for auditing, and scores each distinct run on every
+stack: every method, and every value of a sweep, sees the same episodes.
+`fspll test` scores through it too, with the same effective config. meta.json
+records the plan, keying each distinct training config in plan order, and its
+config_hash hashes that record.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .config import DEFAULTS, KEYS, METHODS, check, check_value
 from .embedding import NetworkParams
 from .episodes import CorruptionSpec, World, draw_episodes, episode_hash
 from .pll_core import RectifyConfig, stack_size
-from .trainer import TrainConfig, check_training, meta_test, meta_train
+from .trainer import TrainConfig, check_training, effective_rectify, meta_test, meta_train
 
 
 @dataclass(frozen=True)
@@ -110,24 +111,16 @@ def config_hash(plan: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def effective_rectify(rect: RectifyConfig, corruption: CorruptionSpec, n_support: int
-                      ) -> RectifyConfig:
-    """rect's results under corruption on episodes of n_support samples: on
-    exact labels rectification is the identity, and only the distance counts."""
-    return RectifyConfig(iterations=0, distance=rect.distance) \
-        if corruption.exact(n_support) else rect
-
-
 def _train_config(spec: BenchSpec, rect: RectifyConfig, clean: bool, r_cell: int
                   ) -> TrainConfig:
     """The config that trains a checkpoint rectifying by rect for a cell with
-    r_cell, on clean labels if `clean`."""
+    r_cell, on clean labels if `clean`, checked by check_training and holding
+    the rectification it runs."""
     corruption = CorruptionSpec(spec.p, 0 if clean else r_cell)
-    n_support = spec.train.n_way * spec.train.k_support
-    if corruption.exact(n_support):  # no label is ambiguous, and r draws nothing
+    if corruption.exact(spec.train.n_way * spec.train.k_support):  # r draws nothing
         corruption = replace(corruption, r=0)
-    return replace(spec.train, rectify=effective_rectify(rect, corruption, n_support),
-                   corruption=corruption)
+    train = replace(spec.train, rectify=rect, corruption=corruption)
+    return replace(train, rectify=check_training(train, spec.world, "bench.r")[1])
 
 
 def score_rounds(world: World, train_classes: int, k_query: int, eval_seed: int, cell: Cell,
@@ -163,7 +156,7 @@ def _run_cells(spec: BenchSpec, cells: list[Cell], retrain: bool) -> BenchResult
     then sets its axis's rectify field at test time, and in training too if
     `retrain`. The run plan maps each base cell to (cell label, method) ->
     (training config, effective test config), and each cell and config is
-    checked (check_held_out, check_k, check_training) before any training.
+    checked (check_held_out, effective_rectify, check_training) before any training.
     meta["plan"] records it, and config_hash hashes that record."""
     plan: dict[Cell, dict[tuple[str, str], tuple[TrainConfig, RectifyConfig]]] = {}
     train_keys: dict[TrainConfig, str] = {}
@@ -177,10 +170,9 @@ def _run_cells(spec: BenchSpec, cells: list[Cell], retrain: bool) -> BenchResult
         for name in spec.methods:
             changes, clean = METHODS[name]
             rect = replace(spec.train.rectify, **changes)
-            test = effective_rectify(replace(rect, **swept), corruption, cell.n_way * cell.k_shot)
-            test.check_k(cell.n_way, cell.k_shot, f"cell {cell.label()}: k_shot")
+            test = effective_rectify(replace(rect, **swept), corruption, cell.n_way, cell.k_shot,
+                                     f"cell {cell.label()}: k_shot")
             train = _train_config(spec, replace(rect, **swept) if retrain else rect, clean, cell.r)
-            check_training(train, spec.world, "bench.r")
             runs[(cell.label(), name)] = (train, test)
             train_keys.setdefault(train, f"t{len(train_keys)}")
     checkpoints: dict[TrainConfig, NetworkParams] = {}

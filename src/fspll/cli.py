@@ -20,13 +20,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import (BenchSpec, Cell, check_held_out, effective_rectify, run_benchmark,
-                    score_rounds, sweep, write_report)
+from .bench import (BenchSpec, Cell, check_held_out, run_benchmark, score_rounds, sweep,
+                    write_report)
 from .config import DEFAULTS, KEYS, check, check_type, check_value, config_keys
 from .embedding import NetworkSpec, embed_layers, init_network, load_checkpoint, save_checkpoint
 from .episodes import CorruptionSpec, corrupt, make_world, sample_episode
 from .pll_core import RectifyConfig, rectify
-from .trainer import TrainConfig, grad_check, meta_train
+from .trainer import TrainConfig, effective_rectify, grad_check, meta_train
 
 
 def _config_help() -> str:
@@ -152,9 +152,9 @@ def cmd_test(args) -> int:
         raise ValueError("config key test.checkpoint is required")
     corruption = CorruptionSpec(**cfg["corruption"])
     cell = Cell(section["n_way"], section["k_shot"], corruption.r, corruption.p)
-    rect = effective_rectify(_parse_rectify(cfg), corruption, cell.n_way * cell.k_shot)
     corruption.check_n_way(cell.n_way, "corruption.r", "test.n_way")
-    rect.check_k(cell.n_way, cell.k_shot, "test.k_shot")
+    rect = effective_rectify(_parse_rectify(cfg), corruption, cell.n_way, cell.k_shot,
+                             "test.k_shot")
     check_held_out(world, cfg["train_classes"], cell.n_way, "test.n_way")
     out = _require_out(args) if args.out else None
     # relative to the config file (an absolute path joins as itself)

@@ -4,9 +4,9 @@ Each epoch draws its T fresh tasks as one stack of equal-shape episodes; each
 task keeps its own stream key (task seed, epoch, task), so the stack holds
 the tasks drawn one at a time, bit for bit. Under fixed_tasks every epoch
 reuses epoch 0's stack, drawn once. Per task: embed the support set once,
-run the rectification loop on it to get label confidences (held constant for
-gradients), then evaluate the loss and its gradient in one fused
-closed-form pass (episode_loss_grad) -- support embeddings feed the
+rectify it (the identity on exact labels) to get label confidences (held
+constant for gradients), then evaluate the loss and its gradient in one
+fused closed-form pass (episode_loss_grad) -- support embeddings feed the
 prototypes, query embeddings feed the posterior, the loss is the mean
 negative log of the top posterior per query. One loop runs over an epoch's
 tasks in stacks: each stack is embedded, rectified and differentiated at
@@ -276,10 +276,21 @@ def _sample_tasks(config: TrainConfig, world: World, pool: np.ndarray,
                          config.corruption, rngs)
 
 
+def effective_rectify(rect: RectifyConfig, corruption: CorruptionSpec, n_way: int, shots: int,
+                      source: str) -> RectifyConfig:
+    """The rectification rect performs on n_way x shots episodes under
+    corruption: on exact labels the identity, which keeps only rect's
+    distance, else rect once check_k (naming the shot count `source`) passes."""
+    if corruption.exact(n_way * shots):
+        return RectifyConfig(iterations=0, distance=rect.distance)
+    rect.check_k(n_way, shots, source)
+    return rect
+
+
 def check_training(config: TrainConfig, world: World, r_key: str = "corruption.r"
-                   ) -> np.ndarray:
+                   ) -> tuple[np.ndarray, RectifyConfig]:
     """Check the rules that tie config's keys to each other and to world (`r_key`
-    names r); return the classes it trains on."""
+    names r); return the classes it trains on and the rectification it runs."""
     if world.dim != config.network.input_dim:
         raise ValueError(
             f"world dim {world.dim} does not match network input {config.network.input_dim}")
@@ -288,13 +299,13 @@ def check_training(config: TrainConfig, world: World, r_key: str = "corruption.r
     if not config.n_way <= n_pool <= world.classes:
         raise ValueError(f"train_classes={n_pool} must be between train.n_way="
                          f"{config.n_way} and the world's {world.classes} classes")
-    config.rectify.check_k(config.n_way, config.k_support, "train.k_support")
-    return np.arange(n_pool)
+    return np.arange(n_pool), effective_rectify(config.rectify, config.corruption, config.n_way,
+                                                config.k_support, "train.k_support")
 
 
 def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainLog]:
     """Train the embedding network and return (final params, per-epoch log)."""
-    pool = check_training(config, world)
+    pool, rect = check_training(config, world)
     step = 1 if config.step_per_task else config.tasks_per_epoch  # tasks per SGD step
     chunk = min(step, stack_size(config.network, config.n_way, config.k_support,
                                  config.k_query))
@@ -311,9 +322,9 @@ def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainL
         for start in range(0, config.tasks_per_epoch, chunk):
             stack = tasks[start:start + chunk]
             layers = embed_layers(params, stack.support)
-            _, Q = rectify(layers[-1], stack.candidates, config.rectify)
+            _, Q = rectify(layers[-1], stack.candidates, rect)
             stack_loss, stack_w, stack_b = episode_loss_grad(
-                params, layers, stack, Q, config.rectify.distance, config.supervised_loss)
+                params, layers, stack, Q, rect.distance, config.supervised_loss)
             for t, loss in enumerate(stack_loss.tolist()):
                 if not np.isfinite(loss):
                     raise RuntimeError(f"non-finite loss at epoch {epoch}, task {start + t}")

@@ -306,7 +306,8 @@ def test_exact_label_cells_score_each_checkpoint_once(tmp_path, monkeypatch):
 
 
 # An exact cell runs no smoothing, so it reads no k: not a 1-shot cell's
-# k = shots - 1 = 0, nor a set k above its support size.
+# k = shots - 1 = 0, nor a set k above its support size. Nor does training
+# on exact labels: it trains the weights of no rectification.
 @pytest.mark.parametrize("k_shot, r, p, k", [(1, 0, 1.0, None), (1, 2, 0.0, None),
                                              (3, 0, 1.0, 100)],
                          ids=["K1-r0", "K1-p0", "k100-r0"])
@@ -319,6 +320,11 @@ def test_exact_cells_score_every_method_as_pn_whatever_k(k_shot, r, p, k):
     assert len(pn) == 3
     for name in METHODS:
         assert result.accuracies[(label, name)] == pn, name
+    train = replace(spec.train, k_support=k_shot, corruption=CorruptionSpec(p, r))
+    trained, identity = (meta_train(config, spec.world)[0] for config in
+                         (train, replace(train, rectify=RectifyConfig(iterations=0))))
+    for got, want in zip(trained.weights + trained.biases, identity.weights + identity.biases):
+        np.testing.assert_array_equal(got, want)
 
 
 # -- reports -----------------------------------------------------------------------

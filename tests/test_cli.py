@@ -526,6 +526,8 @@ def _sweep(**section):
      "train_classes=11 must be between train.n_way=3 and the world's 10 classes"),
     ("train", _set(("rectify", "k", 50)),
      "rectify.k=50 needs k + 1 support samples, but train.k_support=3 gives 3 x 3 = 9"),
+    ("train", _set(("rectify", "k", 100)),
+     "rectify.k=100 needs k + 1 support samples, but train.k_support=3 gives 3 x 3 = 9"),
     ("bench", _set((None, "train_classes", 11)),
      "train_classes=11 must be between 0 and the world's 10 classes"),
     ("bench", _set((None, "train_classes", 2)),
@@ -594,7 +596,7 @@ def _sweep(**section):
         "bench-methods-twice", "bench-methods-unknown", "sweep-methods-unknown",
         "bench-n_way-twice", "bench-k_shot-twice", "bench-r-twice",
         "sweep-values-twice", "sweep-values-same-tag", "sweep-k-retrain",
-        "train-classes-0", "train-classes-11", "train-k",
+        "train-classes-0", "train-classes-11", "train-k", "train-k100",
         "bench-classes-11", "bench-classes-2", "sweep-classes-2", "bench-held-out", "test-classes-11", "test-held-out",
         "bench-lambda", "bench-lambda-nan", "bench-lambda-inf", "bench-iterations", "bench-rectify-k-0", "bench-p", "bench-r-negative",
         "bench-lr0", "bench-sigma", "bench-hidden-dims", "sweep-p", "train-corruption-p",
@@ -800,6 +802,27 @@ def test_test_on_exact_labels_ignores_k(tmp_path, capsys, corruption):
     doc["rectify"]["iterations"] = 0  # pn
     assert main(["test", "--config", write_config(tmp_path, doc)]) == 0
     assert capsys.readouterr().out == printed
+
+
+# Training on exact labels reads no k either: not a 1-shot task's
+# k = shots - 1 = 0 (p = 0.1 hits floor(0.1 * 3 x 1) = 0 samples), nor a set
+# k above the support size. Each run writes the bytes of no rectification.
+@pytest.mark.parametrize("edit", [
+    _set(("train", "k_support", 1), ("corruption", "r", 0)),
+    _set(("train", "k_support", 1), ("corruption", "p", 0.1)),
+    _set(("rectify", "k", 100), ("corruption", "r", 0)),
+], ids=["K1-r0", "K1-p0.1", "k100-r0"])
+def test_exact_label_training_ignores_k(tmp_path, edit):
+    files = []
+    for iterations in (10, 0):
+        with open(os.path.join(CONFIGS, "train_tiny.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        doc["rectify"]["iterations"] = iterations
+        out = tmp_path / str(iterations)
+        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        files.append({name: (out / name).read_bytes() for name in ("checkpoint.json", "log.csv")})
+    assert files[0] == files[1]
 
 
 # p hits floor(p * n_s) support samples: none of a 3-way 1-shot cell's 3 at
