@@ -41,11 +41,17 @@ def _config_help() -> str:
 
 
 def _load_json(path):
+    """The JSON doc of the config file at path. A read failure raises the
+    ValueError `config <path>: <reason>`."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"config {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+        raise ValueError(f"config {path}: invalid JSON: {exc}") from None
+    except ValueError as exc:  # bytes that are not UTF-8
+        raise ValueError(f"config {path}: {exc}") from None
 
 
 def _settings(doc, table: dict = DEFAULTS, prefix: str = "") -> dict:

@@ -1,7 +1,6 @@
 import argparse
 import dataclasses
 import glob
-import hashlib
 import inspect
 import json
 import math
@@ -233,8 +232,8 @@ def test_unreadable_checkpoint_fails_by_path(tmp_path, capsys, is_dir, reason):
 def test_exact_label_training_is_the_same_without_rectification(tmp_path):
     # with r = 0 every support sample has one candidate, so the rectification
     # loop maps each task's confidences to themselves: 10 iterations train the
-    # bits of 0
-    digests = []
+    # bits of 0 (test_pinned_runs.py pins those of 10 as tiny_exact)
+    runs = []
     for iterations in (10, 0):
         with open(os.path.join(CONFIGS, "train_tiny.json"), encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -242,11 +241,8 @@ def test_exact_label_training_is_the_same_without_rectification(tmp_path):
         doc["rectify"]["iterations"] = iterations
         out = tmp_path / str(iterations)
         assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
-        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                        for name in ("checkpoint.json", "log.csv")})
-    assert digests[0] == digests[1] == {
-        "checkpoint.json": "2747c65578b8b13a2039a3e8aa2b0bb3d2e1e69c5aba9970892e249ba0a137ae",
-        "log.csv": "e4dc1d18684588c25abe520a1c9f80715fc1dfb9387289c67e46e5aff3bff0cd"}
+        runs.append({name: (out / name).read_bytes() for name in ("checkpoint.json", "log.csv")})
+    assert runs[0] == runs[1]
 
 
 def test_bench_writes_reports_and_is_reproducible(tmp_path):
@@ -858,11 +854,19 @@ def test_one_shot_training_names_k_support(tmp_path, capsys):
     assert "train.k_support=1" in capsys.readouterr().err
 
 
-def test_invalid_json_config_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: path.write_text("{not json"),
+     "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (lambda path: path.write_bytes(b"\xff{}"),
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (lambda path: path.mkdir(), "Is a directory"),
+], ids=["invalid-json", "not-utf8", "directory"])
+def test_unreadable_config_fails_by_path(tmp_path, capsys, make, reason):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    make(path)
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-    assert "invalid JSON" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: config {path}: {reason}\n"
+    assert not os.path.exists(tmp_path / "o")
 
 
 @pytest.mark.parametrize("command, edit, message", [
