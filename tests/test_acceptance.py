@@ -1,15 +1,26 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 5 to 8 run the shipped configs, read and parsed as `fspll` reads
-them: c5 trains configs/train_tiny.json, c6 benchmarks configs/bench_desk.json
-narrowed to its gated cell, c7 benchmarks configs/noise_impact.json, and c8
-sweeps configs/sweep_lambda.json's axis at the gated lambda values. The only
-values these gates name are that cell and those values, and each must be in
-its config. The benchmark configs are small frozen configurations chosen from
-robustness scans over many seeds; the seeds were fixed before freezing, not
-selected afterward. Run with `pytest tests/test_acceptance.py -v -s`.
+Criteria 5 to 8 judge the pinned runs `tiny`, `desk`, `noise` and `sweep` of
+tests/test_pinned_runs.py, which run the shipped configs unedited, once per
+session for their digests and their gates (the `pinned_run` fixture of
+tests/conftest.py): c5 reads the log.csv of `tiny` (configs/train_tiny.json),
+c6 the summary.csv rows of `desk` (configs/bench_desk.json) at its gated
+cell, c7 the summary.csv of `noise` (configs/noise_impact.json), and c8 the
+summary.csv rows of `sweep` (configs/sweep_lambda.json) at the gated lambda
+values. Each gate parses its config as `fspll` reads it: the only values
+these gates name are that cell and those values, and each must be in its
+config. The log holds the exact repr of each loss and learning rate.
+summary.csv rounds each mean to 6 decimals, which cannot reorder two means:
+a round's accuracy is a multiple of 1/n_q over its n_q queries, so two means
+over R rounds that differ at all differ by at least 1/(n_q R), 2.7e-4 for c6
+(75 queries, 50 rounds), 1.3e-4 for c7 (150, 50) and 4.4e-5 for c8 (75, 300),
+far above the 5e-7 of rounding; equal means round alike. The benchmark
+configs are small frozen configurations chosen from robustness scans over
+many seeds; the seeds were fixed before freezing, not selected afterward.
+Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import csv
 import json
 import os
 import time
@@ -17,16 +28,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from fspll.bench import Cell, run_benchmark, sweep
+from fspll.bench import Cell
 from fspll.cli import _parse_bench, _parse_train, main
 from fspll.embedding import NetworkSpec, embed_layers, init_network
 from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
 from fspll.pll_core import (RectifyConfig, classify_proba, compute_prototypes,
                             knn_indices, pairwise_distance, predict, rectify,
                             smooth_confidence, update_confidence)
-from fspll.trainer import episode_loss_graph, episode_loss_grad, grad_check, lr_at, meta_train
+from fspll.trainer import episode_loss_graph, episode_loss_grad, grad_check, lr_at
 
 from test_cli import shipped
+from test_pinned_runs import RUNS
 from test_pll_core import naive_rectify, random_instance
 
 
@@ -167,20 +179,48 @@ def test_c4_reduction_identities():
                   f"{pn_dev:.2e}; predict==argmin: {align_ok}")
 
 
+# -- criteria 5 to 8: the gated pinned runs ----------------------------------------
+
+# the pinned run each of c5-c8 judges, and the shipped config it runs unedited
+GATED = {"tiny": "train_tiny.json", "desk": "bench_desk.json",
+         "noise": "noise_impact.json", "sweep": "sweep_lambda.json"}
+
+
+def gated(pinned_run, run_id):
+    """The settings of a gated run's shipped config, read as `fspll` reads
+    them, and the run's output directory and wall seconds."""
+    out, seconds = pinned_run(run_id)
+    return shipped(GATED[run_id]), out, seconds
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def summary_means(out):
+    """summary.csv's mean accuracy by (cell label, method)."""
+    return {(row["cell"], row["method"]): float(row["mean"])
+            for row in read_csv(out / "summary.csv")}
+
+
+def test_each_gate_judges_its_shipped_config_unedited():
+    runs = {run.id: run for run in RUNS}
+    for run_id, name in GATED.items():
+        assert (runs[run_id].base, runs[run_id].edits) == (name, {}), run_id
+
+
 # -- criterion 5: training sanity ----------------------------------------------------
 
-def test_c5_training_sanity():
-    cfg = shipped("train_tiny.json")
-    start = time.perf_counter()
-    world = make_world(**cfg["world"])
-    config = _parse_train(cfg, world.dim)
+def test_c5_training_sanity(pinned_run):
+    cfg, out, elapsed = gated(pinned_run, "tiny")
+    config = _parse_train(cfg, cfg["world"]["dim"])
     # the check below sees one halving: the run must end within its second period
     period = config.lr_half_period
     assert period < config.max_epoch <= 2 * period
-    params, log = meta_train(config, world)
-    elapsed = time.perf_counter() - start
-    losses = log.losses()
-    lrs = [e.lr for e in log.entries]
+    log = read_csv(out / "log.csv")
+    losses = [float(row["loss"]) for row in log]
+    lrs = [float(row["lr"]) for row in log]
     half = config.lr0 / 2
     lr_ok = (all(lr == config.lr0 for lr in lrs[:period])
              and all(lr == half for lr in lrs[period:])
@@ -197,34 +237,31 @@ def test_c5_training_sanity():
 C6_CELL = Cell(n_way=5, k_shot=5, r=2, p=1.0)
 
 
-def test_c6_qualitative_ordering():
-    start = time.perf_counter()
-    spec = _parse_bench(shipped("bench_desk.json"))
-    assert C6_CELL in spec.cells()
-    spec = replace(spec, n_way=[C6_CELL.n_way], k_shot=[C6_CELL.k_shot], r=[C6_CELL.r])
-    result = run_benchmark(spec)
-    elapsed = time.perf_counter() - start
+def test_c6_qualitative_ordering(pinned_run):
+    cfg, out, elapsed = gated(pinned_run, "desk")  # elapsed: the whole desk grid
+    assert C6_CELL in _parse_bench(cfg).cells()
+    mean = summary_means(out)
     cell = C6_CELL.label()
-    f = result.mean(cell, "fspll")
-    nm = result.mean(cell, "fspll-nm")
-    pn = result.mean(cell, "pn")
+    f = mean[cell, "fspll"]
+    nm = mean[cell, "fspll-nm"]
+    pn = mean[cell, "pn"]
     ok = (f - nm > 0.02) and (nm - pn > 0.02) and elapsed < 600.0
     report(6, ok, f"fspll {f:.3f} > fspll-nm {nm:.3f} > pn {pn:.3f} "
                   f"(gaps {f - nm:+.3f}, {nm - pn:+.3f}), {elapsed:.0f}s single-threaded")
 
 
-def test_c7_noise_impact_ordering():
+def test_c7_noise_impact_ordering(pinned_run):
     # A Fig-3-style cell (N2=10, K2=5, r=2). The embedding compresses 16 -> 4
     # dims, so the learned projection is load-bearing and meta-training label
     # noise can damage it; label-supervised per-task training provides the
     # steps for that damage to accumulate.
-    spec = _parse_bench(shipped("noise_impact.json"))
-    [cell] = [c.label() for c in spec.cells()]
-    result = run_benchmark(spec)
-    f = result.mean(cell, "fspll")
-    fp = result.mean(cell, "fspll-plus")
-    pn = result.mean(cell, "pn")
-    pp = result.mean(cell, "pn-plus")
+    cfg, out, _ = gated(pinned_run, "noise")
+    [cell] = [c.label() for c in _parse_bench(cfg).cells()]
+    mean = summary_means(out)
+    f = mean[cell, "fspll"]
+    fp = mean[cell, "fspll-plus"]
+    pn = mean[cell, "pn"]
+    pp = mean[cell, "pn-plus"]
     ok = (pp > pn) and (fp > f) and (fp >= pp)
     report(7, ok, f"pn-plus {pp:.3f} > pn {pn:.3f}; fspll-plus {fp:.3f} > fspll {f:.3f}; "
                   f"fspll-plus >= pn-plus: {fp >= pp}")
@@ -235,15 +272,17 @@ def test_c7_noise_impact_ordering():
 C8_LAMBDAS = [0.0, 0.5, 5.0]
 
 
-def test_c8_lambda_sensitivity():
+def test_c8_lambda_sensitivity(pinned_run):
     # The config scores 300 paired rounds: the structural trend is ~1
     # accuracy point per side, so the round count (unpinned by the criterion)
     # drives the noise down.
-    cfg = shipped("sweep_lambda.json")
+    cfg, out, _ = gated(pinned_run, "sweep")
     section = cfg["sweep"]
     assert section["axis"] == "lambda" and set(C8_LAMBDAS) <= set(section["values"])
-    result = sweep(_parse_bench(cfg), section["axis"], C8_LAMBDAS, retrain=section["retrain"])
-    accs = {c.axis_value: result.mean(c.label(), "fspll") for c in result.cells}
+    [cell] = _parse_bench(cfg).cells()
+    mean = summary_means(out)
+    accs = {lam: mean[replace(cell, axis="lambda", axis_value=lam).label(), "fspll"]
+            for lam in C8_LAMBDAS}
     ok = accs[0.5] >= accs[0.0] and accs[0.5] >= accs[5.0]
     report(8, ok, f"accuracy(lambda): 0 -> {accs[0.0]:.3f}, 0.5 -> {accs[0.5]:.3f}, "
                   f"5.0 -> {accs[5.0]:.3f}")

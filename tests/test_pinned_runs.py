@@ -1,10 +1,14 @@
 """The pinned runs: each entry runs one `fspll` command and pins the SHA-256
-of every file the run writes (grad-check writes none: its stdout).
+of every file the run writes (grad-check writes none: its stdout, kept as the
+file `stdout`).
 
 An entry names the command, its base config (configs/<name> or an inline
 doc), the JSON edits to it ("section.key" or "section": value) and the
-digests. The test writes the edited config under a temporary directory, runs
-`fspll.cli.main` in-process and compares the whole output directory. The
+digests. The session fixture `pinned_run` (tests/conftest.py) writes the
+edited config under a temporary directory and runs `fspll.cli.main`
+in-process, once per session; the test compares the whole output directory.
+Acceptance c5-c8 judge the outputs of the same runs `tiny`, `desk`, `noise`
+and `sweep`, so each of them runs once for its digests and its gate. The
 checkpoints and logs pin training to the last bit, which the reports' six
 decimals do not; each meta.json pins the episode hashes and the run plan.
 The digests follow NumPy 2.4.6's Generator algorithms and einsum's
@@ -19,8 +23,6 @@ import json
 import pathlib
 
 import pytest
-
-from fspll.cli import main
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -142,10 +144,6 @@ RUNS = [
 ]
 
 
-def sha256(data):
-    return hashlib.sha256(data).hexdigest()
-
-
 def edited(run):
     doc = copy.deepcopy(run.base) if isinstance(run.base, dict) \
         else json.loads((CONFIGS / run.base).read_text(encoding="utf-8"))
@@ -155,27 +153,16 @@ def edited(run):
     return doc
 
 
-def outputs(root, run):
-    """Run `run` with its config at root/configs/<id>.json and its output at
-    root/runs/<id>; the SHA-256 of each file written there."""
-    config = root / "configs" / f"{run.id}.json"
-    config.parent.mkdir(exist_ok=True)
-    config.write_text(json.dumps(edited(run)))
-    out = root / "runs" / run.id
-    assert main(run.argv + ["--config", str(config), "--out", str(out)]) == 0
-    return {str(path.relative_to(out)): sha256(path.read_bytes())
+def digests(out):
+    """The SHA-256 of each file under out, by its path relative to out."""
+    return {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.rglob("*")) if path.is_file()}
 
 
 @pytest.mark.parametrize("run", RUNS, ids=[run.id for run in RUNS])
-def test_pinned_run(tmp_path, capsys, run):
-    if run.base is None:  # a command that reads no config and writes no file
-        assert main(run.argv) == 0
-        assert {"stdout": sha256(capsys.readouterr().out.encode())} == run.digests
-        return
-    if run.needs:
-        outputs(tmp_path, next(need for need in RUNS if need.id == run.needs))
-    assert outputs(tmp_path, run) == run.digests
+def test_pinned_run(pinned_run, run):
+    out, _ = pinned_run(run.id)
+    assert digests(out) == run.digests
 
 
 def test_every_shipped_config_is_pinned():
