@@ -22,7 +22,6 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 
 import csv
 import json
-import os
 import time
 from dataclasses import replace
 
@@ -37,7 +36,7 @@ from fspll.pll_core import (RectifyConfig, classify_proba, compute_prototypes,
                             smooth_confidence, update_confidence)
 from fspll.trainer import episode_loss_graph, episode_loss_grad, grad_check, lr_at
 
-from test_cli import shipped
+from test_cli import shipped, tree_bytes
 from test_pinned_runs import RUNS
 from test_pll_core import naive_rectify, random_instance
 
@@ -290,16 +289,6 @@ def test_c8_lambda_sensitivity(pinned_run):
 
 # -- criterion 9: CLI determinism ------------------------------------------------------
 
-def _tree_bytes(root):
-    out = {}
-    for dirpath, _, files in os.walk(root):
-        for name in files:
-            path = os.path.join(dirpath, name)
-            with open(path, "rb") as fh:
-                out[os.path.relpath(path, root)] = fh.read()
-    return out
-
-
 def test_c9_cli_determinism(tmp_path, capsys):
     base = {
         "world": {"seed": 9, "classes": 12, "dim": 4, "sigma": 0.5},
@@ -333,7 +322,7 @@ def test_c9_cli_determinism(tmp_path, capsys):
         out_a, out_b = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
         assert main(argv + ["--out", str(out_a)]) == 0
         assert main(argv + ["--out", str(out_b)]) == 0
-        same = _tree_bytes(out_a) == _tree_bytes(out_b)
+        same = tree_bytes(out_a) == tree_bytes(out_b)
         all_ok &= same
         details.append(f"{name}:{'=' if same else '!='}")
     # grad-check emits no files; its stdout must be identical instead

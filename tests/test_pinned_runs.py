@@ -66,11 +66,6 @@ RUNS = [
         "meta.json": "0ccfd65e2e2d7a73c6f817f21f9e704cfed37653dc2bdccf4dddbb8cce0c5213",
         "rounds.csv": "9f242cce0657c590fe573a8cfc5b4a3ac8fb12fc28fe40ee7cca7b5422d32a67",
         "summary.csv": "3ad09a3a699b7d1123ed15beeef875b184c2e16e75838baed999a1e934832c01"}),
-    # no bench reads a corruption section: desk's bytes
-    Run("desk_stray", ["bench"], "bench_desk.json", {"corruption": {"p": 0.5, "r": 50}}, {
-        "meta.json": "0ccfd65e2e2d7a73c6f817f21f9e704cfed37653dc2bdccf4dddbb8cce0c5213",
-        "rounds.csv": "9f242cce0657c590fe573a8cfc5b4a3ac8fb12fc28fe40ee7cca7b5422d32a67",
-        "summary.csv": "3ad09a3a699b7d1123ed15beeef875b184c2e16e75838baed999a1e934832c01"}),
     # 1-shot cells on exact labels: no run smooths, so none needs a k, and
     # every method scores as pn
     Run("desk_k1_exact", ["bench"], "bench_desk.json", {"bench.k_shot": [1], "bench.r": [0]}, {
