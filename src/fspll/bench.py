@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -60,14 +60,14 @@ class BenchSpec:
 
     world: World
     train: TrainConfig
-    n_way: list[int] = field(default_factory=lambda: [5, 10])
-    k_shot: list[int] = field(default_factory=lambda: [5, 10])
-    r: list[int] = field(default_factory=lambda: [0, 1, 2])
-    p: float = 1.0
-    rounds: int = 50
-    methods: list[str] = field(default_factory=lambda: ["fspll", "fspll-nm", "pn"])
-    k_query: int = 15
-    eval_seed: int = 1
+    n_way: list[int]
+    k_shot: list[int]
+    r: list[int]
+    p: float
+    rounds: int
+    methods: list[str]
+    k_query: int
+    eval_seed: int
 
     def __post_init__(self):
         check({f"bench.{key}": getattr(self, key) for key in DEFAULTS["bench"]})
@@ -77,10 +77,9 @@ class BenchSpec:
         return [Cell(n, k, r, self.p) for n in self.n_way for k in self.k_shot for r in self.r]
 
 
-def check_held_out(world: World, train_classes: int | None, n_way: int, key: str) -> None:
+def check_held_out(world: World, train_classes: int, n_way: int, key: str) -> None:
     """Reject a class split whose held-out pool (the world classes from
-    train_classes on; None holds none out) cannot fill an n_way-way episode."""
-    train_classes = world.classes if train_classes is None else train_classes
+    train_classes on) cannot fill an n_way-way episode."""
     if not 0 <= train_classes <= world.classes:
         raise ValueError(f"train_classes={train_classes} must be between 0 and "
                          f"the world's {world.classes} classes")

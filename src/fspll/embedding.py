@@ -17,8 +17,8 @@ class NetworkSpec:
     """Architecture of the embedding network (input -> hidden... -> output)."""
 
     input_dim: int
-    hidden_dims: tuple[int, ...] = (64, 64)
-    output_dim: int = 64
+    hidden_dims: tuple[int, ...]
+    output_dim: int
 
     def __post_init__(self):
         # the input is the world's features, so input_dim takes world.dim's range

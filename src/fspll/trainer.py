@@ -50,6 +50,7 @@ class TrainConfig:
     tasks; rectify.k left unset is k_support - 1."""
 
     network: NetworkSpec
+    train_classes: int  # meta-train on the first N world classes
     max_epoch: int = 200
     tasks_per_epoch: int = 100
     n_way: int = 30
@@ -59,7 +60,6 @@ class TrainConfig:
     corruption: CorruptionSpec = field(default_factory=lambda: CorruptionSpec(1.0, 1))
     lr0: float = 0.001
     lr_half_period: int = 20
-    train_classes: int | None = None  # use the first N world classes; None = all
     init_seed: int = 0
     task_seed: int = 0
     step_per_task: bool = False
@@ -295,12 +295,11 @@ def check_training(config: TrainConfig, world: World, r_key: str = "corruption.r
         raise ValueError(
             f"world dim {world.dim} does not match network input {config.network.input_dim}")
     config.corruption.check_n_way(config.n_way, r_key, "train.n_way", "training task")
-    n_pool = config.train_classes if config.train_classes is not None else world.classes
-    if not config.n_way <= n_pool <= world.classes:
-        raise ValueError(f"train_classes={n_pool} must be between train.n_way="
+    if not config.n_way <= config.train_classes <= world.classes:
+        raise ValueError(f"train_classes={config.train_classes} must be between train.n_way="
                          f"{config.n_way} and the world's {world.classes} classes")
-    return np.arange(n_pool), effective_rectify(config.rectify, config.corruption, config.n_way,
-                                                config.k_support, "train.k_support")
+    return np.arange(config.train_classes), effective_rectify(
+        config.rectify, config.corruption, config.n_way, config.k_support, "train.k_support")
 
 
 def meta_train(config: TrainConfig, world: World) -> tuple[NetworkParams, TrainLog]:

@@ -114,8 +114,8 @@ def test_spec_validation(stub_training):
     # the plan checks the held-out pool of each cell before any training
     with pytest.raises(ValueError, match="held-out"):
         run_benchmark(tiny_spec(n_way=[10]))
-    # a train config without train_classes trains on every class
-    train = replace(tiny_spec().train, train_classes=None)
+    # a train config on every world class holds none out
+    train = replace(tiny_spec().train, train_classes=12)
     with pytest.raises(ValueError, match=re.escape(
             "held-out pool (0 classes) is smaller than bench.n_way=3: "
             "the world's 12 classes minus train_classes=12")):
@@ -303,28 +303,6 @@ def test_exact_label_cells_score_each_checkpoint_once(tmp_path, monkeypatch):
     assert len(calls) == 4 + 3 + 3
     plan = assert_same_scores(tmp_path / "shared", tmp_path / "per_variant")
     assert len(plan["train"]) == 4  # one checkpoint for the r = 0 cell, three for r = 1
-
-
-# An exact cell runs no smoothing, so it reads no k: not a 1-shot cell's
-# k = shots - 1 = 0, nor a set k above its support size. Nor does training
-# on exact labels: it trains the weights of no rectification.
-@pytest.mark.parametrize("k_shot, r, p, k", [(1, 0, 1.0, None), (1, 2, 0.0, None),
-                                             (3, 0, 1.0, 100)],
-                         ids=["K1-r0", "K1-p0", "k100-r0"])
-def test_exact_cells_score_every_method_as_pn_whatever_k(k_shot, r, p, k):
-    spec = tiny_spec(k_shot=[k_shot], r=[r], p=p, methods=list(METHODS))
-    spec.train = replace(spec.train, rectify=RectifyConfig(k=k))
-    result = run_benchmark(spec)
-    label = result.cells[0].label()
-    pn = result.accuracies[(label, "pn")]
-    assert len(pn) == 3
-    for name in METHODS:
-        assert result.accuracies[(label, name)] == pn, name
-    train = replace(spec.train, k_support=k_shot, corruption=CorruptionSpec(p, r))
-    trained, identity = (meta_train(config, spec.world)[0] for config in
-                         (train, replace(train, rectify=RectifyConfig(iterations=0))))
-    for got, want in zip(trained.weights + trained.biases, identity.weights + identity.biases):
-        np.testing.assert_array_equal(got, want)
 
 
 # -- reports -----------------------------------------------------------------------

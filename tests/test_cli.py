@@ -14,7 +14,8 @@ import pytest
 
 import fspll.cli
 import fspll.episodes
-from fspll.bench import METHODS, BenchSpec, sweep
+import fspll.pll_core
+from fspll.bench import METHODS, sweep
 from fspll.cli import _load_config, main
 from fspll.config import DEFAULTS, KEYS, config_keys
 from fspll.embedding import NetworkSpec, init_network, save_checkpoint
@@ -89,6 +90,42 @@ def fails(capsys, monkeypatch):
             assert out.read_bytes() == kept
         elif out is not None:
             assert not out.exists()
+
+    return check
+
+
+@pytest.fixture
+def exact(tmp_path, capsys, monkeypatch):
+    """exact(command, doc) checks how `fspll` runs on exact labels, where every
+    support sample keeps one candidate and rectification is the identity: the
+    command exits 0 on doc and on its twin with rectify.iterations 0, so no k
+    was read; no kNN graph is built; and the twin writes the same files, byte
+    for byte, and prints the same stdout up to the --out path. train's
+    config.json, which records the rectify section, is the one exception. A
+    bench or sweep report also gives each cell one mean: every method scores
+    as pn."""
+    def no_graph(*args):
+        raise AssertionError("knn_indices must not run")
+
+    monkeypatch.setattr(fspll.pll_core, "knn_indices", no_graph)
+
+    def run(command, doc, name):
+        out = tmp_path / name
+        assert main([command, "--config", write_config(tmp_path, doc, f"{name}.json"),
+                     "--out", str(out)]) == 0
+        files = tree_bytes(out)
+        if command == "train":
+            del files["config.json"]
+        return files, capsys.readouterr().out.replace(str(out), "<out>")
+
+    def check(command, doc):
+        twin = json.loads(json.dumps(doc))
+        twin["rectify"]["iterations"] = 0
+        files, printed = run(command, doc, "run")
+        assert (files, printed) == run(command, twin, "twin")
+        if command in ("bench", "sweep"):
+            rows = [row.split(",", 2) for row in files["summary.csv"].decode().splitlines()[1:]]
+            assert len({(cell, score) for cell, _, score in rows}) == len({row[0] for row in rows})
 
     return check
 
@@ -215,22 +252,6 @@ def test_checkpoint_errors_fail_before_any_output(tmp_path, fails, make, message
           message.format(path=path))
 
 
-def test_exact_label_training_is_the_same_without_rectification(tmp_path):
-    # with r = 0 every support sample has one candidate, so the rectification
-    # loop maps each task's confidences to themselves: 10 iterations train the
-    # bits of 0 (test_pinned_runs.py pins those of 10 as tiny_exact)
-    runs = []
-    for iterations in (10, 0):
-        with open(os.path.join(CONFIGS, "train_tiny.json"), encoding="utf-8") as fh:
-            doc = json.load(fh)
-        doc["corruption"]["r"] = 0
-        doc["rectify"]["iterations"] = iterations
-        out = tmp_path / str(iterations)
-        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
-        runs.append({name: (out / name).read_bytes() for name in ("checkpoint.json", "log.csv")})
-    assert runs[0] == runs[1]
-
-
 def test_sweep_command(tmp_path):
     doc = tiny_bench_doc()
     doc["bench"]["methods"] = ["fspll"]
@@ -321,8 +342,7 @@ def test_config_defaults_match_library_defaults():
     train = _library_defaults(TrainConfig)
     rectify = {("lambda" if k == "lam" else k): v
                for k, v in _library_defaults(RectifyConfig).items()}
-    pairs = [("rectify", rectify), ("network", _library_defaults(NetworkSpec)),
-             ("train", train), ("bench", _library_defaults(BenchSpec)),
+    pairs = [("rectify", rectify), ("train", train),
              ("corruption", dataclasses.asdict(train["corruption"])),
              ("sweep", {"retrain": inspect.signature(sweep).parameters["retrain"].default})]
     for section, library in pairs:
@@ -333,9 +353,6 @@ def test_config_defaults_match_library_defaults():
             assert DEFAULTS[section][key].default == json.loads(json.dumps(library[key])), \
                 f"{section}.{key}"
     assert train["rectify"] == RectifyConfig()
-    # The one deliberate difference: the CLI holds out classes by default,
-    # while the library's None trains on every world class.
-    assert DEFAULTS["train_classes"].default == 30 and train["train_classes"] is None
 
 
 def test_config_accepts_integers_for_floats_and_null_for_optional_keys(tmp_path):
@@ -643,60 +660,61 @@ def test_bench_never_imports_numpy_ma(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
-# On exact labels (r = 0, or a p that hits no support sample) no run smooths,
-# so none reads k: not a 1-shot cell's k = shots - 1 = 0, nor a set k above
-# the support size.
-@pytest.mark.parametrize("edit", [
-    _set(("bench", "k_shot", [1]), ("bench", "r", [0])),
-    _set(("bench", "k_shot", [1]), ("bench", "p", 0.0)),
-    _set(("rectify", "k", 100), ("bench", "r", [0])),
-], ids=["K1-r0", "K1-p0", "k100-r0"])
-def test_bench_exact_cells_ignore_k(tmp_path, edit):
+def _tiny_training(tmp_path):
+    with open(os.path.join(CONFIGS, "train_tiny.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _one_shot_scoring(tmp_path):
+    """tiny_train_doc, with a 1-shot test section scoring an untrained
+    network's checkpoint."""
+    _checkpoint()(tmp_path / "checkpoint.json")
+    doc = tiny_train_doc()
+    doc["test"] = {"checkpoint": str(tmp_path / "checkpoint.json"), "n_way": 3, "k_shot": 1,
+                   "k_query": 4, "rounds": 3}
+    return doc
+
+
+def _every_method(tmp_path):
     doc = tiny_bench_doc()
     doc["bench"]["methods"] = list(METHODS)
+    return doc
+
+
+# Every command-level run on exact labels, as (command, base doc, edit): r = 0,
+# or a p that hits floor(p * n_s) = 0 of the n_s support samples (p = 0.1 or
+# 0.2 of a 3-way 1-shot task's or episode's 3; p = 0 of any). None reads k: not
+# a 1-shot run's unset k = shots - 1 = 0, nor a set k above the support size.
+@pytest.mark.parametrize("command, base, edit", [
+    ("train", _tiny_training, _set(("corruption", "r", 0))),
+    ("train", _tiny_training, _set(("train", "k_support", 1), ("corruption", "r", 0))),
+    ("train", _tiny_training, _set(("train", "k_support", 1), ("corruption", "p", 0.1))),
+    ("train", _tiny_training, _set(("train", "k_support", 1), ("corruption", "p", 0.0),
+                                   ("corruption", "r", 2))),
+    ("train", _tiny_training, _set(("rectify", "k", 100), ("corruption", "r", 0))),
+    ("test", _one_shot_scoring, _set(("corruption", "r", 0))),
+    ("test", _one_shot_scoring, _set(("corruption", "p", 0.2))),
+    ("bench", _every_method, _set(("bench", "k_shot", [1]), ("bench", "r", [0]))),
+    ("bench", _every_method, _set(("bench", "k_shot", [1]), ("bench", "p", 0.0))),
+    ("bench", _every_method, _set(("rectify", "k", 100), ("bench", "r", [0]))),
+    ("sweep", _every_method, _set(("bench", "r", [0]), ("sweep", "axis", "k"),
+                                  ("sweep", "values", [1, 100]))),
+    ("sweep", _every_method, _set(("bench", "k_shot", [1]), ("bench", "r", [0]),
+                                  ("sweep", "axis", "lambda"), ("sweep", "values", [0.0, 0.5]))),
+], ids=["train-r0", "train-K1-r0", "train-K1-p0.1", "train-K1-p0", "train-k100-r0",
+        "test-r0", "test-p-hits-none", "bench-K1-r0", "bench-K1-p0", "bench-k100-r0",
+        "sweep-k-r0", "sweep-lambda-K1-r0"])
+def test_exact_label_runs_are_runs_without_rectification(tmp_path, exact, command, base, edit):
+    doc = base(tmp_path)
     edit(doc)
-    cfg = write_config(tmp_path, doc)
-    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    rows = (tmp_path / "o" / "summary.csv").read_text().splitlines()[1:]
-    assert len(rows) == len(METHODS)
-    assert len({row.split(",", 2)[2] for row in rows}) == 1  # every method scores as pn
+    exact(command, doc)
 
 
-# p = 0.2 hits floor(0.2 * 3) = 0 of the cell's 3 x 1 support samples
-@pytest.mark.parametrize("corruption", [{"r": 0}, {"p": 0.2}], ids=["r0", "p-hits-none"])
-def test_test_on_exact_labels_ignores_k(tmp_path, capsys, corruption):
-    ckpt = tmp_path / "checkpoint.json"
-    save_checkpoint(init_network(NetworkSpec(4, (6,), 4), 0), str(ckpt))
-    doc = tiny_train_doc()
-    doc["corruption"].update(corruption)
-    doc["test"] = {"checkpoint": str(ckpt), "n_way": 3, "k_shot": 1, "k_query": 4,
-                   "rounds": 3}
-    assert main(["test", "--config", write_config(tmp_path, doc)]) == 0
-    printed = capsys.readouterr().out
-    doc["rectify"]["iterations"] = 0  # pn
-    assert main(["test", "--config", write_config(tmp_path, doc)]) == 0
-    assert capsys.readouterr().out == printed
-
-
-# Training on exact labels reads no k either: not a 1-shot task's
-# k = shots - 1 = 0 (p = 0.1 hits floor(0.1 * 3 x 1) = 0 samples), nor a set
-# k above the support size. Each run writes the bytes of no rectification.
-@pytest.mark.parametrize("edit", [
-    _set(("train", "k_support", 1), ("corruption", "r", 0)),
-    _set(("train", "k_support", 1), ("corruption", "p", 0.1)),
-    _set(("rectify", "k", 100), ("corruption", "r", 0)),
-], ids=["K1-r0", "K1-p0.1", "k100-r0"])
-def test_exact_label_training_ignores_k(tmp_path, edit):
-    files = []
-    for iterations in (10, 0):
-        with open(os.path.join(CONFIGS, "train_tiny.json"), encoding="utf-8") as fh:
-            doc = json.load(fh)
-        edit(doc)
-        doc["rectify"]["iterations"] = iterations
-        out = tmp_path / str(iterations)
-        assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
-        files.append({name: (out / name).read_bytes() for name in ("checkpoint.json", "log.csv")})
-    assert files[0] == files[1]
+def test_exact_stops_a_run_that_builds_a_neighbor_graph(tmp_path, exact):
+    # the positive control: train_tiny.json's r = 1 smooths, and the stub,
+    # which main does not catch, stops it
+    with pytest.raises(AssertionError, match="knn_indices must not run"):
+        exact("train", _tiny_training(tmp_path))
 
 
 # p hits floor(p * n_s) support samples: none of a 3-way 1-shot cell's 3 at

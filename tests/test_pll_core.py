@@ -449,6 +449,17 @@ def loop_rectify(Z, Y, cfg):
     return compute_prototypes(Z, Q), Q
 
 
+def distinct_configs(iterations, lams, ks, classify=False):
+    """The grid's RectifyConfigs that rectify tells apart, each once: it reads
+    distance and lam only where the loop runs, and k only where it smooths
+    too; an unread value keeps the first listed. With classify, distance
+    counts everywhere, as classify_proba reads it."""
+    return [RectifyConfig(iterations=it, lam=lam, k=k, distance=d)
+            for d in DISTANCE_KINDS for lam in lams for it in iterations for k in ks
+            if (it > 0 or lam == lams[0] and (classify or d == DISTANCE_KINDS[0]))
+            and (it > 0 and lam > 0 or k == ks[0])]
+
+
 def exact_instance(rng, T=None, l=3, n_s=8, m=4):
     """Z and a one-candidate-per-sample Y covering every class, one episode
     (T None) or a stack of T."""
@@ -461,13 +472,10 @@ def exact_instance(rng, T=None, l=3, n_s=8, m=4):
 
 
 @pytest.mark.parametrize("T", [None, 3], ids=["2d", "stacked"])
-@pytest.mark.parametrize("distance", ["euclidean", "squared"])
-@pytest.mark.parametrize("lam", [0.0, 0.5])
-@pytest.mark.parametrize("iterations", [0, 1, 10])
-@pytest.mark.parametrize("k", [1, 4])
-def test_rectify_exact_labels_match_the_loop_bit_for_bit(T, distance, lam, iterations, k):
+@pytest.mark.parametrize("cfg", distinct_configs([0, 1, 10], [0.0, 0.5], [1, 4]),
+                         ids=lambda c: f"{c.k}-{c.iterations}-{c.lam}-{c.distance}")
+def test_rectify_exact_labels_match_the_loop_bit_for_bit(T, cfg):
     Z, Y = exact_instance(np.random.default_rng(40), T)
-    cfg = RectifyConfig(iterations=iterations, lam=lam, k=k, distance=distance)
     P, Q = rectify(Z, Y, cfg)
     P2, Q2 = loop_rectify(Z, Y, cfg)
     np.testing.assert_array_equal(Q, Q2)
@@ -827,7 +835,7 @@ def test_rectify_config_validation():
         RectifyConfig(lam=float("nan"))
 
 
-def test_resolve_k_checks_a_set_k_against_the_support_size():
+def test_check_k_needs_k_plus_one_support_samples_only_where_smoothing_runs():
     # 3 x 3 = 9 support samples leave at most 8 neighbors
     RectifyConfig(k=8).check_k(3, 3, "shots")
     with pytest.raises(ValueError, match=re.escape(

@@ -19,6 +19,8 @@ from fspll.pll_core import (DISTANCE_KINDS, RectifyConfig, classify_proba, compu
                             validate_candidates)
 from fspll.trainer import TrainConfig, episode_loss_grad, lr_at, meta_test, meta_train
 
+from test_pll_core import distinct_configs
+
 PARAMS = init_network(NetworkSpec(6, (8,), 5), seed=33)
 
 
@@ -42,9 +44,13 @@ def stack(eps):
     return Episode(*(stacked(eps, field.name) for field in fields(Episode)))
 
 
-GRID = pytest.mark.parametrize("distance, lam, iterations, k", [
-    (d, lam, it, k) for d in DISTANCE_KINDS for lam in (0.0, 0.5)
-    for it in (0, 10) for k in (2, 9)])
+def grid(classify=False):
+    """Parametrize `cfg` by the rectify configs of lambda 0 and 0.5, 0 and 10
+    iterations and k 2 and 9 that a stacked call tells apart, as
+    distinct_configs(classify) gives them."""
+    return pytest.mark.parametrize(
+        "cfg", distinct_configs([0, 10], [0.0, 0.5], [2, 9], classify),
+        ids=lambda c: f"{c.distance}-{c.lam}-{c.iterations}-{c.k}")
 
 
 def assert_slices_equal(stack, singles):
@@ -170,20 +176,18 @@ def test_helpers_stack_matches_episodes(distance, k):
     assert_slices_equal(predict(probs), [predict(p) for p in probs])
 
 
-@GRID
-def test_rectify_stack_matches_episodes(distance, lam, iterations, k):
+@grid()
+def test_rectify_stack_matches_episodes(cfg):
     eps = episodes()
-    cfg = RectifyConfig(iterations=iterations, lam=lam, k=k, distance=distance)
     P, Q = rectify(embed(PARAMS, stacked(eps, "support")), stacked(eps, "candidates"), cfg)
     singles = [rectify(embed(PARAMS, e.support), e.candidates, cfg) for e in eps]
     assert_slices_equal(P, [p for p, _ in singles])
     assert_slices_equal(Q, [q for _, q in singles])
 
 
-@GRID
-def test_meta_test_stack_matches_episodes(distance, lam, iterations, k):
+@grid(classify=True)
+def test_meta_test_stack_matches_episodes(cfg):
     eps = episodes()
-    cfg = RectifyConfig(iterations=iterations, lam=lam, k=k, distance=distance)
     predictions, accuracies = meta_test(PARAMS, stack(eps), cfg)
     singles = [meta_test(PARAMS, episode[None], cfg) for episode in eps]
     assert_slices_equal(predictions, [p[0] for p, _ in singles])
@@ -262,11 +266,11 @@ def reference_meta_train(config, world):
 # the hidden layer's 30 (wider than n_way = 5) and n the larger of 5 x 10
 # support and 5 x 4 query samples: the default budget stacks all 7 tasks of an
 # epoch; 36000 bytes gives stacks of 3, 3 and 1. Under step_per_task every
-# stack is one task, whatever the budget.
-BUDGETS = [(fspll.pll_core.STACK_BYTES, False), (36000, False),
-           (fspll.pll_core.STACK_BYTES, True), (36000, True)]
-BUDGET_IDS = [str(fspll.pll_core.STACK_BYTES), "36000",
-              f"{fspll.pll_core.STACK_BYTES}-step_per_task", "36000-step_per_task"]
+# stack is one task, whatever the budget, so it runs at the default one.
+BUDGETS = [(stack_bytes, step_per_task) for step_per_task in (False, True)
+           for stack_bytes in (fspll.pll_core.STACK_BYTES, 36000)
+           if not step_per_task or stack_bytes == fspll.pll_core.STACK_BYTES]
+BUDGET_IDS = [f"{b}-step_per_task" if step_per_task else str(b) for b, step_per_task in BUDGETS]
 
 # mode -> the TrainConfig fields it changes from fspll at r = 2: each way the
 # benches train a checkpoint. fspll's cases keep their budget-only ids.

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import fspll.pll_core
 import fspll.trainer
 from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
 from fspll.episodes import (CorruptionSpec, Episode, corrupt, draw_episodes, make_world,
@@ -344,26 +343,6 @@ def test_train_config_validation():
                                          "task, but train.n_way is 3"):
         meta_train(config, tiny_world())
     check_training(tiny_config(corruption=CorruptionSpec(1.0, 2)), tiny_world())
-
-
-@pytest.mark.parametrize("corruption, tasks", [(CorruptionSpec(1.0, 0), 0),
-                                               (CorruptionSpec(0.0, 1), 0),
-                                               (CorruptionSpec(1.0, 1), 3 * 2)],
-                         ids=["r0", "p0", "noisy"])
-def test_exact_label_training_builds_no_neighbor_graph(monkeypatch, corruption, tasks):
-    # on exact labels meta_train rectifies by the identity, so it ranks no
-    # neighbors; under noise each of the 3 epochs' 2 tasks gets its graph
-    knn_indices = fspll.pll_core.knn_indices
-    ranked = []
-
-    def counting_knn_indices(Z, k):
-        out = knn_indices(Z, k)
-        ranked.append(out.reshape(-1, *out.shape[-2:]).shape[0])
-        return out
-
-    monkeypatch.setattr(fspll.pll_core, "knn_indices", counting_knn_indices)
-    meta_train(tiny_config(corruption=corruption), tiny_world())
-    assert sum(ranked) == tasks
 
 
 def test_meta_train_rejects_small_class_pool():
