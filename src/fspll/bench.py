@@ -212,8 +212,7 @@ def run_benchmark(spec: BenchSpec) -> BenchResult:
     return _run_cells(spec, spec.cells(), False)
 
 
-def sweep(spec: BenchSpec, axis: str, values: list[float],
-          retrain: bool = False) -> BenchResult:
+def sweep(spec: BenchSpec, axis: str, values: list[float], retrain: bool) -> BenchResult:
     """One paired benchmark per axis value: each grid cell, tagged by each
     value, scored on its base cell's episodes.
 

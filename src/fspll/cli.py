@@ -228,12 +228,13 @@ def cmd_grad_check(args) -> int:
     worst = 0.0
     excluded = 0
     for trial in range(3):
-        world = make_world(int(rng.integers(2 ** 31)), classes=6, dim=5, sigma=0.6)
+        world = make_world(int(rng.integers(2 ** 31)), classes=6, dim=5, sigma=0.6,
+                           mean_scale=1.0)
         episode = sample_episode(world, [0, 1, 2], 3, 4, rng)
         episode = corrupt(episode, CorruptionSpec(1.0, 1), rng)
         spec = NetworkSpec(5, (6,), 4)
         params = init_network(spec, int(rng.integers(2 ** 31)))
-        rect = RectifyConfig(iterations=5, lam=0.5, k=2)
+        rect = RectifyConfig(iterations=5, lam=0.5, k=2, distance="euclidean")
         _, Q = rectify(embed_layers(params, episode.support)[-1], episode.candidates, rect)
         res = grad_check(params, episode, Q, rect.distance)
         worst = max(worst, res.max_rel_error)

@@ -103,8 +103,7 @@ class Episode:
         return Episode(*(getattr(self, f.name)[key] for f in fields(self)))
 
 
-def make_world(seed: int, classes: int, dim: int, sigma: float,
-               mean_scale: float = 1.0) -> World:
+def make_world(seed: int, classes: int, dim: int, sigma: float, mean_scale: float) -> World:
     """Class means drawn uniformly from [-mean_scale, mean_scale]^dim."""
     check({"world.seed": seed, "world.classes": classes, "world.dim": dim, "world.sigma": sigma,
            "world.mean_scale": mean_scale})

@@ -81,27 +81,30 @@ def stack_size(spec: NetworkSpec, n_way: int, k_support: int, k_query: int) -> i
 
 @dataclass(frozen=True)
 class RectifyConfig:
-    """Knobs of the rectification loop.
+    """Knobs of the rectification loop, every one required: config.DEFAULTS
+    states their defaults.
 
     k is the neighbor count for confidence smoothing; None means shots per
-    class minus one, which rectify derives from its episode when it smooths.
+    class minus one (check_k), which rectify derives from its episode when it
+    smooths.
     """
 
-    iterations: int = 10
-    lam: float = 0.5
-    k: int | None = None
-    distance: str = "euclidean"
+    iterations: int
+    lam: float
+    k: int | None
+    distance: str
 
     def __post_init__(self):
         check({"rectify.iterations": self.iterations, "rectify.lambda": self.lam,
                "rectify.k": self.k, "rectify.distance": self.distance})
 
-    def check_k(self, n_way: int, shots: int, source: str) -> None:
-        """Check that smoothing, when it runs, finds k neighbors among the
-        n_way * shots support samples, k unset meaning shots - 1. `source`
-        names the shot count in the errors."""
+    def check_k(self, n_way: int, shots: int, source: str) -> int | None:
+        """The k that smoothing uses on n_way * shots support samples, k unset
+        meaning shots - 1, once checked to find k neighbors among them; None
+        where smoothing does not run. `source` names the shot count in the
+        errors."""
         if self.iterations == 0 or self.lam == 0:
-            return
+            return None
         if self.k is None and shots < 2:
             raise ValueError(f"{source}={shots} leaves no neighbor for smoothing (k = shots - 1); "
                              "set rectify.k, or rectify.lambda to 0")
@@ -109,6 +112,7 @@ class RectifyConfig:
         if k >= n_way * shots:
             raise ValueError(f"rectify.k={k} needs k + 1 support samples, but "
                              f"{source}={shots} gives {n_way} x {shots} = {n_way * shots}")
+        return k
 
 
 def validate_candidates(Y: np.ndarray) -> None:
@@ -293,8 +297,9 @@ def rectify(Z: np.ndarray, Y: np.ndarray, cfg: RectifyConfig) -> tuple[np.ndarra
     Q starts as Y with each column normalized to sum to 1; each iteration
     recomputes prototypes, applies the candidate softmax update, then the
     neighbor smoothing. The neighbor graph is built once (Z is fixed here);
-    an unset cfg.k is n_s // l - 1, shots per class minus one on a
-    class-balanced episode. Returns (P, Q) with P recomputed from the final Q.
+    an unset cfg.k is the one check_k gives for n_s // l shots per class,
+    the shots of a class-balanced episode. Returns (P, Q) with P recomputed
+    from the final Q.
 
     The inputs are checked once, here; the loop runs on the steps' kernels
     and gives the bits of the public steps called in turn. Z's leading axes
@@ -313,9 +318,7 @@ def rectify(Z: np.ndarray, Y: np.ndarray, cfg: RectifyConfig) -> tuple[np.ndarra
     if cfg.iterations > 0 and cfg.lam > 0:
         k = cfg.k
         if k is None:
-            shots = Y.shape[-1] // Y.shape[-2]
-            cfg.check_k(Y.shape[-2], shots, "shots per class")
-            k = shots - 1
+            k = cfg.check_k(Y.shape[-2], Y.shape[-1] // Y.shape[-2], "shots per class")
         cols = _neighbor_columns(knn_indices(Z, k), Y.shape[:-2], Y.shape[-1])
     for _ in range(cfg.iterations):
         P = _prototypes(ZT, Q)

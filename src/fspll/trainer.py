@@ -37,7 +37,7 @@ import numpy as np
 
 from .autodiff import (Graph, Tensor, distance_nodes, embed_nodes, loss_nodes, param_leaves,
                        posterior_nodes, prototype_nodes, supervised_loss_nodes)
-from .config import DEFAULTS, check
+from .config import DEFAULTS, KEYS, check
 from .embedding import NetworkParams, NetworkSpec, embed, embed_layers, init_network
 from .episodes import CorruptionSpec, Episode, World, draw_episodes
 from .pll_core import (SQRT_EPS, RectifyConfig, classify_proba, lse_cols, predict, rectify,
@@ -46,25 +46,26 @@ from .pll_core import (SQRT_EPS, RectifyConfig, classify_proba, lse_cols, predic
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Meta-training hyperparameters. n_way/k_support/k_query shape the training
-    tasks; rectify.k left unset is k_support - 1."""
+    """Meta-training hyperparameters, every one required: config.DEFAULTS
+    states their defaults. n_way/k_support/k_query shape the training tasks;
+    rectify.k left unset is k_support - 1."""
 
     network: NetworkSpec
     train_classes: int  # meta-train on the first N world classes
-    max_epoch: int = 200
-    tasks_per_epoch: int = 100
-    n_way: int = 30
-    k_support: int = 5
-    k_query: int = 15
-    rectify: RectifyConfig = field(default_factory=RectifyConfig)
-    corruption: CorruptionSpec = field(default_factory=lambda: CorruptionSpec(1.0, 1))
-    lr0: float = 0.001
-    lr_half_period: int = 20
-    init_seed: int = 0
-    task_seed: int = 0
-    step_per_task: bool = False
-    fixed_tasks: bool = False
-    supervised_loss: bool = False  # ablation only: query loss uses ground truth
+    max_epoch: int
+    tasks_per_epoch: int
+    n_way: int
+    k_support: int
+    k_query: int
+    rectify: RectifyConfig
+    corruption: CorruptionSpec
+    lr0: float
+    lr_half_period: int
+    init_seed: int
+    task_seed: int
+    step_per_task: bool
+    fixed_tasks: bool
+    supervised_loss: bool  # ablation only: query loss uses ground truth
 
     def __post_init__(self):
         check({f"train.{key}": getattr(self, key) for key in DEFAULTS["train"]})
@@ -280,9 +281,12 @@ def effective_rectify(rect: RectifyConfig, corruption: CorruptionSpec, n_way: in
                       source: str) -> RectifyConfig:
     """The rectification rect performs on n_way x shots episodes under
     corruption: on exact labels the identity, which keeps only rect's
-    distance, else rect once check_k (naming the shot count `source`) passes."""
+    distance, else rect once check_k (naming the shot count `source`) passes.
+    The identity reads neither lambda nor k; it takes lambda's default and an
+    unset k, so that every method's identity is one config."""
     if corruption.exact(n_way * shots):
-        return RectifyConfig(iterations=0, distance=rect.distance)
+        return RectifyConfig(iterations=0, lam=KEYS["rectify.lambda"].default, k=None,
+                             distance=rect.distance)
     rect.check_k(n_way, shots, source)
     return rect
 

@@ -1,15 +1,37 @@
-"""Shared fixtures: each pinned run of `test_pinned_runs.RUNS` runs at most once
-per session, for its digest test and for the acceptance gate that judges it."""
+"""Shared fixtures and defaults. Each pinned run of `test_pinned_runs.RUNS`
+runs at most once per session, for its digest test and for the acceptance
+gate that judges it. The library states no config default: a test takes
+them, as `fspll` does, from the table of fspll.config, through
+default_world, default_rectify and default_train."""
 
 import contextlib
 import io
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
-from fspll.cli import main
+from fspll.cli import _parse_rectify, _parse_train, _settings, main
+from fspll.episodes import make_world
 from test_pinned_runs import RUNS, edited
+
+DEFAULT_CONFIG = _settings({})  # the settings of a config file that sets no key
+
+
+def default_world(**changes):
+    """make_world on the default world keys, with `changes`."""
+    return make_world(**{**DEFAULT_CONFIG["world"], **changes})
+
+
+def default_rectify(**changes):
+    """The default RectifyConfig, parsed as `fspll` parses it, with `changes`."""
+    return replace(_parse_rectify(DEFAULT_CONFIG), **changes)
+
+
+def default_train(**changes):
+    """The default TrainConfig, parsed as `fspll` parses it, with `changes`."""
+    return replace(_parse_train(DEFAULT_CONFIG, DEFAULT_CONFIG["world"]["dim"]), **changes)
 
 
 @pytest.fixture(scope="session")

@@ -30,12 +30,12 @@ import numpy as np
 from fspll.bench import Cell
 from fspll.cli import _parse_bench, _parse_train, main
 from fspll.embedding import NetworkSpec, embed_layers, init_network
-from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
-from fspll.pll_core import (RectifyConfig, classify_proba, compute_prototypes,
-                            knn_indices, pairwise_distance, predict, rectify,
-                            smooth_confidence, update_confidence)
+from fspll.episodes import CorruptionSpec, corrupt, sample_episode
+from fspll.pll_core import (classify_proba, compute_prototypes, knn_indices, pairwise_distance,
+                            predict, rectify, smooth_confidence, update_confidence)
 from fspll.trainer import episode_loss_graph, episode_loss_grad, grad_check, lr_at
 
+from conftest import default_rectify, default_world
 from test_cli import shipped, tree_bytes
 from test_pinned_runs import RUNS
 from test_pll_core import naive_rectify, random_instance
@@ -60,15 +60,15 @@ def test_c1_gradient_suite():
         n_way = int(rng.integers(2, 5))    # N <= 4
         shots = int(rng.integers(2, 5))    # K <= 4
         r = int(rng.integers(0, n_way))
-        world = make_world(int(rng.integers(2 ** 31)), classes=n_way + 2, dim=d,
-                           sigma=0.6)
+        world = default_world(seed=int(rng.integers(2 ** 31)), classes=n_way + 2, dim=d,
+                              sigma=0.6)
         episode = sample_episode(world, list(range(n_way)), shots,
                                  int(rng.integers(2, 5)), rng)
         episode = corrupt(episode, CorruptionSpec(1.0, r), rng)
         spec = NetworkSpec(d, (int(rng.integers(4, 9)),), int(rng.integers(3, 7)))
         params = init_network(spec, int(rng.integers(2 ** 31)))
-        cfg = RectifyConfig(iterations=5, lam=0.5,
-                            k=max(shots - 1, 1) if shots > 1 else None)
+        cfg = default_rectify(iterations=5, lam=0.5,
+                              k=max(shots - 1, 1) if shots > 1 else None)
         support_layers = embed_layers(params, episode.support)
         _, Q = rectify(support_layers[-1], episode.candidates, cfg)
         res = grad_check(params, episode, Q, "euclidean", step=1e-5)
@@ -126,7 +126,7 @@ def test_c3_oracle_equivalence():
         Z, Y = random_instance(rng)  # n_s <= 10, l <= 4
         k = int(rng.integers(1, min(4, Z.shape[1])))
         lam = float(rng.choice([0.0, 0.5, 1.0]))
-        cfg = RectifyConfig(iterations=10, lam=lam, k=k)
+        cfg = default_rectify(iterations=10, lam=lam, k=k)
         P, Q = rectify(Z, Y, cfg)
         P2, Q2 = naive_rectify(Z, Y, 10, lam, k, "euclidean")
         worst = max(worst, abs(Q - Q2).max(), abs(P - P2).max())
@@ -141,11 +141,11 @@ def test_c4_reduction_identities():
     # (a) singleton candidate sets are a fixed point for any iteration count
     fixed_ok = True
     for _ in range(20):
-        world = make_world(int(rng.integers(2 ** 31)), classes=5, dim=3, sigma=0.5)
+        world = default_world(seed=int(rng.integers(2 ** 31)), classes=5, dim=3, sigma=0.5)
         ep = sample_episode(world, [0, 1, 2], 3, 2, rng)
         for iters in (0, 1, 7, 10):
             _, Q = rectify(ep.support, ep.candidates,
-                           RectifyConfig(iterations=iters, lam=0.5, k=2))
+                           default_rectify(iterations=iters, lam=0.5, k=2))
             fixed_ok &= np.array_equal(Q, ep.candidates.astype(float))
 
     # (b) iterations=0 prototypes equal PN's unweighted candidate means
@@ -153,10 +153,10 @@ def test_c4_reduction_identities():
     pn_dev = 0.0
     for p_corrupt in (0.0, 1.0):
         for _ in range(10):
-            world = make_world(int(rng.integers(2 ** 31)), classes=6, dim=4, sigma=0.5)
+            world = default_world(seed=int(rng.integers(2 ** 31)), classes=6, dim=4, sigma=0.5)
             ep = sample_episode(world, [0, 1, 2, 3], 3, 2, rng)
             ep = corrupt(ep, CorruptionSpec(p_corrupt, 2), rng)
-            P, _ = rectify(ep.support, ep.candidates, RectifyConfig(iterations=0))
+            P, _ = rectify(ep.support, ep.candidates, default_rectify(iterations=0))
             pn = compute_prototypes(ep.support, ep.candidates.astype(float))
             pn_dev = max(pn_dev, abs(P - pn).max())
 

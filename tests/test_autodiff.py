@@ -8,8 +8,10 @@ import pytest
 import fspll
 from fspll.autodiff import Graph
 from fspll.embedding import NetworkSpec, init_network
-from fspll.episodes import CorruptionSpec, corrupt, make_world, sample_episode
+from fspll.episodes import CorruptionSpec, corrupt, sample_episode
 from fspll.trainer import episode_loss_graph
+
+from conftest import default_world
 
 
 def fd_error(build, values, step=1e-5):
@@ -252,7 +254,7 @@ def test_the_config_table_imports_nothing_from_fspll():
 
 def test_every_op_builds_the_reference_loss():
     rng = np.random.default_rng(5)
-    world = make_world(3, classes=6, dim=5, sigma=0.6)
+    world = default_world(seed=3, classes=6, dim=5, sigma=0.6)
     episode = corrupt(sample_episode(world, [0, 1, 2], 3, 4, rng), CorruptionSpec(1.0, 1), rng)
     params = init_network(NetworkSpec(5, (6,), 4), 9)
     Q = episode.candidates / episode.candidates.sum(axis=0)

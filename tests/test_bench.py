@@ -10,16 +10,18 @@ import pytest
 import fspll.bench
 from fspll.bench import METHODS, BenchSpec, Cell, run_benchmark, sweep, write_report
 from fspll.embedding import NetworkSpec
-from fspll.episodes import CorruptionSpec, draw_episodes, make_world
-from fspll.pll_core import DISTANCE_KINDS, RectifyConfig
-from fspll.trainer import TrainConfig, meta_test, meta_train
+from fspll.episodes import CorruptionSpec, draw_episodes
+from fspll.pll_core import DISTANCE_KINDS
+from fspll.trainer import meta_test, meta_train
+
+from conftest import default_rectify, default_train, default_world
 
 
 def tiny_spec(**overrides):
-    world = make_world(1, classes=12, dim=4, sigma=0.5)
-    train = TrainConfig(network=NetworkSpec(4, (), 4), max_epoch=2,
-                        tasks_per_epoch=3, n_way=3, k_support=3, k_query=4,
-                        train_classes=8, init_seed=2, task_seed=3)
+    world = default_world(seed=1, classes=12, dim=4, sigma=0.5)
+    train = default_train(network=NetworkSpec(4, (), 4), max_epoch=2,
+                          tasks_per_epoch=3, n_way=3, k_support=3, k_query=4,
+                          train_classes=8, init_seed=2, task_seed=3)
     defaults = dict(world=world, train=train,
                     n_way=[3], k_shot=[3], r=[1], p=1.0, rounds=3,
                     methods=["fspll", "pn"], k_query=5, eval_seed=4)
@@ -29,13 +31,13 @@ def tiny_spec(**overrides):
 
 # -- method variants --------------------------------------------------------------
 
-def method_rectify(name, base=RectifyConfig()):
+def method_rectify(name, base=default_rectify()):
     """The rectify config the METHODS entry `name` trains and tests with."""
     return replace(base, **METHODS[name][0])
 
 
 def test_variant_fspll_nm_only_differs_in_lambda():
-    base = RectifyConfig(iterations=10, lam=0.5, k=4)
+    base = default_rectify(iterations=10, lam=0.5, k=4)
     assert method_rectify("fspll-nm", base) == replace(base, lam=0.0)
     assert method_rectify("fspll", base) == base
     assert (METHODS["fspll-nm"][1], METHODS["fspll"][1]) == (False, False)
@@ -85,7 +87,7 @@ def test_fspll_equals_pn_on_clean_episodes():
 
 
 def test_fspll_with_zero_iterations_reduces_to_pn():
-    train = replace(tiny_spec().train, rectify=RectifyConfig(iterations=0))
+    train = replace(tiny_spec().train, rectify=default_rectify(iterations=0))
     spec = tiny_spec(r=[0], train=train, rounds=4)
     res = run_benchmark(spec)
     label = res.cells[0].label()
@@ -178,7 +180,7 @@ def test_sweep_values_share_episode_streams(monkeypatch):
 
     monkeypatch.setattr(fspll.bench, "draw_episodes", counting_draw_episodes)
     spec = tiny_spec(methods=["fspll"])
-    swept = sweep(spec, "lambda", [0.0, 1.0])
+    swept = sweep(spec, "lambda", [0.0, 1.0], retrain=False)
     h0 = swept.meta["episode_hashes"][swept.cells[0].label()]
     h1 = swept.meta["episode_hashes"][swept.cells[1].label()]
     assert h0 == h1
@@ -188,8 +190,8 @@ def test_sweep_values_share_episode_streams(monkeypatch):
 def test_sweep_k_axis_validates_range():
     spec = tiny_spec(methods=["fspll"])
     with pytest.raises(ValueError, match="k=9"):
-        sweep(spec, "k", [9])  # n_s = 3*3 = 9
-    swept = sweep(spec, "k", [1, 2])
+        sweep(spec, "k", [9], retrain=False)  # n_s = 3*3 = 9
+    swept = sweep(spec, "k", [1, 2], retrain=False)
     assert len(swept.cells) == 2
 
 
@@ -197,7 +199,7 @@ def test_sweep_k_is_not_checked_where_no_run_smooths():
     # pn does not smooth, so a k above its cells' 3 x 3 support samples is
     # never used; the bench ignores rectify.k there in the same way
     spec = tiny_spec(methods=["pn"])
-    swept = sweep(spec, "k", [9, 20])
+    swept = sweep(spec, "k", [9, 20], retrain=False)
     bench = run_benchmark(spec)
     pn = bench.accuracies[(bench.cells[0].label(), "pn")]
     assert [swept.accuracies[(c.label(), "pn")] for c in swept.cells] == [pn, pn]
@@ -205,7 +207,7 @@ def test_sweep_k_is_not_checked_where_no_run_smooths():
 
 def test_sweep_rejects_bad_axis():
     with pytest.raises(ValueError, match="axis"):
-        sweep(tiny_spec(), "temperature", [1.0])
+        sweep(tiny_spec(), "temperature", [1.0], retrain=False)
 
 
 # -- shared clean-label checkpoints -----------------------------------------------
@@ -219,15 +221,15 @@ def test_clean_label_training_ignores_rectification(distance, step_per_task, cor
     # fspll, fspll-nm and pn training configs, and the one the cache trains,
     # give the same weights to the last bit
     assert corruption.exact(3 * 3)  # n_way x k_support below
-    world = make_world(5, classes=10, dim=4, sigma=0.6)
-    base = RectifyConfig(distance=distance)
+    world = default_world(seed=5, classes=10, dim=4, sigma=0.6)
+    base = default_rectify(distance=distance)
     trained = []
     for rect in [method_rectify(m, base) for m in ("fspll", "fspll-nm", "pn")] \
-            + [RectifyConfig(iterations=0, distance=distance)]:
-        config = TrainConfig(network=NetworkSpec(4, (6,), 4), max_epoch=2, tasks_per_epoch=3,
-                             n_way=3, k_support=3, k_query=4, train_classes=6, rectify=rect,
-                             corruption=corruption, lr0=0.05, init_seed=6, task_seed=7,
-                             step_per_task=step_per_task)
+            + [default_rectify(iterations=0, distance=distance)]:
+        config = default_train(network=NetworkSpec(4, (6,), 4), max_epoch=2, tasks_per_epoch=3,
+                               n_way=3, k_support=3, k_query=4, train_classes=6, rectify=rect,
+                               corruption=corruption, lr0=0.05, init_seed=6, task_seed=7,
+                               step_per_task=step_per_task)
         params, _ = meta_train(config, world)
         trained.append(params.weights + params.biases)
     for other in trained[1:]:
@@ -332,7 +334,8 @@ def test_write_report_files_and_recomputation(tmp_path):
 
 # -- the run plan in meta.json ----------------------------------------------------
 
-@pytest.mark.parametrize("run", [run_benchmark, lambda spec: sweep(spec, "k", [1, 2])],
+@pytest.mark.parametrize("run", [run_benchmark,
+                                 lambda spec: sweep(spec, "k", [1, 2], retrain=False)],
                          ids=["bench", "sweep"])
 def test_config_hash_recomputes_from_the_plan_in_meta_json(tmp_path, run):
     paths = write_report(run(tiny_spec()), tmp_path / "run")

@@ -15,10 +15,11 @@ import pytest
 import fspll.cli
 import fspll.episodes
 import fspll.pll_core
-from fspll.bench import METHODS, sweep
+from fspll.bench import METHODS, BenchSpec, sweep
 from fspll.cli import _load_config, main
-from fspll.config import DEFAULTS, KEYS, config_keys
+from fspll.config import KEYS, config_keys
 from fspll.embedding import NetworkSpec, init_network, save_checkpoint
+from fspll.episodes import CorruptionSpec, make_world
 from fspll.pll_core import RectifyConfig
 from fspll.trainer import TrainConfig
 
@@ -327,32 +328,16 @@ def test_help_lists_config_keys(capsys):
         assert lines["bench.methods"].endswith("  in " + " | ".join(METHODS))
 
 
-def _library_defaults(cls):
-    """Every dataclass field default, by field name."""
-    out = {}
-    for f in dataclasses.fields(cls):
-        if f.default is not dataclasses.MISSING:
-            out[f.name] = f.default
-        elif f.default_factory is not dataclasses.MISSING:
-            out[f.name] = f.default_factory()
-    return out
-
-
-def test_config_defaults_match_library_defaults():
-    train = _library_defaults(TrainConfig)
-    rectify = {("lambda" if k == "lam" else k): v
-               for k, v in _library_defaults(RectifyConfig).items()}
-    pairs = [("rectify", rectify), ("train", train),
-             ("corruption", dataclasses.asdict(train["corruption"])),
-             ("sweep", {"retrain": inspect.signature(sweep).parameters["retrain"].default})]
-    for section, library in pairs:
-        shared = set(DEFAULTS[section]) & set(library)
-        assert shared, section
-        for key in shared:
-            # through JSON, so that tuple defaults compare equal to lists
-            assert DEFAULTS[section][key].default == json.loads(json.dumps(library[key])), \
-                f"{section}.{key}"
-    assert train["rectify"] == RectifyConfig()
+def test_library_states_no_config_default():
+    # config.DEFAULTS is the one place a default is stated: the config classes
+    # and the functions that take a config key require each of its values
+    for cls in (TrainConfig, RectifyConfig, BenchSpec, NetworkSpec, CorruptionSpec):
+        for f in dataclasses.fields(cls):
+            assert f.default is f.default_factory is dataclasses.MISSING, \
+                f"{cls.__name__}.{f.name}"
+    for func, name in ((sweep, "retrain"), (make_world, "mean_scale")):
+        assert inspect.signature(func).parameters[name].default is inspect.Parameter.empty, \
+            f"{func.__name__}({name})"
 
 
 def test_config_accepts_integers_for_floats_and_null_for_optional_keys(tmp_path):

@@ -8,30 +8,31 @@ from fspll.config import DEFAULTS
 from fspll.episodes import (CorruptionSpec, Episode, _choice_rows, corrupt, episode_hash,
                             make_world, sample_episode)
 
+from conftest import default_world
 from test_cli import shipped
 
 
 def test_world_determinism():
-    a = make_world(11, classes=5, dim=16, sigma=0.5)
-    b = make_world(11, classes=5, dim=16, sigma=0.5)
+    a = default_world(seed=11, classes=5, dim=16, sigma=0.5)
+    b = default_world(seed=11, classes=5, dim=16, sigma=0.5)
     np.testing.assert_array_equal(a.means, b.means)
 
 
 def test_world_shapes():
-    world = make_world(1, classes=5, dim=16, sigma=0.5)
+    world = default_world(seed=1, classes=5, dim=16, sigma=0.5)
     assert world.means.shape == (5, 16)
 
 
 def test_world_rejects_bad_params():
     with pytest.raises(ValueError):
-        make_world(1, classes=5, dim=16, sigma=0.0)
+        default_world(seed=1, classes=5, dim=16, sigma=0.0)
     with pytest.raises(ValueError):
-        make_world(1, classes=1, dim=16, sigma=0.5)
+        default_world(seed=1, classes=1, dim=16, sigma=0.5)
     with pytest.raises(ValueError):
-        make_world(1, classes=5, dim=0, sigma=0.5)
+        default_world(seed=1, classes=5, dim=0, sigma=0.5)
     # a negative seed fails by key before NumPy sees it
     with pytest.raises(ValueError, match=re.escape("world.seed must be in [0, inf), got -1")):
-        make_world(-1, classes=5, dim=16, sigma=0.5)
+        default_world(seed=-1, classes=5, dim=16, sigma=0.5)
 
 
 # the smallest subnormal scale leaves 5 one-dimensional means 3 values to share
@@ -59,7 +60,7 @@ def test_world_config_keys_round_trip():
 
 
 def test_episode_counts():
-    world = make_world(2, classes=10, dim=3, sigma=0.5)
+    world = default_world(seed=2, classes=10, dim=3, sigma=0.5)
     ep = sample_episode(world, [0, 2, 4, 6, 8], 5, 15, seed=3)
     assert ep.n_support == 25
     assert ep.n_queries == 75
@@ -71,7 +72,7 @@ def test_episode_counts():
 
 
 def test_episode_degenerate_noise_equals_means():
-    world = make_world(2, classes=4, dim=3, sigma=1e-12)
+    world = default_world(seed=2, classes=4, dim=3, sigma=1e-12)
     ep = sample_episode(world, [1, 3], 2, 2, seed=4)
     for i in range(ep.n_support):
         cls = ep.class_ids[ep.support_truth[i]]
@@ -79,20 +80,20 @@ def test_episode_degenerate_noise_equals_means():
 
 
 def test_episode_seeds_differ():
-    world = make_world(2, classes=6, dim=3, sigma=0.5)
+    world = default_world(seed=2, classes=6, dim=3, sigma=0.5)
     a = sample_episode(world, [0, 1], 3, 3, seed=5)
     b = sample_episode(world, [0, 1], 3, 3, seed=6)
     assert not np.array_equal(a.support, b.support)
 
 
 def test_episode_duplicate_classes_rejected():
-    world = make_world(2, classes=6, dim=3, sigma=0.5)
+    world = default_world(seed=2, classes=6, dim=3, sigma=0.5)
     with pytest.raises(ValueError, match="distinct"):
         sample_episode(world, [0, 0, 1], 2, 2, seed=1)
 
 
 def test_corrupt_noop_cases():
-    world = make_world(3, classes=6, dim=3, sigma=0.5)
+    world = default_world(seed=3, classes=6, dim=3, sigma=0.5)
     ep = sample_episode(world, [0, 1, 2], 3, 3, seed=7)
     for spec in (CorruptionSpec(0.0, 2), CorruptionSpec(1.0, 0)):
         out = corrupt(ep, spec, seed=8)
@@ -100,14 +101,14 @@ def test_corrupt_noop_cases():
 
 
 def test_corrupt_full_ambiguity():
-    world = make_world(3, classes=6, dim=3, sigma=0.5)
+    world = default_world(seed=3, classes=6, dim=3, sigma=0.5)
     ep = sample_episode(world, [0, 1, 2], 3, 3, seed=7)
     out = corrupt(ep, CorruptionSpec(1.0, 2), seed=8)
     assert (out.candidates == 1).all()
 
 
 def test_corrupt_exact_counts():
-    world = make_world(3, classes=10, dim=3, sigma=0.5)
+    world = default_world(seed=3, classes=10, dim=3, sigma=0.5)
     ep = sample_episode(world, [0, 1, 2, 3, 4], 4, 3, seed=9)
     out = corrupt(ep, CorruptionSpec(1.0, 2), seed=10)
     np.testing.assert_array_equal(out.candidates.sum(axis=0), np.full(20, 3))
@@ -116,7 +117,7 @@ def test_corrupt_exact_counts():
 
 
 def test_corrupt_partial_proportion():
-    world = make_world(3, classes=10, dim=3, sigma=0.5)
+    world = default_world(seed=3, classes=10, dim=3, sigma=0.5)
     ep = sample_episode(world, [0, 1, 2, 3], 5, 3, seed=11)  # n_s = 20
     out = corrupt(ep, CorruptionSpec(0.5, 1), seed=12)
     counts = out.candidates.sum(axis=0)
@@ -128,7 +129,7 @@ def test_corrupt_partial_proportion():
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.2, 0.5, 0.99, 1.0])
 def test_hits_counts_the_samples_corrupt_changes(p, r):
     # exact, which decides whether a run rectifies, reads the same count
-    world = make_world(3, classes=10, dim=3, sigma=0.5)
+    world = default_world(seed=3, classes=10, dim=3, sigma=0.5)
     spec = CorruptionSpec(p, r)
     for k_support in (1, 2, 3, 5):
         ep = sample_episode(world, [0, 1, 2, 3], k_support, 2, seed=k_support)
@@ -138,21 +139,21 @@ def test_hits_counts_the_samples_corrupt_changes(p, r):
 
 
 def test_corrupt_class_coverage():
-    world = make_world(3, classes=10, dim=3, sigma=0.5)
+    world = default_world(seed=3, classes=10, dim=3, sigma=0.5)
     ep = sample_episode(world, [5, 6, 7], 4, 2, seed=13)
     out = corrupt(ep, CorruptionSpec(1.0, 1), seed=14)
     assert (out.candidates.sum(axis=1) >= 4).all()  # >= k_support per class row
 
 
 def test_corrupt_r_too_large_rejected():
-    world = make_world(3, classes=6, dim=3, sigma=0.5)
+    world = default_world(seed=3, classes=6, dim=3, sigma=0.5)
     ep = sample_episode(world, [0, 1, 2], 2, 2, seed=15)
     with pytest.raises(ValueError, match="r="):
         corrupt(ep, CorruptionSpec(1.0, 3), seed=16)
 
 
 def test_corrupt_determinism_and_hash():
-    world = make_world(3, classes=8, dim=4, sigma=0.5)
+    world = default_world(seed=3, classes=8, dim=4, sigma=0.5)
     a = corrupt(sample_episode(world, [0, 1, 2], 3, 4, seed=17),
                 CorruptionSpec(1.0, 1), seed=18)
     b = corrupt(sample_episode(world, [0, 1, 2], 3, 4, seed=17),
@@ -189,7 +190,7 @@ def _twin_generators(seed, buffered_half):
 @pytest.mark.parametrize("buffered_half", [False, True])
 @pytest.mark.parametrize("l", [2, 3, 4, 10, 20])
 def test_corrupt_matches_per_sample_choice(l, buffered_half):
-    world = make_world(3, classes=20, dim=2, sigma=0.5)
+    world = default_world(seed=3, classes=20, dim=2, sigma=0.5)
     for seed in range(4):
         ep = sample_episode(world, np.arange(l), 3, 1, seed=seed)
         for r in range(1, l):
@@ -255,7 +256,7 @@ def test_choice_rows_rejection_falls_back_to_the_loop():
 def test_stacked_draws_match_episodes_one_at_a_time(p, r):
     # one generator per episode: the stack holds each episode as drawn on its
     # own, and leaves each generator where the single draw leaves it
-    world = make_world(3, classes=12, dim=3, sigma=0.5)
+    world = default_world(seed=3, classes=12, dim=3, sigma=0.5)
     rngs = [np.random.default_rng([40, t]) for t in range(5)]
     class_ids = np.stack([rng.choice(12, size=5, replace=False) for rng in rngs])
     stack = corrupt(sample_episode(world, class_ids, 4, 3, rngs), CorruptionSpec(p, r), rngs)
@@ -273,7 +274,7 @@ def test_stacked_draws_match_episodes_one_at_a_time(p, r):
 
 
 def test_stack_needs_one_seed_per_episode():
-    world = make_world(3, classes=8, dim=3, sigma=0.5)
+    world = default_world(seed=3, classes=8, dim=3, sigma=0.5)
     with pytest.raises(ValueError, match="2 episodes need one seed each, got 3"):
         sample_episode(world, [[0, 1], [2, 3]], 2, 2, [1, 2, 3])
     stack = sample_episode(world, [[0, 1, 2], [3, 4, 5]], 2, 2, [1, 2])
@@ -282,7 +283,7 @@ def test_stack_needs_one_seed_per_episode():
 
 
 def test_episode_indexing_slices_the_stack():
-    world = make_world(3, classes=8, dim=3, sigma=0.5)
+    world = default_world(seed=3, classes=8, dim=3, sigma=0.5)
     stack = sample_episode(world, [[0, 1, 2], [3, 4, 5], [6, 7, 0]], 2, 2, [1, 2, 3])
     assert stack[1:].support.shape == (2, 3, 6)
     single = stack[2]

@@ -8,11 +8,13 @@ import pytest
 import fspll.pll_core
 from fspll.autodiff import Graph, distance_nodes, loss_nodes, posterior_nodes, prototype_nodes
 from fspll.embedding import NetworkParams, NetworkSpec, embed_layers, init_network
-from fspll.episodes import CorruptionSpec, corrupt, draw_episodes, make_world, sample_episode
+from fspll.episodes import CorruptionSpec, corrupt, draw_episodes, sample_episode
 from fspll.pll_core import (DISTANCE_KINDS, SQRT_EPS, RectifyConfig, classify_proba,
                             compute_prototypes, knn_indices, pairwise_distance, predict,
                             rectify, smooth_confidence, sqdist, sqrt_eps, update_confidence)
 from fspll.trainer import episode_loss_grad
+
+from conftest import default_rectify, default_world
 
 # ---------------------------------------------------------------------------
 # straight-line oracle: unvectorized reimplementation of the rectification
@@ -373,11 +375,11 @@ def test_rectify_zero_iterations_gives_normalized_y_and_pn_prototypes():
     rng = np.random.default_rng(2)
     # homogeneous candidate counts (p=1 corruption): normalized-Y weighting
     # coincides with the unweighted candidate-set mean
-    world = make_world(3, classes=4, dim=3, sigma=0.5)
+    world = default_world(seed=3, classes=4, dim=3, sigma=0.5)
     ep = sample_episode(world, [0, 1, 2], 4, 1, seed=4)
     ep = corrupt(ep, CorruptionSpec(1.0, 1), seed=5)
     Z = ep.support.astype(float)
-    P, Q = rectify(Z, ep.candidates, RectifyConfig(iterations=0))
+    P, Q = rectify(Z, ep.candidates, default_rectify(iterations=0))
     np.testing.assert_allclose(Q, ep.candidates / ep.candidates.sum(axis=0), rtol=0, atol=0)
     pn = compute_prototypes(Z, ep.candidates.astype(float))
     np.testing.assert_allclose(P, pn, rtol=0, atol=1e-12)
@@ -389,7 +391,7 @@ def test_rectify_rejects_non_binary_candidates(entry):
     Y = np.eye(3)
     Y[1, 2] = entry
     with pytest.raises(ValueError, match="entries must be 0 or 1"):
-        rectify(Z, Y, RectifyConfig(iterations=0))
+        rectify(Z, Y, default_rectify(iterations=0))
 
 
 def test_rectify_singleton_candidates_fixed_point():
@@ -398,7 +400,7 @@ def test_rectify_singleton_candidates_fixed_point():
     Y = np.zeros((3, 6), dtype=int)
     Y[[0, 0, 1, 1, 2, 2], np.arange(6)] = 1
     for iters in (0, 1, 10):
-        _, Q = rectify(Z, Y, RectifyConfig(iterations=iters, lam=0.5, k=2))
+        _, Q = rectify(Z, Y, default_rectify(iterations=iters, lam=0.5, k=2))
         np.testing.assert_array_equal(Q, Y.astype(float))
 
 
@@ -407,7 +409,7 @@ def test_rectify_matches_naive_oracle():
     for trial in range(25):
         Z, Y = random_instance(rng)
         k = min(2, Z.shape[1] - 1)
-        cfg = RectifyConfig(iterations=10, lam=0.5, k=k)
+        cfg = default_rectify(iterations=10, lam=0.5, k=k)
         P, Q = rectify(Z, Y, cfg)
         P2, Q2 = naive_rectify(Z, Y, 10, 0.5, k, "euclidean")
         np.testing.assert_allclose(Q, Q2, rtol=0, atol=1e-10)
@@ -429,7 +431,7 @@ def test_rectify_column_stochastic_and_zero_off_candidate():
     for trial in range(20):
         Z, Y = random_instance(rng)
         k = min(3, Z.shape[1] - 1)
-        _, Q = rectify(Z, Y, RectifyConfig(iterations=5, lam=0.7, k=k))
+        _, Q = rectify(Z, Y, default_rectify(iterations=5, lam=0.7, k=k))
         np.testing.assert_allclose(Q.sum(axis=0), 1.0, rtol=0, atol=1e-9)
         assert (Q[Y == 0] == 0).all()
 
@@ -490,7 +492,7 @@ def test_rectify_stack_with_one_ambiguous_sample_runs_the_loop(iterations, lam):
     # uniform start
     Z, Y = exact_instance(np.random.default_rng(42), T=3)
     Y[1, :, 5] = [1, 1, 0] if Y[1, 2, 5] == 0 else [1, 0, 1]
-    cfg = RectifyConfig(iterations=iterations, lam=lam, k=2)
+    cfg = default_rectify(iterations=iterations, lam=lam, k=2)
     P, Q = rectify(Z, Y, cfg)
     P2, Q2 = loop_rectify(Z, Y, cfg)
     np.testing.assert_array_equal(Q, Q2)
@@ -514,13 +516,10 @@ def ambiguous_instance(rng, lead=(), l=10, n_s=30, m=4, coincident=False):
 
 
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["2d", "T3", "T2x3"])
-@pytest.mark.parametrize("distance", ["euclidean", "squared"])
-@pytest.mark.parametrize("lam", [0.0, 0.5])
-@pytest.mark.parametrize("k", [1, 4, 9])
-@pytest.mark.parametrize("iterations", [0, 1, 10])
-def test_rectify_matches_the_public_steps_bit_for_bit(lead, distance, lam, k, iterations):
+@pytest.mark.parametrize("cfg", distinct_configs([0, 1, 10], [0.0, 0.5], [1, 4, 9]),
+                         ids=lambda c: f"{c.iterations}-{c.k}-{c.lam}-{c.distance}")
+def test_rectify_matches_the_public_steps_bit_for_bit(lead, cfg):
     Z, Y = ambiguous_instance(np.random.default_rng(43), lead)
-    cfg = RectifyConfig(iterations=iterations, lam=lam, k=k, distance=distance)
     P, Q = rectify(Z, Y, cfg)
     P2, Q2 = loop_rectify(Z, Y, cfg)
     np.testing.assert_array_equal(Q, Q2)
@@ -532,7 +531,7 @@ def test_rectify_matches_the_public_steps_bit_for_bit(lead, distance, lam, k, it
 def test_rectify_derives_an_unset_k_as_shots_minus_one(lead, distance):
     # 30 samples of 10 classes: 3 shots per class, so k = 2
     Z, Y = ambiguous_instance(np.random.default_rng(45), lead)
-    cfg = RectifyConfig(iterations=10, lam=0.5, distance=distance)
+    cfg = default_rectify(iterations=10, lam=0.5, distance=distance)
     P, Q = rectify(Z, Y, cfg)
     P2, Q2 = rectify(Z, Y, replace(cfg, k=2))
     np.testing.assert_array_equal(Q, Q2)
@@ -543,7 +542,7 @@ def test_rectify_derives_an_unset_k_as_shots_minus_one(lead, distance):
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "T3"])
 def test_rectify_on_coincident_samples_matches_the_public_steps(lead):
     Z, Y = ambiguous_instance(np.random.default_rng(44), lead, coincident=True)
-    cfg = RectifyConfig(iterations=10, lam=0.5, k=4)
+    cfg = default_rectify(iterations=10, lam=0.5, k=4)
     P, Q = rectify(Z, Y, cfg)
     assert (sqdist(P.swapaxes(-1, -2), Z) < SQRT_EPS).any()
     P2, Q2 = loop_rectify(Z, Y, cfg)
@@ -638,7 +637,7 @@ def test_classify_proba_translating_queries_and_prototypes_leaves_it_unchanged(l
 def loss_instance(lead, distance):
     """A corrupted 4-way episode (or a stack of 3), a 4 -> 6 -> 5 network, its
     support activations and the rectified Q."""
-    world = make_world(54, classes=8, dim=4, sigma=0.8)
+    world = default_world(seed=54, classes=8, dim=4, sigma=0.8)
     rngs = [np.random.default_rng([55, t]) for t in range(lead[0] if lead else 1)]
     episode = draw_episodes(world, np.arange(8), 4, 3, 5, CorruptionSpec(1.0, 2), rngs)
     episode = episode if lead else episode[0]
@@ -684,7 +683,7 @@ def test_rectify_ignores_a_much_closer_non_candidate():
     # further away than class 1's in both iterations
     Z = np.array([[0.0, 0.0, 3000.0, 3000.0, 3000.0, 0.0]])
     Y = np.array([[1, 1, 0, 0, 1, 1], [0, 0, 1, 1, 0, 1]], dtype=float)
-    P, Q = rectify(Z, Y, RectifyConfig(iterations=2, lam=0.0))
+    P, Q = rectify(Z, Y, default_rectify(iterations=2, lam=0.0))
     np.testing.assert_array_equal(Q, [[1, 1, 0, 0, 1, 1], [0, 0, 1, 1, 0, 0]])
     np.testing.assert_array_equal(P, [[750.0], [3000.0]])
 
@@ -693,7 +692,7 @@ def test_rectify_loop_rejects_non_finite_distances():
     Z = np.array([[0.0, 1.0, 2.0, 1e200]])
     Y = np.array([[1, 1, 0, 1], [0, 0, 1, 1]])
     with pytest.raises(ValueError, match="update_confidence: distances must be finite"):
-        rectify(Z, Y, RectifyConfig(iterations=1, lam=0.0))
+        rectify(Z, Y, default_rectify(iterations=1, lam=0.0))
 
 
 @pytest.mark.parametrize("iterations", [1, 2])
@@ -705,7 +704,7 @@ def test_rectify_loop_rejects_a_class_without_confident_support(iterations):
     Z = np.array([[0.0, 0.0, 2000.0, 2000.0, 0.0, 2000.0]])
     Y = np.array([[1, 1, 0, 0, 1, 0], [0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 1]])
     with pytest.raises(ValueError, match="class 1 has no confident support"):
-        rectify(Z, Y, RectifyConfig(iterations=iterations, lam=0.0))
+        rectify(Z, Y, default_rectify(iterations=iterations, lam=0.0))
 
 
 @pytest.mark.parametrize("Z_shape, Y_shape", [((2, 5), (3, 4)), ((3, 2, 4), (3, 4))])
@@ -714,7 +713,7 @@ def test_rectify_rejects_z_that_does_not_match_y(Z_shape, Y_shape):
     Y[..., np.arange(Y_shape[-1]) % Y_shape[-2], np.arange(Y_shape[-1])] = 1
     Y[..., 0, :] = 1
     with pytest.raises(ValueError, match="does not match Y"):
-        rectify(np.zeros(Z_shape), Y, RectifyConfig(iterations=1, lam=0.0))
+        rectify(np.zeros(Z_shape), Y, default_rectify(iterations=1, lam=0.0))
 
 
 @pytest.mark.parametrize("column", [[0.5, 0.5, 0.0], [2.0, -1.0, 0.0]])
@@ -722,19 +721,19 @@ def test_rectify_rejects_non_binary_columns_that_sum_to_one(column):
     Y = np.eye(3)
     Y[:, 0] = column
     with pytest.raises(ValueError, match="entries must be 0 or 1"):
-        rectify(np.zeros((2, 3)), Y, RectifyConfig(iterations=10, lam=0.5, k=1))
+        rectify(np.zeros((2, 3)), Y, default_rectify(iterations=10, lam=0.5, k=1))
 
 
 def test_rectify_exact_labels_still_validate():
     Y = np.zeros((3, 4), dtype=int)
     Y[[0, 1, 0, 1], np.arange(4)] = 1  # class 2 has no sample
     with pytest.raises(ValueError, match="class 2 is not a candidate"):
-        rectify(np.zeros((2, 4)), Y, RectifyConfig(iterations=10, lam=0.5, k=1))
+        rectify(np.zeros((2, 4)), Y, default_rectify(iterations=10, lam=0.5, k=1))
     Y[:, 3] = [0, 0, 1]  # now exact and valid, with 4 // 3 = 1 shot per class
     with pytest.raises(ValueError, match=re.escape(
             "shots per class=1 leaves no neighbor for smoothing (k = shots - 1); "
             "set rectify.k")):
-        rectify(np.zeros((2, 4)), Y, RectifyConfig(iterations=10, lam=0.5))
+        rectify(np.zeros((2, 4)), Y, default_rectify(iterations=10, lam=0.5))
 
 
 # -- posteriors, loss, prediction -------------------------------------------------
@@ -823,30 +822,30 @@ def test_posterior_nodes_shift_invariance():
 
 def test_rectify_config_validation():
     with pytest.raises(ValueError):
-        RectifyConfig(iterations=-1)
+        default_rectify(iterations=-1)
     with pytest.raises(ValueError):
-        RectifyConfig(lam=-0.1)
+        default_rectify(lam=-0.1)
     with pytest.raises(ValueError):
-        RectifyConfig(k=0)
+        default_rectify(k=0)
     with pytest.raises(ValueError):
-        RectifyConfig(distance="cosine")
+        default_rectify(distance="cosine")
     # NaN would skip smoothing silently
     with pytest.raises(ValueError, match=re.escape("rectify.lambda must be in [0, inf), got nan")):
-        RectifyConfig(lam=float("nan"))
+        default_rectify(lam=float("nan"))
 
 
 def test_check_k_needs_k_plus_one_support_samples_only_where_smoothing_runs():
     # 3 x 3 = 9 support samples leave at most 8 neighbors
-    RectifyConfig(k=8).check_k(3, 3, "shots")
+    assert default_rectify(k=8).check_k(3, 3, "shots") == 8
     with pytest.raises(ValueError, match=re.escape(
             "rectify.k=9 needs k + 1 support samples, but shots=3 gives 3 x 3 = 9")):
-        RectifyConfig(k=9).check_k(3, 3, "shots")
+        default_rectify(k=9).check_k(3, 3, "shots")
     # no smoothing, no neighbors: k is not used
-    RectifyConfig(k=50, lam=0.0).check_k(3, 3, "shots")
-    RectifyConfig(k=50, iterations=0).check_k(3, 3, "shots")
-    RectifyConfig(lam=0.0).check_k(3, 1, "shots")
+    assert default_rectify(k=50, lam=0.0).check_k(3, 3, "shots") is None
+    assert default_rectify(k=50, iterations=0).check_k(3, 3, "shots") is None
+    assert default_rectify(lam=0.0).check_k(3, 1, "shots") is None
     # an unset k is shots - 1
-    RectifyConfig().check_k(3, 2, "shots")
+    assert default_rectify().check_k(3, 2, "shots") == 1
     with pytest.raises(ValueError, match=re.escape(
             "shots=1 leaves no neighbor for smoothing (k = shots - 1)")):
-        RectifyConfig().check_k(3, 1, "shots")
+        default_rectify().check_k(3, 1, "shots")

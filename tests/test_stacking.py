@@ -12,20 +12,21 @@ import pytest
 
 import fspll.pll_core
 from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
-from fspll.episodes import CorruptionSpec, Episode, corrupt, make_world, sample_episode
+from fspll.episodes import CorruptionSpec, Episode, corrupt, sample_episode
 from fspll.pll_core import (DISTANCE_KINDS, RectifyConfig, classify_proba, compute_prototypes,
                             knn_indices, pairwise_distance, predict, rectify,
                             smooth_confidence, sqdist, stack_size, update_confidence,
                             validate_candidates)
-from fspll.trainer import TrainConfig, episode_loss_grad, lr_at, meta_test, meta_train
+from fspll.trainer import episode_loss_grad, lr_at, meta_test, meta_train
 
+from conftest import default_rectify, default_train, default_world
 from test_pll_core import distinct_configs
 
 PARAMS = init_network(NetworkSpec(6, (8,), 5), seed=33)
 
 
 def episodes(T=4, n_way=10, k_shot=10, k_query=6, r=2):
-    world = make_world(31, classes=16, dim=6, sigma=0.8)
+    world = default_world(seed=31, classes=16, dim=6, sigma=0.8)
     out = []
     for t in range(T):
         rng = np.random.default_rng([32, t])
@@ -276,11 +277,11 @@ BUDGET_IDS = [f"{b}-step_per_task" if step_per_task else str(b) for b, step_per_
 # benches train a checkpoint. fspll's cases keep their budget-only ids.
 TRAINING_MODES = {
     "fspll": {},
-    "pn": {"rectify": RectifyConfig(iterations=0)},
-    "fspll-nm": {"rectify": RectifyConfig(iterations=10, lam=0.0)},
-    "exact": {"rectify": RectifyConfig(iterations=0), "corruption": CorruptionSpec(1.0, 0)},
+    "pn": {"rectify": default_rectify(iterations=0)},
+    "fspll-nm": {"rectify": default_rectify(iterations=10, lam=0.0)},
+    "exact": {"rectify": default_rectify(iterations=0), "corruption": CorruptionSpec(1.0, 0)},
     "supervised": {"supervised_loss": True},
-    "squared": {"rectify": RectifyConfig(iterations=10, lam=0.5, distance="squared")},
+    "squared": {"rectify": default_rectify(iterations=10, lam=0.5, distance="squared")},
 }
 
 
@@ -290,12 +291,12 @@ TRAINING_MODES = {
 def test_batch_mean_meta_train_matches_per_task_reference(monkeypatch, mode, stack_bytes,
                                                           step_per_task):
     monkeypatch.setattr(fspll.pll_core, "STACK_BYTES", stack_bytes)
-    world = make_world(34, classes=12, dim=4, sigma=0.7)
-    config = TrainConfig(network=NetworkSpec(4, (30,), 6), max_epoch=3, tasks_per_epoch=7,
-                         n_way=5, k_support=10, k_query=4, train_classes=8,
-                         rectify=RectifyConfig(iterations=10, lam=0.5),
-                         corruption=CorruptionSpec(1.0, 2), lr0=0.05, init_seed=35,
-                         task_seed=36, step_per_task=step_per_task)
+    world = default_world(seed=34, classes=12, dim=4, sigma=0.7)
+    config = default_train(network=NetworkSpec(4, (30,), 6), max_epoch=3, tasks_per_epoch=7,
+                           n_way=5, k_support=10, k_query=4, train_classes=8,
+                           rectify=default_rectify(iterations=10, lam=0.5),
+                           corruption=CorruptionSpec(1.0, 2), lr0=0.05, init_seed=35,
+                           task_seed=36, step_per_task=step_per_task)
     config = replace(config, **TRAINING_MODES[mode])
     params, log = meta_train(config, world)
     want, losses = reference_meta_train(config, world)

@@ -9,8 +9,10 @@ from fspll.embedding import NetworkSpec, embed, embed_layers, init_network
 from fspll.episodes import (CorruptionSpec, Episode, corrupt, draw_episodes, make_world,
                             sample_episode)
 from fspll.pll_core import RectifyConfig, lse_cols, rectify
-from fspll.trainer import (TrainConfig, _sample_tasks, check_training, episode_loss_graph,
-                           episode_loss_grad, grad_check, lr_at, meta_test, meta_train)
+from fspll.trainer import (_sample_tasks, check_training, episode_loss_graph, episode_loss_grad,
+                           grad_check, lr_at, meta_test, meta_train)
+
+from conftest import default_rectify, default_train, default_world
 
 
 def tiny_config(**overrides):
@@ -21,18 +23,18 @@ def tiny_config(**overrides):
         n_way=3,
         k_support=3,
         k_query=4,
-        rectify=RectifyConfig(iterations=5, lam=0.5),
+        rectify=default_rectify(iterations=5, lam=0.5),
         corruption=CorruptionSpec(1.0, 1),
         train_classes=6,
         init_seed=1,
         task_seed=2,
     )
     defaults.update(overrides)
-    return TrainConfig(**defaults)
+    return default_train(**defaults)
 
 
 def tiny_world(seed=0, classes=10, dim=4, sigma=0.6):
-    return make_world(seed, classes=classes, dim=dim, sigma=sigma)
+    return default_world(seed=seed, classes=classes, dim=dim, sigma=sigma)
 
 
 def test_lr_schedule_values():
@@ -240,7 +242,7 @@ def test_loss_pick_matches_take_along_axis(monkeypatch, distance, supervised):
     params = init_network(NetworkSpec(4, (6,), 5), seed=24)
     episode = _sample_tasks(tiny_config(tasks_per_epoch=5, n_way=4), world, np.arange(6), 0)
     layers = embed_layers(params, episode.support)
-    _, Q = rectify(layers[-1], episode.candidates, RectifyConfig(iterations=3, lam=0.5, k=2))
+    _, Q = rectify(layers[-1], episode.candidates, default_rectify(iterations=3, lam=0.5, k=2))
     seen = spy_log_posteriors(monkeypatch)
     loss, _, _ = episode_loss_grad(params, layers, episode, Q, distance, supervised)
     [logp] = seen
@@ -278,7 +280,7 @@ def test_supervised_loss_stays_finite_when_posterior_underflows():
     # behind the winner: exp underflows to 0, and log(0) would abort training
     world = make_world(1, classes=6, dim=4, sigma=15.0, mean_scale=20.0)
     config = tiny_config(supervised_loss=True,
-                         rectify=RectifyConfig(iterations=0, distance="squared"))
+                         rectify=default_rectify(iterations=0, distance="squared"))
     _, log = meta_train(config, world)
     assert len(log.entries) == 3
     assert all(np.isfinite(loss) for loss in log.losses())
@@ -288,7 +290,7 @@ def test_meta_test_perfect_on_separable_world():
     world = tiny_world(sigma=1e-9)
     params = init_network(NetworkSpec(4, (), 4), seed=6)
     episode = sample_episode(world, [6, 7, 8], 3, 5, seed=7)
-    _, [accuracy] = meta_test(params, episode[None], RectifyConfig())
+    _, [accuracy] = meta_test(params, episode[None], default_rectify())
     assert accuracy == 1.0
 
 
@@ -298,7 +300,7 @@ def test_meta_test_does_not_mutate_params():
     before = [w.copy() for w in params.weights] + [b.copy() for b in params.biases]
     episode = corrupt(sample_episode(world, [0, 1, 2], 3, 4, seed=9),
                       CorruptionSpec(1.0, 1), seed=10)
-    meta_test(params, episode[None], RectifyConfig())
+    meta_test(params, episode[None], default_rectify())
     after = list(params.weights) + list(params.biases)
     for a, b in zip(before, after):
         np.testing.assert_array_equal(a, b)
@@ -312,7 +314,7 @@ def test_meta_test_zero_iterations_equals_pn_rule():
     params = init_network(NetworkSpec(4, (5,), 4), seed=11)
     episode = corrupt(sample_episode(world, [1, 3, 5], 3, 6, seed=12),
                       CorruptionSpec(1.0, 1), seed=13)
-    [predictions], _ = meta_test(params, episode[None], RectifyConfig(iterations=0))
+    [predictions], _ = meta_test(params, episode[None], default_rectify(iterations=0))
     z = embed(params, episode.support)
     q = episode.candidates / episode.candidates.sum(axis=0)
     protos = compute_prototypes(z, q)
@@ -325,7 +327,7 @@ def test_meta_test_dimension_mismatch():
     episode = sample_episode(tiny_world(), [0, 1], 2, 2, seed=15)
     with pytest.raises(ValueError, match=re.escape(
             "embed: expected 5 feature rows, got shape (1, 4, 4)")):
-        meta_test(params, episode[None], RectifyConfig())
+        meta_test(params, episode[None], default_rectify())
 
 
 def test_train_config_validation():
@@ -362,7 +364,7 @@ def test_non_finite_loss_aborts_with_location():
     # disabled the overflow reaches the loss graph as a nan posterior
     world = make_world(1, classes=6, dim=4, sigma=1.0, mean_scale=1e200)
     config = tiny_config(max_epoch=1, tasks_per_epoch=1,
-                         rectify=RectifyConfig(iterations=0))
+                         rectify=default_rectify(iterations=0))
     with pytest.raises(RuntimeError, match="epoch 0, task 0"):
         with pytest.warns(RuntimeWarning, match="invalid value encountered in subtract"):
             meta_train(config, world)
